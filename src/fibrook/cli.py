@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -109,7 +110,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         try:
             cap_n = int(cap)
         except ValueError:
-            raise SystemExit(f"FIBROOK_MAX_N must be an integer, got {cap!r}")
+            cap_n = 0
+        if cap_n <= 0:
+            raise SystemExit(f"FIBROOK_MAX_N must be a positive integer, got {cap!r}")
         cfg.triangle_max = cap_n
         cfg.enum_max = cap_n
     return cfg
@@ -119,10 +122,44 @@ def _emit(cfg: RunConfig, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_out(cfg.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write `text` to `path`, replacing a plain file atomically.
+
+    A new file, or a regular file with one link, is written beside itself
+    and renamed over, so a failed run never leaves it truncated; symlinks
+    are followed and stay in place, and the file keeps its mode. Devices,
+    FIFOs, hard-linked files and files in read-only directories are written
+    in place, as `open` would.
+    """
+    path = os.path.realpath(path)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            handle = open(tmp, "x", encoding="utf-8")
+        except PermissionError:
+            pass
+        else:
+            try:
+                with handle:
+                    handle.write(text)
+                if st is not None:
+                    os.chmod(tmp, stat.S_IMODE(st.st_mode))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _usage_error(message: str) -> int:

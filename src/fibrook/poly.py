@@ -1,11 +1,26 @@
 """Exact sparse polynomial arithmetic in the weight variables q, p and r.
 
 All counting in this package is exact, so polynomials live in Z[q, p, r]
-stored sparsely: a map from exponent triples (e_q, e_p, e_r) to nonzero
-integer coefficients. The empty map is the zero polynomial. Equality is
-equality of term maps, and printing follows a fixed graded term order, so
-equal values always print identically; the CLI and the golden tests rely
-on that.
+stored sparsely: a map from monomials to nonzero integer coefficients. The
+empty map is the zero polynomial. Equality is equality of term maps, and
+printing follows a fixed graded term order, so equal values always print
+identically; the CLI and the golden tests rely on that.
+
+Each monomial q^a p^b r^c is stored under one packed int key
+
+    d << 3W | a << 2W | b << W | c,    where d = a + b + c and W = _EXP_BITS,
+
+after the packed exponent vectors of Monagan and Pearce (CASC 2007).
+Multiplying two monomials is one int addition, and sorting the keys as
+plain ints gives the graded print order: total degree first, then the
+exponents of q, p and r. A field can only overflow once a total degree
+reaches 2**W, so every polynomial carries an upper bound on its total
+degree (a sum under `*`, a max under `+`), and an operation that would
+reach the limit raises OverflowError instead of wrapping. The factor text
+of each printed monomial (`p^2*q^3`) is kept in a module-level cache, which
+grows only with the number of distinct monomials printed. The packing is
+private: the constructor, `term` and `.terms` speak exponent triples
+(e_q, e_p, e_r).
 
 On top of the ring this module provides the q-analogues ([n]_q with the
 convention [0]_q = 1, q-factorials, q-binomials built by the Pascal-type
@@ -23,12 +38,53 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, int, int]  # (e_q, e_p, e_r)
 
-_VAR_SLOT = {"q": 0, "p": 1, "r": 2}
+_EXP_BITS = 16  # W, the width of each packed field
+_DEG_LIMIT = 1 << _EXP_BITS  # every total degree must stay below this
+_MASK = _DEG_LIMIT - 1
+_P_SHIFT = _EXP_BITS
+_Q_SHIFT = 2 * _EXP_BITS
+_DEG_SHIFT = 3 * _EXP_BITS
+_SHIFT = {"q": _Q_SHIFT, "p": _P_SHIFT, "r": 0}  # variable name -> field shift
+
+# packed key -> factor text such as "p^2*q^3" ("" for the constant monomial)
+_MONO_TEXT: dict[int, str] = {}
+
+def _degree_overflow(deg: int) -> OverflowError:
+    return OverflowError(
+        f"total degree {deg} reaches the packed-exponent limit 2**{_EXP_BITS}"
+    )
 
 
-def _sort_key(exps: Exponents) -> tuple[int, int, int, int]:
-    # graded order: total degree first, then the exponent triple itself
-    return (exps[0] + exps[1] + exps[2], exps[0], exps[1], exps[2])
+def _pack(e_q: int, e_p: int, e_r: int) -> int:
+    if e_q < 0 or e_p < 0 or e_r < 0:
+        raise ValueError(f"negative exponent in term {(e_q, e_p, e_r)!r}")
+    deg = e_q + e_p + e_r
+    if deg >= _DEG_LIMIT:
+        raise _degree_overflow(deg)
+    return deg << _DEG_SHIFT | e_q << _Q_SHIFT | e_p << _P_SHIFT | e_r
+
+
+def _unpack(key: int) -> Exponents:
+    return (key >> _Q_SHIFT & _MASK, key >> _P_SHIFT & _MASK, key & _MASK)
+
+
+def _mono_text(key: int) -> str:
+    e_q, e_p, e_r = _unpack(key)
+    factors = []
+    for name, e in (("p", e_p), ("q", e_q), ("r", e_r)):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
+
+
+def _from_packed(terms: dict[int, int], deg: int) -> PQRPoly:
+    """Wrap a packed term map with no zero coefficients; `deg` bounds its total degree."""
+    poly = object.__new__(PQRPoly)
+    poly._terms = terms
+    poly._deg = deg
+    return poly
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -39,19 +95,16 @@ def _sort_key(exps: Exponents) -> tuple[int, int, int, int]:
 class PQRPoly:
     """Polynomial in q, p, r with integer coefficients, canonical sparse form."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_deg")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        clean: dict[Exponents, int] = {}
+        clean: dict[int, int] = {}
         if terms:
-            for exps, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                eq, ep, er = exps
-                if eq < 0 or ep < 0 or er < 0:
-                    raise ValueError(f"negative exponent in term {exps!r}")
-                clean[(eq, ep, er)] = coeff
+            for (e_q, e_p, e_r), coeff in terms.items():
+                if coeff:
+                    clean[_pack(e_q, e_p, e_r)] = coeff
         self._terms = clean
+        self._deg = max(clean) >> _DEG_SHIFT if clean else 0
 
     # construction helpers ------------------------------------------------
 
@@ -65,26 +118,27 @@ class PQRPoly:
 
     @classmethod
     def constant(cls, c: int) -> PQRPoly:
-        return cls({(0, 0, 0): c})
+        return _from_packed({0: c}, 0) if c else _ZERO
 
     @classmethod
     def term(cls, coeff: int, e_q: int = 0, e_p: int = 0, e_r: int = 0) -> PQRPoly:
-        return cls({(e_q, e_p, e_r): coeff})
+        if not coeff:
+            return _ZERO
+        key = _pack(e_q, e_p, e_r)
+        return _from_packed({key: coeff}, key >> _DEG_SHIFT)
 
     @classmethod
     def variable(cls, name: str) -> PQRPoly:
-        if name not in _VAR_SLOT:
+        if name not in _SHIFT:
             raise ValueError(f"unknown variable {name!r}")
-        exps = [0, 0, 0]
-        exps[_VAR_SLOT[name]] = 1
-        return cls({tuple(exps): 1})
+        return _from_packed({1 << _DEG_SHIFT | 1 << _SHIFT[name]: 1}, 1)
 
     # inspection -----------------------------------------------------------
 
     @property
     def terms(self) -> dict[Exponents, int]:
         """Copy of the term map; keys are (e_q, e_p, e_r)."""
-        return dict(self._terms)
+        return {_unpack(key): coeff for key, coeff in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -98,26 +152,26 @@ class PQRPoly:
 
     def degree(self, var: str) -> int:
         """Largest exponent of `var`; -1 for the zero polynomial."""
-        slot = _VAR_SLOT[var]
+        shift = _SHIFT[var]
         if not self._terms:
             return -1
-        return max(e[slot] for e in self._terms)
+        return max(key >> shift & _MASK for key in self._terms)
 
     def total_degree(self) -> int:
         if not self._terms:
             return -1
-        return max(e[0] + e[1] + e[2] for e in self._terms)
+        return max(self._terms) >> _DEG_SHIFT
 
     def coefficient(self, var: str, power: int) -> PQRPoly:
         """The polynomial in the remaining variables multiplying var**power."""
-        slot = _VAR_SLOT[var]
-        picked: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            if exps[slot] == power:
-                reduced = list(exps)
-                reduced[slot] = 0
-                picked[tuple(reduced)] = coeff
-        return PQRPoly(picked)
+        shift = _SHIFT[var]
+        drop = power << _DEG_SHIFT | power << shift
+        picked = {
+            key - drop: coeff
+            for key, coeff in self._terms.items()
+            if (key >> shift & _MASK) == power
+        }
+        return _from_packed(picked, self._deg)
 
     def coefficients_in(self, var: str) -> list[PQRPoly]:
         """Coefficient list [c_0, ..., c_d] so that sum c_s * var**s == self."""
@@ -128,15 +182,16 @@ class PQRPoly:
         """The value of a constant polynomial; raises if any variable survives."""
         if not self._terms:
             return 0
-        if set(self._terms) != {(0, 0, 0)}:
+        if len(self._terms) != 1 or 0 not in self._terms:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[(0, 0, 0)]
+        return self._terms[0]
 
     def eval_at(self, q: int, p: int = 0, r: int = 0) -> int:
         """Exact integer evaluation at q, p, r."""
         total = 0
-        for (eq, ep, er), coeff in self._terms.items():
-            total += coeff * q**eq * p**ep * r**er
+        for key, coeff in self._terms.items():
+            e_q, e_p, e_r = _unpack(key)
+            total += coeff * q**e_q * p**e_p * r**e_r
         return total
 
     def substitute(
@@ -146,20 +201,22 @@ class PQRPoly:
         r: int | None = None,
     ) -> PQRPoly:
         """Partial evaluation: plug in integers for some variables, keep the rest."""
-        out: dict[Exponents, int] = {}
-        for (eq, ep, er), coeff in self._terms.items():
+        out: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            e_q, e_p, e_r = _unpack(key)
             if q is not None:
-                coeff *= q**eq
-                eq = 0
+                coeff *= q**e_q
+                e_q = 0
             if p is not None:
-                coeff *= p**ep
-                ep = 0
+                coeff *= p**e_p
+                e_p = 0
             if r is not None:
-                coeff *= r**er
-                er = 0
-            key = (eq, ep, er)
+                coeff *= r**e_r
+                e_r = 0
+            # exponents only shrink, so the key cannot overflow
+            key = (e_q + e_p + e_r) << _DEG_SHIFT | e_q << _Q_SHIFT | e_p << _P_SHIFT | e_r
             out[key] = out.get(key, 0) + coeff
-        return PQRPoly(out)
+        return _from_packed({k: c for k, c in out.items() if c}, self._deg)
 
     # arithmetic -----------------------------------------------------------
 
@@ -175,23 +232,21 @@ class PQRPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        # copying the left operand shares its key objects with the result,
+        # which keeps running sums such as triangle rows small in memory
         out = dict(self._terms)
-        for exps, coeff in rhs._terms.items():
-            new = out.get(exps, 0) + coeff
+        for key, coeff in rhs._terms.items():
+            new = out.get(key, 0) + coeff
             if new:
-                out[exps] = new
+                out[key] = new
             else:
-                out.pop(exps, None)
-        result = PQRPoly.__new__(PQRPoly)
-        result._terms = out
-        return result
+                del out[key]
+        return _from_packed(out, self._deg if self._deg >= rhs._deg else rhs._deg)
 
     __radd__ = __add__
 
     def __neg__(self) -> PQRPoly:
-        result = PQRPoly.__new__(PQRPoly)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return _from_packed({key: -c for key, c in self._terms.items()}, self._deg)
 
     def __sub__(self, other: PQRPoly | int) -> PQRPoly:
         rhs = self._coerce(other)
@@ -206,20 +261,31 @@ class PQRPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not self._terms or not rhs._terms:
+        small, big = self._terms, rhs._terms
+        if len(small) > len(big):
+            small, big = big, small
+        if not small:
             return _ZERO
-        out: dict[Exponents, int] = {}
-        for (aq, ap, ar), ac in self._terms.items():
-            for (bq, bp, br), bc in rhs._terms.items():
-                key = (aq + bq, ap + bp, ar + br)
-                new = out.get(key, 0) + ac * bc
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        result = PQRPoly.__new__(PQRPoly)
-        result._terms = out
-        return result
+        deg = self._deg + rhs._deg
+        if deg >= _DEG_LIMIT:  # the bound may be loose after cancellation
+            deg = (max(small) >> _DEG_SHIFT) + (max(big) >> _DEG_SHIFT)
+            if deg >= _DEG_LIMIT:
+                raise _degree_overflow(deg)
+        out: dict[int, int] = {}
+        if len(small) == 1:
+            # one row: distinct keys and nonzero products, so nothing to merge
+            [(ka, ca)] = small.items()
+            for kb, cb in big.items():
+                out[ka + kb] = ca * cb
+        else:
+            get = out.get
+            for ka, ca in small.items():
+                for kb, cb in big.items():
+                    key = ka + kb
+                    out[key] = get(key, 0) + ca * cb
+            if 0 in out.values():
+                out = {key: c for key, c in out.items() if c}
+        return _from_packed(out, deg)
 
     __rmul__ = __mul__
 
@@ -246,26 +312,23 @@ class PQRPoly:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for exps in sorted(self._terms, key=_sort_key):
-            coeff = self._terms[exps]
-            eq, ep, er = exps
-            factors = []
-            for name, e in (("p", ep), ("q", eq), ("r", er)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+        for key, coeff in sorted(self._terms.items()):
+            mono = _MONO_TEXT.get(key)
+            if mono is None:
+                mono = _MONO_TEXT[key] = _mono_text(key)
+            if coeff > 0:
+                sign = " + "
             else:
-                body = f"{mag}*" + "*".join(factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                sign = " - "
+                coeff = -coeff
+            if not mono:
+                parts.append(f"{sign}{coeff}")
+            elif coeff == 1:
+                parts.append(sign + mono)
             else:
-                parts.append((" + " if coeff > 0 else " - ") + body)
+                parts.append(f"{sign}{coeff}*{mono}")
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -273,7 +336,7 @@ class PQRPoly:
 
 
 _ZERO = PQRPoly()
-_ONE = PQRPoly({(0, 0, 0): 1})
+_ONE = PQRPoly.constant(1)
 
 Q = PQRPoly.variable("q")
 P = PQRPoly.variable("p")

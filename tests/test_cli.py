@@ -1,6 +1,9 @@
 """Exit codes, output shapes, and byte determinism of the command line."""
 
+import errno
 import json
+import os
+import stat
 
 import pytest
 
@@ -59,8 +62,11 @@ def test_table_size_cap(capsys, monkeypatch):
     assert run(capsys, "table", "Sf", "5", "--force")[0] == 0
     monkeypatch.setenv("FIBROOK_MAX_N", "6")
     assert run(capsys, "table", "Sf", "5")[0] == 0
-    monkeypatch.setenv("FIBROOK_MAX_N", "many")
-    assert run(capsys, "table", "Sf", "5")[0] == 2
+    for bad in ("many", "0", "-1"):
+        monkeypatch.setenv("FIBROOK_MAX_N", bad)
+        code, _, err = run(capsys, "table", "Sf", "5")
+        assert code == 2
+        assert "FIBROOK_MAX_N must be a positive integer" in err
 
 
 # enumerate ----------------------------------------------------------------------
@@ -208,3 +214,76 @@ def test_out_writes_file(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert text.splitlines()[0] == "n,k,poly"
+
+
+def test_out_is_atomic_when_a_write_fails(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "tri.txt"
+    target.write_text("previous run\n", encoding="utf-8")
+
+    class DiskFull:
+        """A file handle that writes half of its text, then runs out of space."""
+
+        def __init__(self, *args, **kwargs):
+            self.handle = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", DiskFull, raising=False)
+    with pytest.raises(OSError):
+        main(["table", "cf", "5", "--out", str(target)])
+    assert target.read_text(encoding="utf-8") == "previous run\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_to_a_device_writes_in_place(capsys):
+    code, out, _ = run(capsys, "table", "cf", "3", "--out", os.devnull)
+    assert code == 0
+    assert out == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_through_a_symlink_keeps_the_link_and_mode(tmp_path, capsys):
+    target = tmp_path / "tri.txt"
+    target.write_text("previous run\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "latest.txt"
+    link.symlink_to(target)
+    assert run(capsys, "table", "cf", "3", "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8").startswith("cf triangle")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_out_writes_through_a_hard_link(tmp_path, capsys):
+    target = tmp_path / "tri.txt"
+    target.write_text("previous run\n", encoding="utf-8")
+    twin = tmp_path / "twin.txt"
+    os.link(target, twin)
+    assert run(capsys, "table", "cf", "3", "--out", str(target))[0] == 0
+    assert os.path.samefile(target, twin)
+    assert twin.read_text(encoding="utf-8") == target.read_text(encoding="utf-8")
+
+
+def test_out_in_a_read_only_directory_writes_in_place(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "tri.txt"
+    target.write_text("previous run\n", encoding="utf-8")
+
+    def no_new_files(file, mode="r", **kwargs):
+        if "x" in mode:
+            raise PermissionError(errno.EACCES, "Permission denied", file)
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+    assert run(capsys, "table", "cf", "3", "--out", str(target))[0] == 0
+    assert target.read_text(encoding="utf-8").startswith("cf triangle")
+    assert list(tmp_path.iterdir()) == [target]

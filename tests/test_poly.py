@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fibrook.poly as poly_module
 from fibrook.poly import (
     P,
     Q,
@@ -62,6 +63,10 @@ def test_int_comparison_and_constants():
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         PQRPoly({(-1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        PQRPoly({(0, -1, 0): 2})
+    with pytest.raises(ValueError):
+        PQRPoly.term(1, e_q=2, e_r=-1)
 
 
 def test_eval_substitute_as_int():
@@ -102,6 +107,170 @@ def test_eval_is_a_ring_map(a: PQRPoly, b: PQRPoly, point):
     q0, p0, r0 = point
     assert (a + b).eval_at(q0, p0, r0) == a.eval_at(q0, p0, r0) + b.eval_at(q0, p0, r0)
     assert (a * b).eval_at(q0, p0, r0) == a.eval_at(q0, p0, r0) * b.eval_at(q0, p0, r0)
+
+
+# differential checks against a tuple-keyed dict reference ------------------
+
+
+def _ref_clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (aq, ap, ar), ac in a.items():
+        for (bq, bp, br), bc in b.items():
+            key = (aq + bq, ap + bp, ar + br)
+            out[key] = out.get(key, 0) + ac * bc
+    return _ref_clean(out)
+
+
+def _ref_str(terms: dict) -> str:
+    if not terms:
+        return "0"
+    text = ""
+    for e in sorted(terms, key=lambda e: (sum(e), e)):
+        coeff = terms[e]
+        factors = [
+            name if k == 1 else f"{name}^{k}"
+            for name, k in (("p", e[1]), ("q", e[0]), ("r", e[2]))
+            if k
+        ]
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        else:
+            body = "*".join(factors) if mag == 1 else f"{mag}*" + "*".join(factors)
+        if not text:
+            text = body if coeff > 0 else f"-{body}"
+        else:
+            text += (" + " if coeff > 0 else " - ") + body
+    return text
+
+
+def _ref_eval(terms: dict, q: int, p: int, r: int) -> int:
+    return sum(c * q**eq * p**ep * r**er for (eq, ep, er), c in terms.items())
+
+
+def _ref_substitute(terms: dict, values: dict) -> dict:
+    out: dict = {}
+    for exps, c in terms.items():
+        kept = []
+        for name, e in zip("qpr", exps):
+            if name in values:
+                c *= values[name] ** e
+                e = 0
+            kept.append(e)
+        out[tuple(kept)] = out.get(tuple(kept), 0) + c
+    return _ref_clean(out)
+
+
+# few distinct monomials and signed coefficients, so that sums and products cancel
+term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+    st.integers(-3, 3),
+    max_size=6,
+)
+substitutions = st.dictionaries(st.sampled_from("qpr"), st.integers(-2, 2))
+
+
+@given(term_maps, term_maps, eval_points, substitutions)
+def test_ring_matches_tuple_dict_reference(a: dict, b: dict, point, values: dict):
+    pa, pb = PQRPoly(a), PQRPoly(b)
+    ra, rb = _ref_clean(a), _ref_clean(b)
+    results = {
+        "a": (pa, ra),
+        "a+b": (pa + pb, _ref_add(ra, rb)),
+        "a-b": (pa - pb, _ref_add(ra, {e: -c for e, c in rb.items()})),
+        "a*b": (pa * pb, _ref_mul(ra, rb)),
+    }
+    for name, (got, want) in results.items():
+        assert got.terms == want, name
+        assert str(got) == _ref_str(want), name
+        assert got.eval_at(*point) == _ref_eval(want, *point), name
+        assert got.substitute(**values).terms == _ref_substitute(want, values), name
+        # equal values built along another route hash alike
+        assert hash(got) == hash(PQRPoly(want)), name
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@given(term_maps, term_maps, eval_points)
+def test_ring_matches_sympy(sympy, a: dict, b: dict, point):
+    gens = sympy.symbols("q p r")
+    sa = sympy.Poly.from_dict(a, *gens) if a else sympy.Poly(0, *gens)
+    sb = sympy.Poly.from_dict(b, *gens) if b else sympy.Poly(0, *gens)
+    pa, pb = PQRPoly(a), PQRPoly(b)
+    for got, want in ((pa + pb, sa + sb), (pa - pb, sa - sb), (pa * pb, sa * sb)):
+        assert got.terms == {e: int(c) for e, c in want.as_dict().items()}
+        # the printed form parses back to the same polynomial
+        assert sympy.Poly(sympy.sympify(str(got)), *gens) == want
+        assert got.eval_at(*point) == int(want.eval(dict(zip(gens, point))))
+
+
+# the packed-key guards -------------------------------------------------------
+
+
+def test_packed_degree_limit_raises():
+    limit = poly_module._DEG_LIMIT
+    with pytest.raises(OverflowError):
+        PQRPoly({(limit, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        PQRPoly({(0, limit // 2, limit // 2): 1})  # each exponent fits, the degree does not
+    with pytest.raises(OverflowError):
+        PQRPoly.term(1, e_r=limit)
+    with pytest.raises(OverflowError):
+        PQRPoly.term(1, e_q=1, e_p=limit - 1)
+    top = PQRPoly.term(1, e_r=limit - 1)
+    assert top.total_degree() == limit - 1
+    assert top * 7 == PQRPoly.term(7, e_r=limit - 1)
+    with pytest.raises(OverflowError):
+        top * R  # e_r would carry into the e_p field
+    with pytest.raises(OverflowError):
+        PQRPoly.term(1, e_r=limit // 2) * PQRPoly.term(1, e_r=limit // 2)
+    # sums and negation carry the bound of their largest term
+    with pytest.raises(OverflowError):
+        (Q + top) * R
+    with pytest.raises(OverflowError):
+        (1 - top) * R
+    # a degree bound left loose by cancellation does not refuse a product that fits
+    assert ((top + Q - top) * Q).terms == {(2, 0, 0): 1}
+
+
+def test_term_with_zero_coefficient_is_zero():
+    z = PQRPoly.term(0, 3, 1, 2)
+    assert z.is_zero
+    assert z == 0
+    assert len(z) == 0
+    assert str(z) == "0"
+    assert z.terms == {}
+    assert (z * Q).is_zero
+    assert z + Q == Q
+
+
+def test_equal_values_from_different_routes_hash_alike():
+    routes = [
+        (Q + P) ** 2,
+        Q * Q + 2 * P * Q + P * P,
+        PQRPoly({(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}),
+        PQRPoly.term(1, 0, 2) + PQRPoly.term(2, 1, 1) + PQRPoly.term(1, 2),
+        (Q + P + R) * (Q + P - R) + R * R,
+        ((Q + P + R) ** 2).substitute(r=0),
+        (Q + P) ** 2 * P - (Q + P) ** 2 * (P - 1),
+    ]
+    assert all(f == routes[0] for f in routes)
+    assert len({hash(f) for f in routes}) == 1
+    assert len(set(routes)) == 1
 
 
 @given(polys, st.integers(0, 4))
