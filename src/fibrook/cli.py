@@ -362,7 +362,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if suite in ("inverse", "all"):
         reports.extend(_verify_inverse(cfg.N if cfg.N is not None else 12))
         for fam, cap in ((FIBONACCI, 12), (TRIBONACCI, 10)):
-            reports.append(verify_basis_expansions(min(cfg.N, cap) if cfg.N else cap, fam))
+            top = cap if cfg.N is None else min(cfg.N, cap)
+            reports.append(verify_basis_expansions(top, fam))
     if suite in ("involution", "all"):
         reports.extend(_verify_involution(cfg))
     if suite in ("identities", "all"):

@@ -180,20 +180,32 @@ def rising_factorial_basis(fam: TileFamily, k: int) -> XPoly:
     return xpoly_product(factors)
 
 
+def _horner_step(poly: XPoly, c: PQRPoly, const: PQRPoly) -> XPoly:
+    """const + (x + c) * poly: one step of a Newton-form evaluation."""
+    coeffs = poly.coeffs
+    if not coeffs:
+        return XPoly((const,))
+    out = [const + c * coeffs[0]]
+    out += [coeffs[i - 1] + c * coeffs[i] for i in range(1, len(coeffs))]
+    out.append(coeffs[-1])
+    return XPoly(out)
+
+
 def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
     """Check every basis-expansion identity for the family up to row N.
 
     For {1,2}: down_n = sum_k sf[n][k] x^k, x^n = sum_k Sf[n][k] down_k,
     up_n = sum_k Lf[n][k] down_k and up_n = sum_k cf[n][k] x^k.
     For {1,2,3}: up_n = sum_k cp[n][k] x^k and x^n = sum_k Sp[n][k] down_k.
-    """
-    def basis(label: str, m: int) -> XPoly:
-        if label == "power":
-            return XPoly.x_power(m)
-        if label == "falling":
-            return falling_factorial_basis(fam, m)
-        return rising_factorial_basis(fam, m)
 
+    All three bases are Newton bases, basis_k = (x - a_0) ... (x - a_{k-1}),
+    with nodes a_k = W_k (falling), -W_k (rising) or 0 (power); a_0 = 0 in
+    each since W_0 = 0. So the left side grows by one factor per row,
+    lhs_n = lhs_{n-1} (x - a_{n-1}), and the right side is evaluated in
+    Horner form, P = T[n][n], then P = T[n][k] + (x - a_k) P for
+    k = n-1, ..., 0. Every product is a node (one W_k) times a coefficient
+    of P, never a basis polynomial times a triangle entry.
+    """
     if fam == FIBONACCI:
         cases = [
             ("falling-in-powers", "sf", "falling", "power"),
@@ -209,16 +221,25 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
     else:
         raise ValueError(f"no triangles are defined for family {fam}")
 
+    zero = PQRPoly.zero()
+    weights = [weight_poly(fam, k) for k in range(N + 1)]
+    # c_k = -a_k, so that each factor x - a_k reads x + c_k
+    shifts = {
+        "power": [zero] * (N + 1),
+        "falling": [-w for w in weights],
+        "rising": weights,
+    }
     counterexamples = []
     for name, kind, lhs_label, rhs_label in cases:
         tri = build_triangle(kind, N)
+        lhs_shift, rhs_shift = shifts[lhs_label], shifts[rhs_label]
+        lhs = XPoly.one()
         for n in range(N + 1):
-            lhs = basis(lhs_label, n)
+            if n:
+                lhs = _horner_step(lhs, lhs_shift[n - 1], zero)
             rhs = XPoly.zero()
-            for k in range(n + 1):
-                coeff = tri.entry(n, k)
-                if not coeff.is_zero:
-                    rhs = rhs + basis(rhs_label, k) * coeff
+            for k in range(n, -1, -1):
+                rhs = _horner_step(rhs, rhs_shift[k], tri.entry(n, k))
             if lhs != rhs:
                 counterexamples.append(
                     {"identity": name, "n": n, "lhs": str(lhs), "rhs": str(rhs)}

@@ -22,7 +22,6 @@ from functools import lru_cache
 from fibrook.poly import PQRPoly
 
 _ALLOWED_HEIGHTS = (1, 2, 3)
-_SLOT_FOR_HEIGHT = {1: 0, 2: 1, 3: 2}  # exponent slots (e_q, e_p, e_r)
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -86,6 +85,10 @@ class Tiling:
         if any(h not in _ALLOWED_HEIGHTS for h in tiles):
             raise ValueError("tile heights must be drawn from {1, 2, 3}")
         object.__setattr__(self, "tiles", tiles)
+        # not a field, so equality and hashing still see the tiles only
+        object.__setattr__(
+            self, "_counts", (tiles.count(1), tiles.count(2), tiles.count(3))
+        )
 
     @property
     def height(self) -> int:
@@ -93,10 +96,7 @@ class Tiling:
 
     def height_counts(self) -> tuple[int, int, int]:
         """(number of height-1 tiles, height-2 tiles, height-3 tiles)."""
-        counts = [0, 0, 0]
-        for h in self.tiles:
-            counts[_SLOT_FOR_HEIGHT[h]] += 1
-        return tuple(counts)
+        return self._counts
 
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.tiles)
@@ -123,15 +123,21 @@ def _stacks(heights: tuple[int, ...], remaining: int) -> tuple[tuple[int, ...], 
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _tilings(heights: tuple[int, ...], n: int) -> tuple[Tiling, ...]:
+    if n < 1:
+        return ()
+    return tuple(Tiling((1,) + rest) for rest in _stacks(heights, n - 1))
+
+
 def enumerate_tilings(fam: TileFamily, n: int) -> list[Tiling]:
     """All tilings of a height-n column, lexicographic by tile sequence.
 
     There are none for n <= 0 (the bottom tile needs height 1 to stand on
-    the floor, so height 0 admits no tiling here).
+    the floor, so height 0 admits no tiling here). The tilings of each
+    height are built once and cached; every call returns a new list.
     """
-    if n < 1:
-        return []
-    return [Tiling((1,) + rest) for rest in _stacks(fam.heights, n - 1)]
+    return list(_tilings(fam.heights, n))
 
 
 def tiling_weight(t: Tiling) -> PQRPoly:

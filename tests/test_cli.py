@@ -179,6 +179,18 @@ def test_verify_products_passes(capsys):
     assert json.loads(out)["status"] == "PASS"
 
 
+def test_verify_inverse_at_n_zero_sizes_every_check(capsys):
+    code, out, _ = run(capsys, "verify", "inverse", "--N", "0")
+    assert code == 0
+    ranges = [r["range"] for r in json.loads(out)["reports"]]
+    assert ranges == [
+        "family=fib, n,k<=0",
+        "family=trib, n,k<=0",
+        "family=fib, n<=0",
+        "family=trib, n<=0",
+    ]
+
+
 def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "everything")[0] == 2
 

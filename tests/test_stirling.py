@@ -2,6 +2,7 @@
 
 import pytest
 
+import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, parse_placement
 from fibrook.poly import P, Q, PQRPoly, XPoly
 from fibrook.stirling import (
@@ -129,6 +130,30 @@ def test_basis_expansions_verified(fam, N):
     report = verify_basis_expansions(N, fam)
     assert report["status"] == "PASS"
     assert report["counterexamples"] == []
+
+
+@pytest.mark.parametrize(
+    "kind,identity",
+    [
+        ("Sf", "power-in-falling"),  # right side in the falling basis, W_k nodes
+        ("cf", "rising-in-powers"),  # right side in the power basis, zero nodes
+    ],
+)
+def test_basis_expansions_catch_a_wrong_entry(monkeypatch, kind, identity):
+    real = stirling.build_triangle
+
+    def perturbed(k: str, N: int):
+        tri = real(k, N)
+        if k != kind:
+            return tri
+        rows = [list(row) for row in tri.rows]
+        rows[4][2] = rows[4][2] + Q
+        return stirling.CoeffTriangle(k, N, tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(stirling, "build_triangle", perturbed)
+    report = verify_basis_expansions(6, FIBONACCI)
+    assert report["status"] == "FAIL"
+    assert [(c["identity"], c["n"]) for c in report["counterexamples"]] == [(identity, 4)]
 
 
 # matrix inversion -----------------------------------------------------------------

@@ -64,6 +64,18 @@ def test_enumerate_small_heights():
         assert t.height == 6
 
 
+def test_enumerate_tilings_returns_a_fresh_list():
+    first = enumerate_tilings(FIBONACCI, 5)
+    second = enumerate_tilings(FIBONACCI, 5)
+    assert first == second
+    assert first is not second
+    first.clear()
+    first.append(Tiling((1, 1)))
+    assert enumerate_tilings(FIBONACCI, 5) == second
+    assert len(second) == 5
+    assert enumerate_tilings(FIBONACCI, 0) == []
+
+
 def test_tiling_counts():
     assert [tiling_count(FIBONACCI, n) for n in range(1, 9)] == [1, 1, 2, 3, 5, 8, 13, 21]
     assert [tiling_count(TRIBONACCI, n) for n in range(1, 9)] == [1, 1, 2, 4, 7, 13, 24, 44]
