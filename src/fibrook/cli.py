@@ -354,6 +354,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite = cfg.name
     if suite not in SUITES:
         return _usage_error(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if cfg.N is not None and cfg.N < 0:
+        return _usage_error("N must be >= 0")
     reports: list[dict] = []
     if suite in ("recursion-vs-enumeration", "all"):
         reports.append(_verify_recursion_vs_enumeration(cfg.N if cfg.N is not None else 8))
@@ -368,6 +370,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         reports.extend(_verify_involution(cfg))
     if suite in ("identities", "all"):
         reports.extend(_verify_identities(cfg.N))
+    if not reports:
+        return _usage_error(f"suite {suite} has nothing to check at N={cfg.N}")
     statuses = {r["status"] for r in reports}
     overall = "FAIL" if "FAIL" in statuses else ("WARN" if "WARN" in statuses else "PASS")
     _emit(cfg, json.dumps({"suite": suite, "status": overall, "reports": reports}, indent=2))

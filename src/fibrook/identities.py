@@ -386,7 +386,7 @@ def sequence_export(name: str) -> SequenceReport:
 
 def check_series_columns(N: int = 12, kmax: int = 6) -> dict:
     """Series coefficients equal triangle entries: t^n coefficient = Sf[n][k]."""
-    tri = build_triangle("Sf", N)
+    tri = build_triangle("Sf", N, width=kmax)
     bad = []
     for k in range(1, kmax + 1):
         series = sf_column_series(k, N)
@@ -484,7 +484,7 @@ def check_q1_specializations(N: int = 20, N_single: int = 14) -> dict:
 def check_cf_columns(N: int = 20) -> dict:
     """Column 1 (s <= 3) and column 2 (s <= 1) formulas for cf, plus the
     integer count of the column-2 p coefficient at q = 1."""
-    tri = build_triangle("cf", N)
+    tri = build_triangle("cf", N, width=2)
     bad = []
     for n in range(1, N + 1):
         for s in range(4):
@@ -564,8 +564,8 @@ def check_log_concavity(
     """Log-concavity of Sf[n][k](p, 1) coefficient sequences: proved for
     k <= 4 (FAIL on violation), empirical for k = 5..8 (WARN on violation);
     cf[n][1](p, 1) is log-concave via real-rootedness (FAIL on violation)."""
-    tri = build_triangle("Sf", max(sf_N, empirical_N))
-    cf_tri = build_triangle("cf", cf_N)
+    tri = build_triangle("Sf", max(sf_N, empirical_N), width=max(sf_kmax, empirical_kmax))
+    cf_tri = build_triangle("cf", cf_N, width=1)
     bad = []
     warnings = []
     for n in range(1, sf_N + 1):

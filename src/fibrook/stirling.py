@@ -74,11 +74,13 @@ def family_for_kind(kind: str) -> TileFamily:
 
 @dataclass(frozen=True)
 class CoeffTriangle:
-    """Rows 0..N of one coefficient family; row n holds entries k = 0..n."""
+    """Rows 0..N of one coefficient family; row n holds entries k = 0..n,
+    or k = 0..min(n, width) when the triangle was built to a column bound."""
 
     kind: str
     N: int
     rows: tuple[tuple[PQRPoly, ...], ...]
+    width: int | None = None
 
     @property
     def family(self) -> TileFamily:
@@ -89,6 +91,8 @@ class CoeffTriangle:
             raise ValueError(f"row {n} not in triangle (N={self.N})")
         if k < 0 or k > n:
             return PQRPoly.zero()
+        if self.width is not None and k > self.width:
+            raise ValueError(f"column {k} not built (width={self.width})")
         return self.rows[n][k]
 
     def to_json_dict(self) -> dict:
@@ -104,21 +108,31 @@ class CoeffTriangle:
                 yield (n, k, str(e))
 
 
-def build_triangle(kind: str, N: int) -> CoeffTriangle:
-    """Rows 0..N of the `kind` triangle by its two-term recursion."""
+def build_triangle(kind: str, N: int, width: int | None = None) -> CoeffTriangle:
+    """Rows 0..N of the `kind` triangle by its two-term recursion.
+
+    Entry (n+1, k) reads only entries (n, k-1) and (n, k), so column k
+    depends on columns <= k alone. With a `width`, row n holds only the
+    entries k = 0..min(n, width), which equal the leading entries of the
+    full row; `entry` then raises for width < k <= n instead of guessing.
+    """
     fam = family_for_kind(kind)
     if N < 0:
         raise ValueError("N must be >= 0")
+    if width is not None and width < 0:
+        raise ValueError("width must be >= 0")
     zero = PQRPoly.zero()
     rows: list[list[PQRPoly]] = [[PQRPoly.one()]]
     for n in range(N):
         prev = rows[n]
+        size = len(prev)
+        top = n + 1 if width is None else min(n + 1, width)
 
         def at(k: int) -> PQRPoly:
-            return prev[k] if 0 <= k <= n else zero
+            return prev[k] if 0 <= k < size else zero
 
         new_row: list[PQRPoly] = []
-        for k in range(n + 2):
+        for k in range(top + 1):
             if kind in ("cf", "cp"):
                 step = weight_poly(fam, n) * at(k)
             elif kind in ("sf", "sp"):
@@ -129,7 +143,7 @@ def build_triangle(kind: str, N: int) -> CoeffTriangle:
                 step = (weight_poly(fam, k) + weight_poly(fam, n)) * at(k)
             new_row.append(at(k - 1) + step)
         rows.append(new_row)
-    return CoeffTriangle(kind, N, tuple(tuple(row) for row in rows))
+    return CoeffTriangle(kind, N, tuple(tuple(row) for row in rows), width)
 
 
 def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:

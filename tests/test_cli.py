@@ -191,6 +191,22 @@ def test_verify_inverse_at_n_zero_sizes_every_check(capsys):
     ]
 
 
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_verify_rejects_a_negative_n(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--N", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: N must be >= 0\n"
+
+
+@pytest.mark.parametrize("N", ["0", "1"])
+def test_verify_that_checks_nothing_is_a_usage_error(capsys, N):
+    code, out, err = run(capsys, "verify", "involution", "--N", N)
+    assert code == 2
+    assert out == ""
+    assert "nothing to check" in err
+
+
 def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "everything")[0] == 2
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import fibrook.identities as identities
 from fibrook.identities import (
     CLOSED_FORM_KINDS,
     SEQUENCE_NAMES,
     cf_col2_p_coefficient_at_q1,
     cf_column_coefficient_formula,
+    check_cf_columns,
     check_closed_forms,
     check_fibonomials,
     check_log_concavity,
@@ -28,7 +30,7 @@ from fibrook.identities import (
     unimodal,
 )
 from fibrook.poly import P, Q, PQRPoly
-from fibrook.stirling import build_triangle
+from fibrook.stirling import CoeffTriangle, build_triangle
 
 
 # generating series -----------------------------------------------------------
@@ -279,3 +281,49 @@ def test_check_log_concavity_small():
     report = check_log_concavity(sf_N=12, sf_kmax=4, empirical_N=10, empirical_kmax=6, cf_N=10)
     assert report["status"] in ("PASS", "WARN")
     assert report["counterexamples"] == []
+
+
+def _perturb_entry(monkeypatch, kind: str, n: int, k: int, delta: PQRPoly) -> None:
+    """Make the checks in `identities` see `kind`[n][k] + delta; an entry
+    beyond the width the check asks for makes the build raise."""
+    real = identities.build_triangle
+
+    def perturbed(kind_: str, N: int, width: int | None = None) -> CoeffTriangle:
+        tri = real(kind_, N, width)
+        if kind_ != kind:
+            return tri
+        rows = [list(row) for row in tri.rows]
+        rows[n][k] = rows[n][k] + delta
+        return CoeffTriangle(kind_, N, tuple(tuple(row) for row in rows), width)
+
+    monkeypatch.setattr(identities, "build_triangle", perturbed)
+
+
+def test_log_concavity_catches_a_wrong_sf_entry(monkeypatch):
+    # Sf[6][3] at q = 1 has p-sequence [10, 10, 5, 1]; taking 9 from p^1 makes a dip
+    _perturb_entry(monkeypatch, "Sf", 6, 3, PQRPoly.term(-9, e_p=1))
+    report = check_log_concavity()
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"kind": "Sf", "n": 6, "k": 3, "sequence": [10, 1, 5, 1]}
+    ]
+
+
+def test_log_concavity_catches_a_wrong_cf_entry(monkeypatch):
+    # cf[6][1] at q = 1 has p-sequence [1, 6, 12, 9, 2]; zeroing p^1 leaves an inner 0
+    _perturb_entry(monkeypatch, "cf", 6, 1, PQRPoly.term(-6, e_p=1))
+    report = check_log_concavity()
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"kind": "cf", "n": 6, "k": 1, "sequence": [1, 0, 12, 9, 2]}
+    ]
+
+
+def test_cf_columns_catch_a_wrong_entry(monkeypatch):
+    _perturb_entry(monkeypatch, "cf", 5, 2, Q)
+    report = check_cf_columns()
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"col": 2, "n": 5, "s": 0, "formula": "q^6 + q^7 + q^8 + q^9",
+         "triangle": "q + q^6 + q^7 + q^8 + q^9"}
+    ]

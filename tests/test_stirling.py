@@ -61,6 +61,23 @@ def test_triangle_boundaries():
         build_triangle("zz", 3)
 
 
+@pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+def test_column_bound_keeps_the_leading_entries(kind: str):
+    N = 6
+    full = build_triangle(kind, N)
+    for width in range(N + 1):
+        tri = build_triangle(kind, N, width)
+        for n in range(N + 1):
+            assert tri.rows[n] == full.rows[n][: min(n, width) + 1]
+            for k in range(width + 1, n + 1):
+                with pytest.raises(ValueError, match=f"column {k} not built"):
+                    tri.entry(n, k)
+            assert tri.entry(n, n + 1) == 0
+            assert tri.entry(n, -1) == 0
+    with pytest.raises(ValueError):
+        build_triangle(kind, N, -1)
+
+
 def test_kind_families():
     assert set(TRIANGLE_KINDS) == {"cf", "sf", "Sf", "Lf", "cp", "sp", "Sp"}
     assert family_for_kind("cf") == FIBONACCI
