@@ -11,8 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error. Warn-level
 findings exit 0 unless --strict. Output is deterministic for a fixed
 command line; no timings are printed. Triangles are capped at N <= 40 and
-enumeration-backed commands at n <= 9 unless --force is given; the env
-var FIBROOK_MAX_N replaces both caps.
+enumeration-backed commands at n <= 9: `enumerate` takes --force, and the
+involution suite refuses a larger --n (or --N) outright. The env var
+FIBROOK_MAX_N replaces both caps. `verify` accepts --n/--k only for the
+involution and all suites.
 """
 
 from __future__ import annotations
@@ -313,12 +315,17 @@ def _verify_inverse(N: int) -> list[dict]:
     ]
 
 
+def _involution_top(cfg: RunConfig) -> int:
+    """The largest staircase the involution suite enumerates."""
+    if cfg.n is not None:
+        return cfg.n
+    return cfg.N if cfg.N is not None else 6
+
+
 def _verify_involution(cfg: RunConfig) -> list[dict]:
-    if cfg.n is not None or cfg.k is not None:
-        if cfg.n is None or cfg.k is None:
-            raise SystemExit("involution needs both --n and --k (or neither)")
+    if cfg.n is not None:
         return [involution_verify(cfg.n, cfg.k)]
-    top = cfg.N if cfg.N is not None else 6
+    top = _involution_top(cfg)
     return [
         involution_verify(n, k)
         for n in range(2, top + 1)
@@ -356,6 +363,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         return _usage_error(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if cfg.N is not None and cfg.N < 0:
         return _usage_error("N must be >= 0")
+    if suite in ("involution", "all"):
+        if (cfg.n is None) != (cfg.k is None):
+            return _usage_error("involution needs both --n and --k (or neither)")
+        top = _involution_top(cfg)
+        if top > cfg.enum_max:
+            return _usage_error(
+                f"involution n={top} exceeds the enumeration cap {cfg.enum_max}; "
+                "set FIBROOK_MAX_N to change the cap"
+            )
+    elif cfg.n is not None or cfg.k is not None:
+        return _usage_error(
+            f"--n and --k select an involution domain; suite {suite} takes neither"
+        )
     reports: list[dict] = []
     if suite in ("recursion-vs-enumeration", "all"):
         reports.append(_verify_recursion_vs_enumeration(cfg.N if cfg.N is not None else 8))

@@ -41,6 +41,7 @@ Exponents = tuple[int, int, int]  # (e_q, e_p, e_r)
 _EXP_BITS = 16  # W, the width of each packed field
 _DEG_LIMIT = 1 << _EXP_BITS  # every total degree must stay below this
 _MASK = _DEG_LIMIT - 1
+_ROW_MASK = (1 << 2 * _EXP_BITS) - 1  # the (e_p, e_r) fields of a packed key
 _P_SHIFT = _EXP_BITS
 _Q_SHIFT = 2 * _EXP_BITS
 _DEG_SHIFT = 3 * _EXP_BITS
@@ -49,18 +50,22 @@ _SHIFT = {"q": _Q_SHIFT, "p": _P_SHIFT, "r": 0}  # variable name -> field shift
 # packed key -> factor text such as "p^2*q^3" ("" for the constant monomial)
 _MONO_TEXT: dict[int, str] = {}
 
-def _degree_overflow(deg: int) -> OverflowError:
-    return OverflowError(
-        f"total degree {deg} reaches the packed-exponent limit 2**{_EXP_BITS}"
-    )
+def check_degree(deg: int) -> None:
+    """Raise OverflowError unless total degree `deg` fits the packed fields.
+
+    Sums of packed keys, and of `q_image` row keys, are exact only below it.
+    """
+    if deg >= _DEG_LIMIT:
+        raise OverflowError(
+            f"total degree {deg} reaches the packed-exponent limit 2**{_EXP_BITS}"
+        )
 
 
 def _pack(e_q: int, e_p: int, e_r: int) -> int:
     if e_q < 0 or e_p < 0 or e_r < 0:
         raise ValueError(f"negative exponent in term {(e_q, e_p, e_r)!r}")
     deg = e_q + e_p + e_r
-    if deg >= _DEG_LIMIT:
-        raise _degree_overflow(deg)
+    check_degree(deg)
     return deg << _DEG_SHIFT | e_q << _Q_SHIFT | e_p << _P_SHIFT | e_r
 
 
@@ -194,6 +199,31 @@ class PQRPoly:
             total += coeff * q**e_q * p**e_p * r**e_r
         return total
 
+    def abs_sum(self) -> int:
+        """The sum of |coeff| over all terms, the l1 norm of the coefficients."""
+        return sum(map(abs, self._terms.values()))
+
+    def q_image(self, w: int) -> dict[int, int]:
+        """The image under q -> 2**w, one integer per (p, r) monomial.
+
+        Maps each row key, the (e_p, e_r) part of the packed key, to
+        sum coeff * 2**(w * e_q) over the terms of that row; rows that sum
+        to 0 are left out. This is a ring homomorphism Z[q, p, r] -> Z[p, r],
+        so the image of f + g is the row-wise sum of the images and the image
+        of f * g their row convolution, where row keys add the way packed
+        keys do (exactly while total degrees stay below 2**16, see
+        `check_degree`). Within the bound |coeff| < 2**(w-1) it is
+        injective: the coefficients of a row are its digits in balanced base
+        2**w, and an integer has only one such digit string. Without the
+        bound it is not; q - 2**w maps to {}.
+        """
+        rows: dict[int, int] = {}
+        get = rows.get
+        for key, coeff in self._terms.items():
+            row = key & _ROW_MASK
+            rows[row] = get(row, 0) + (coeff << w * (key >> _Q_SHIFT & _MASK))
+        return {row: value for row, value in rows.items() if value}
+
     def substitute(
         self,
         q: int | None = None,
@@ -269,8 +299,7 @@ class PQRPoly:
         deg = self._deg + rhs._deg
         if deg >= _DEG_LIMIT:  # the bound may be loose after cancellation
             deg = (max(small) >> _DEG_SHIFT) + (max(big) >> _DEG_SHIFT)
-            if deg >= _DEG_LIMIT:
-                raise _degree_overflow(deg)
+            check_degree(deg)
         out: dict[int, int] = {}
         if len(small) == 1:
             # one row: distinct keys and nonzero products, so nothing to merge

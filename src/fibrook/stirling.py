@@ -44,7 +44,7 @@ from fibrook.board import (
     file_poly,
     rook_poly,
 )
-from fibrook.poly import PQRPoly, XPoly, xpoly_product
+from fibrook.poly import PQRPoly, XPoly, check_degree, xpoly_product
 from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
 
 TRIANGLE_KINDS = ("cf", "sf", "Sf", "Lf", "cp", "sp", "Sp")
@@ -267,18 +267,50 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
 
 
 def matrix_inverse_check(N: int, fam: TileFamily) -> dict:
-    """Check sum_j Sf[n][j] sf[j][k] = [n == k] (and the {1,2,3} analogue)."""
+    """Check sum_j Sf[n][j] sf[j][k] = [n == k] (and the {1,2,3} analogue).
+
+    Each sum is checked in the image of the ring homomorphism q -> 2**w,
+    taken separately for each (p, r) monomial (`PQRPoly.q_image`), so one
+    product of two entries is a handful of integer products instead of a
+    term-by-term dict product. The width w comes from the data: since
+    |fg|_inf <= |f|_1 |g|_1, every coefficient of the (n, k) sum is at most
+    B = max over n, k of sum_j |Sf[n][j]|_1 |sf[j][k]|_1, and with
+    w = B.bit_length() + 2 both the sum and [n == k] have coefficients
+    below 2**(w-1) in absolute value. The image is injective there (each
+    row is read as digits in balanced base 2**w), so the images are equal
+    exactly when the polynomials are. Only a failing entry is recomputed
+    as a polynomial, for the text of its counterexample.
+    """
     big, small = ("Sf", "sf") if fam == FIBONACCI else ("Sp", "sp")
     tri_big = build_triangle(big, N)
     tri_small = build_triangle(small, N)
+    check_degree(_max_degree(tri_big) + _max_degree(tri_small))
+    norm_big = [[e.abs_sum() for e in row] for row in tri_big.rows]
+    norm_small = [[e.abs_sum() for e in row] for row in tri_small.rows]
+    bound = max(
+        sum(norm_big[n][j] * norm_small[j][k] for j in range(k, n + 1))
+        for n in range(N + 1)
+        for k in range(n + 1)
+    )
+    w = bound.bit_length() + 2
+    image_big = [[e.q_image(w) for e in row] for row in tri_big.rows]
+    image_small = [[e.q_image(w) for e in row] for row in tri_small.rows]
     counterexamples = []
     for n in range(N + 1):
-        for k in range(N + 1):
-            total = PQRPoly.zero()
+        for k in range(n + 1):
+            rows: dict[int, int] = {}
+            get = rows.get
             for j in range(k, n + 1):
-                total = total + tri_big.entry(n, j) * tri_small.entry(j, k)
-            want = PQRPoly.one() if n == k else PQRPoly.zero()
-            if total != want:
+                right = image_small[j][k].items()
+                for ra, va in image_big[n][j].items():
+                    for rb, vb in right:
+                        key = ra + rb
+                        rows[key] = get(key, 0) + va * vb
+            got = {key: value for key, value in rows.items() if value}
+            if got != ({0: 1} if n == k else {}):
+                total = PQRPoly.zero()
+                for j in range(k, n + 1):
+                    total = total + tri_big.entry(n, j) * tri_small.entry(j, k)
                 counterexamples.append({"n": n, "k": k, "value": str(total)})
     return {
         "check": "matrix-inverse",
@@ -286,6 +318,10 @@ def matrix_inverse_check(N: int, fam: TileFamily) -> dict:
         "status": "PASS" if not counterexamples else "FAIL",
         "counterexamples": counterexamples,
     }
+
+
+def _max_degree(tri: CoeffTriangle) -> int:
+    return max(e.total_degree() for row in tri.rows for e in row)
 
 
 # ──────────────────────────────────────────────────────────────────────────

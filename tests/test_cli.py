@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import stat
+import time
 
 import pytest
 
@@ -205,6 +206,41 @@ def test_verify_that_checks_nothing_is_a_usage_error(capsys, N):
     assert code == 2
     assert out == ""
     assert "nothing to check" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("involution", "--n", "11", "--k", "1"),
+        ("involution", "--N", "12"),
+        ("all", "--N", "12"),
+        ("all", "--n", "10", "--k", "1"),
+    ],
+)
+def test_verify_refuses_an_involution_over_the_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "exceeds the enumeration cap 9" in err
+
+
+def test_involution_cap_follows_fibrook_max_n(capsys, monkeypatch):
+    monkeypatch.setenv("FIBROOK_MAX_N", "3")
+    code, _, err = run(capsys, "verify", "involution", "--n", "4", "--k", "2")
+    assert code == 2
+    assert "involution n=4 exceeds the enumeration cap 3" in err
+    assert run(capsys, "verify", "involution", "--N", "3")[0] == 0
+
+
+@pytest.mark.parametrize("suite", [s for s in cli.SUITES if s not in ("involution", "all")])
+@pytest.mark.parametrize("flags", [("--n", "5"), ("--k", "2")])
+def test_verify_n_and_k_outside_the_involution_are_usage_errors(capsys, suite, flags):
+    code, out, err = run(capsys, "verify", suite, *flags)
+    assert code == 2
+    assert out == ""
+    assert f"suite {suite} takes neither" in err
 
 
 def test_verify_unknown_suite(capsys):

@@ -218,11 +218,79 @@ def test_ring_matches_sympy(sympy, a: dict, b: dict, point):
         assert got.eval_at(*point) == int(want.eval(dict(zip(gens, point))))
 
 
+# the q-image -------------------------------------------------------------------
+
+
+def _row(e_p: int, e_r: int) -> int:
+    """The row key of the (p, r) monomial p^e_p r^e_r."""
+    [key] = PQRPoly.term(1, e_p=e_p, e_r=e_r).q_image(1)
+    return key
+
+
+def _row_sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, value in b.items():
+        out[key] = out.get(key, 0) + value
+    return {key: value for key, value in out.items() if value}
+
+
+def _row_convolution(a: dict, b: dict) -> dict:
+    out: dict[int, int] = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + va * vb
+    return {key: value for key, value in out.items() if value}
+
+
+q_widths = st.integers(1, 8)
+# |coeff| <= 2, so f + h stays below 2**3 for the polys strategy's f
+small_polys = st.dictionaries(exponent_triples, st.integers(-2, 2), max_size=3).map(PQRPoly)
+
+
+@given(polys, q_widths)
+def test_q_image_substitutes_a_power_of_two_for_q(f: PQRPoly, w: int):
+    want = {_row(e_p, e_r): c for (_, e_p, e_r), c in f.substitute(q=2**w).terms.items()}
+    assert f.q_image(w) == want
+
+
+@given(polys, polys, q_widths)
+def test_q_image_is_a_ring_map_onto_rows(a: PQRPoly, b: PQRPoly, w: int):
+    assert (a + b).q_image(w) == _row_sum(a.q_image(w), b.q_image(w))
+    assert (a * b).q_image(w) == _row_convolution(a.q_image(w), b.q_image(w))
+
+
+@given(polys, small_polys, st.integers(4, 8))
+def test_q_image_is_injective_below_the_coefficient_bound(f: PQRPoly, h: PQRPoly, w: int):
+    # every coefficient of f and of g = f + h is below 2**3 <= 2**(w-1)
+    g = f + h
+    assert (f.q_image(w) == g.q_image(w)) == (f == g)
+
+
+def test_q_image_is_not_injective_beyond_the_bound():
+    for w in (1, 4, 74):
+        assert (Q - 2**w) != 0
+        assert (Q - 2**w).q_image(w) == {}
+
+
+@given(polys, polys)
+def test_abs_sum_bounds_sums_and_products(a: PQRPoly, b: PQRPoly):
+    assert (a + b).abs_sum() <= a.abs_sum() + b.abs_sum()
+    assert max(map(abs, (a * b).terms.values()), default=0) <= a.abs_sum() * b.abs_sum()
+
+
+def test_abs_sum_values():
+    assert PQRPoly.zero().abs_sum() == 0
+    assert (3 * P * Q - 2 * R + 1).abs_sum() == 6
+
+
 # the packed-key guards -------------------------------------------------------
 
 
 def test_packed_degree_limit_raises():
     limit = poly_module._DEG_LIMIT
+    poly_module.check_degree(limit - 1)
+    with pytest.raises(OverflowError):
+        poly_module.check_degree(limit)
     with pytest.raises(OverflowError):
         PQRPoly({(limit, 0, 0): 1})
     with pytest.raises(OverflowError):

@@ -4,7 +4,7 @@ import pytest
 
 import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, parse_placement
-from fibrook.poly import P, Q, PQRPoly, XPoly
+from fibrook.poly import P, Q, R, PQRPoly, XPoly
 from fibrook.stirling import (
     TRIANGLE_KINDS,
     PlacementPair,
@@ -142,6 +142,21 @@ def test_rising_factorial_expands_in_cf_row():
         assert up3.coefficient(k) == tri.entry(3, k)
 
 
+def _perturb(monkeypatch, kind: str, n: int, k: int, delta: PQRPoly) -> None:
+    """Make `stirling.build_triangle(kind, ...)` add `delta` to entry (n, k)."""
+    real = stirling.build_triangle
+
+    def perturbed(kd: str, N: int, width: int | None = None):
+        tri = real(kd, N, width)
+        if kd != kind:
+            return tri
+        rows = [list(row) for row in tri.rows]
+        rows[n][k] = rows[n][k] + delta
+        return stirling.CoeffTriangle(kd, N, tuple(tuple(row) for row in rows), width)
+
+    monkeypatch.setattr(stirling, "build_triangle", perturbed)
+
+
 @pytest.mark.parametrize("fam,N", [(FIBONACCI, 10), (TRIBONACCI, 8)])
 def test_basis_expansions_verified(fam, N):
     report = verify_basis_expansions(N, fam)
@@ -157,17 +172,7 @@ def test_basis_expansions_verified(fam, N):
     ],
 )
 def test_basis_expansions_catch_a_wrong_entry(monkeypatch, kind, identity):
-    real = stirling.build_triangle
-
-    def perturbed(k: str, N: int):
-        tri = real(k, N)
-        if k != kind:
-            return tri
-        rows = [list(row) for row in tri.rows]
-        rows[4][2] = rows[4][2] + Q
-        return stirling.CoeffTriangle(k, N, tuple(tuple(row) for row in rows))
-
-    monkeypatch.setattr(stirling, "build_triangle", perturbed)
+    _perturb(monkeypatch, kind, 4, 2, Q)
     report = verify_basis_expansions(6, FIBONACCI)
     assert report["status"] == "FAIL"
     assert [(c["identity"], c["n"]) for c in report["counterexamples"]] == [(identity, 4)]
@@ -180,6 +185,61 @@ def test_basis_expansions_catch_a_wrong_entry(monkeypatch, kind, identity):
 def test_triangles_are_mutually_inverse(fam):
     report = matrix_inverse_check(8, fam)
     assert report["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "fam,N,kind,n,k,delta,failing",
+    [
+        # sf[7][3] feeds every (n, 3) with n >= 7 through Sf[n][7]
+        (FIBONACCI, 9, "sf", 7, 3, Q, [(7, 3), (8, 3), (9, 3)]),
+        (TRIBONACCI, 8, "sp", 6, 2, R, [(6, 2), (7, 2), (8, 2)]),
+    ],
+)
+def test_inverse_check_catches_a_wrong_entry(monkeypatch, fam, N, kind, n, k, delta, failing):
+    _perturb(monkeypatch, kind, n, k, delta)
+    report = matrix_inverse_check(N, fam)
+    assert report["status"] == "FAIL"
+    assert [(c["n"], c["k"]) for c in report["counterexamples"]] == failing
+    big = stirling.build_triangle("Sf" if kind == "sf" else "Sp", N)
+    small = stirling.build_triangle(kind, N)
+    for c in report["counterexamples"]:
+        total = PQRPoly.zero()
+        for j in range(c["k"], c["n"] + 1):
+            total = total + big.entry(c["n"], j) * small.entry(j, c["k"])
+        assert c["value"] == str(total)
+
+
+def test_inverse_check_slot_width_comes_from_the_data(monkeypatch):
+    widths = set()
+    real_image = PQRPoly.q_image
+
+    def spy(self, w):
+        widths.add(w)
+        return real_image(self, w)
+
+    monkeypatch.setattr(PQRPoly, "q_image", spy)
+    assert matrix_inverse_check(8, FIBONACCI)["status"] == "PASS"
+    [w] = widths
+    # q - 2**w has image 0 at width w, so only a wider slot can see it
+    bad = Q - 2**w
+    assert bad.q_image(w) == {}
+    _perturb(monkeypatch, "sf", 5, 5, bad)
+    report = matrix_inverse_check(8, FIBONACCI)
+    assert report["status"] == "FAIL"
+    assert (5, 5) in [(c["n"], c["k"]) for c in report["counterexamples"]]
+    assert max(widths) > w
+
+
+def test_inverse_check_keeps_the_degree_guard(monkeypatch):
+    # Each entry fits the packed fields, but r^40000 * r^25536 does not: its
+    # row key would carry into the p field and alias p, and the (2, 0) sum
+    # r^65536 - p would pass in the image. The check must refuse instead.
+    r_power = PQRPoly.term(1, e_r=25536)
+    _perturb(monkeypatch, "Sf", 2, 1, PQRPoly.term(1, e_r=40000))
+    _perturb(monkeypatch, "sf", 1, 0, r_power)
+    _perturb(monkeypatch, "sf", 2, 0, -P - Q * r_power)
+    with pytest.raises(OverflowError):
+        matrix_inverse_check(3, FIBONACCI)
 
 
 def test_inverse_by_hand_row_three():
