@@ -10,7 +10,7 @@ import csv
 import json
 from pathlib import Path
 
-from fibrook.stirling import TRIANGLE_KINDS, build_triangle
+from fibrook.stirling import TRIANGLE_KINDS, triangle_image
 
 
 def main() -> int:
@@ -22,7 +22,7 @@ def main() -> int:
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for kind in TRIANGLE_KINDS:
-        tri = build_triangle(kind, args.N)
+        tri = triangle_image(kind, args.N)
         # sf/Sf and sp/Sp would collide on case-insensitive filesystems
         stem = {"sf": "sf_signed", "sp": "sp_signed"}.get(kind, kind)
         csv_path = args.out_dir / f"{stem}.csv"

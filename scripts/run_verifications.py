@@ -3,19 +3,21 @@
 
 Equivalent to `fibrook verify all` but with a compact human-readable
 rollup instead of the full JSON. Exits 1 if anything fails (or, with
---strict, warns).
+--strict, warns), and 2 for a request that `fibrook verify all` refuses,
+such as an involution staircase over the enumeration cap.
 """
 
 import argparse
 import sys
 
 from fibrook.cli import (
-    RunConfig,
+    _config_from_args,
     _verify_identities,
     _verify_inverse,
     _verify_involution,
     _verify_products,
     _verify_recursion_vs_enumeration,
+    _verify_refusal,
 )
 from fibrook.stirling import verify_basis_expansions
 from fibrook.tiling import FIBONACCI, TRIBONACCI
@@ -27,7 +29,16 @@ def main() -> int:
     parser.add_argument("--strict", action="store_true", help="treat WARN as failure")
     args = parser.parse_args()
 
-    cfg = RunConfig(command="verify", N=args.N)
+    # the caps of `fibrook verify all`, FIBROOK_MAX_N included, checked up front
+    try:
+        cfg = _config_from_args(argparse.Namespace(command="verify", name="all", N=args.N))
+    except SystemExit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    refusal = _verify_refusal(cfg)
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
     reports = []
     reports.append(_verify_recursion_vs_enumeration(args.N or 8))
     reports.append(_verify_products(args.N or 6))

@@ -23,7 +23,8 @@ def main() -> int:
     parser.add_argument("--show", action="store_true", help="print every sequence")
     args = parser.parse_args()
 
-    tri = build_triangle("Sf", args.N)
+    # column k depends on columns <= k alone, so build no further than kmax
+    tri = build_triangle("Sf", args.N, width=max(args.kmax, 0))
     violations = []
     for k in range(1, args.kmax + 1):
         for n in range(k, args.N + 1):

@@ -56,10 +56,10 @@ from fibrook.identities import (
 from fibrook.poly import PQRPoly, XPoly, xpoly_product
 from fibrook.stirling import (
     TRIANGLE_KINDS,
-    build_triangle,
     involution_verify,
     matrix_inverse_check,
     triangle_from_boards,
+    triangle_image,
     verify_basis_expansions,
 )
 from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
@@ -183,7 +183,7 @@ def cmd_table(cfg: RunConfig) -> int:
         return _usage_error(
             f"N={cfg.N} exceeds the triangle cap {cfg.triangle_max}; pass --force to override"
         )
-    tri = build_triangle(cfg.kind, cfg.N)
+    tri = triangle_image(cfg.kind, cfg.N)
     if cfg.fmt == "json":
         _emit(cfg, json.dumps(tri.to_json_dict(), indent=2))
     elif cfg.fmt == "csv":
@@ -195,8 +195,8 @@ def cmd_table(cfg: RunConfig) -> int:
         _emit(cfg, buffer.getvalue())
     else:
         lines = [f"{cfg.kind} triangle, rows 0..{cfg.N}"]
-        for n, row in enumerate(tri.rows):
-            lines.append(f"n={n}: " + " | ".join(str(e) for e in row))
+        for n, row in enumerate(tri.text_rows()):
+            lines.append(f"n={n}: " + " | ".join(row))
         _emit(cfg, "\n".join(lines))
     return 0
 
@@ -357,25 +357,32 @@ def _verify_identities(N: int | None) -> list[dict]:
     ]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def _verify_refusal(cfg: RunConfig) -> str | None:
+    """Why `cfg` is not a runnable verify request (a usage error), or None."""
     suite = cfg.name
     if suite not in SUITES:
-        return _usage_error(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+        return f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
     if cfg.N is not None and cfg.N < 0:
-        return _usage_error("N must be >= 0")
+        return "N must be >= 0"
     if suite in ("involution", "all"):
         if (cfg.n is None) != (cfg.k is None):
-            return _usage_error("involution needs both --n and --k (or neither)")
+            return "involution needs both --n and --k (or neither)"
         top = _involution_top(cfg)
         if top > cfg.enum_max:
-            return _usage_error(
+            return (
                 f"involution n={top} exceeds the enumeration cap {cfg.enum_max}; "
                 "set FIBROOK_MAX_N to change the cap"
             )
     elif cfg.n is not None or cfg.k is not None:
-        return _usage_error(
-            f"--n and --k select an involution domain; suite {suite} takes neither"
-        )
+        return f"--n and --k select an involution domain; suite {suite} takes neither"
+    return None
+
+
+def cmd_verify(cfg: RunConfig) -> int:
+    refusal = _verify_refusal(cfg)
+    if refusal:
+        return _usage_error(refusal)
+    suite = cfg.name
     reports: list[dict] = []
     if suite in ("recursion-vs-enumeration", "all"):
         reports.append(_verify_recursion_vs_enumeration(cfg.N if cfg.N is not None else 8))

@@ -84,6 +84,87 @@ def _mono_text(key: int) -> str:
     return "*".join(factors)
 
 
+def q_image_row(e_p: int, e_r: int) -> int:
+    """The row key of p**e_p * r**e_r in `PQRPoly.q_image`."""
+    return e_p << _P_SHIFT | e_r
+
+
+def _row_digits(value: int, w: int) -> tuple[int, list[int]]:
+    """(low, digits) with value = sum digits[i] * 2**(w * (low + i)).
+
+    `value` must be positive. The digits are its base-2**w digits from the
+    lowest nonzero one up, so the zero digits at the low end of a row cost
+    one shift. They are peeled 16 at a time: each block is cut off the row
+    with one mask and one shift, and its digits off the block, so a row of
+    m digits is shifted m/16 times rather than m times.
+    """
+    low = ((value & -value).bit_length() - 1) // w
+    value >>= low * w
+    mask = (1 << w) - 1
+    block = w << 4
+    block_mask = (1 << block) - 1
+    digits: list[int] = []
+    while value:
+        part = value & block_mask
+        value >>= block
+        end = len(digits) + 16
+        while part:
+            digits.append(part & mask)
+            part >>= w
+        if value:
+            digits += [0] * (end - len(digits))
+    return low, digits
+
+
+# row key -> the packed keys of its monomials times q**0, q**1, ..., shared
+# by every polynomial read from an image, as `__add__` shares its left keys
+_ROW_KEYS: dict[int, list[int]] = {}
+
+
+def _row_keys(row: int, low: int, stop: int) -> list[int]:
+    """The packed keys of row `row` times q**low .. q**(stop-1), from a cache.
+
+    Raises OverflowError, as `_pack` does, once a total degree reaches 2**16.
+    """
+    keys = _ROW_KEYS.get(row)
+    if keys is None:
+        keys = _ROW_KEYS[row] = [(row >> _P_SHIFT) + (row & _MASK) << _DEG_SHIFT | row]
+    if len(keys) < stop:
+        check_degree((keys[-1] >> _DEG_SHIFT) + stop - len(keys))
+        step = 1 << _DEG_SHIFT | 1 << _Q_SHIFT  # times q
+        while len(keys) < stop:
+            keys.append(keys[-1] + step)
+    return keys[low:stop]
+
+
+def q_image_text(rows: Mapping[int, int], w: int, sign: int = 1) -> str:
+    """str(PQRPoly.from_q_image(rows, w, sign)), without building the polynomial.
+
+    Same preconditions as `from_q_image`. Every coefficient has the sign
+    `sign`, so each term's text is one digit and its cached monomial, and
+    the terms are put in graded order by sorting their packed keys.
+    """
+    if not rows:
+        return "0"
+    lead = " + " if sign > 0 else " - "
+    chunks: dict[int, str] = {}
+    for row, value in rows.items():
+        low, digits = _row_digits(value, w)
+        for key, digit in zip(_row_keys(row, low, low + len(digits)), digits):
+            if digit:
+                mono = _MONO_TEXT.get(key)
+                if mono is None:
+                    mono = _MONO_TEXT[key] = _mono_text(key)
+                if digit == 1:
+                    chunks[key] = lead + (mono or "1")
+                elif mono:
+                    chunks[key] = f"{lead}{digit}*{mono}"
+                else:
+                    chunks[key] = f"{lead}{digit}"
+    text = "".join([chunks[key] for key in sorted(chunks)])
+    return text[3:] if sign > 0 else "-" + text[3:]
+
+
 def _from_packed(terms: dict[int, int], deg: int) -> PQRPoly:
     """Wrap a packed term map with no zero coefficients; `deg` bounds its total degree."""
     poly = object.__new__(PQRPoly)
@@ -223,6 +304,25 @@ class PQRPoly:
             row = key & _ROW_MASK
             rows[row] = get(row, 0) + (coeff << w * (key >> _Q_SHIFT & _MASK))
         return {row: value for row, value in rows.items() if value}
+
+    @classmethod
+    def from_q_image(cls, rows: Mapping[int, int], w: int, sign: int = 1) -> PQRPoly:
+        """The polynomial f with f.q_image(w) == rows, times `sign` (+1 or -1).
+
+        Only for images of polynomials whose coefficients lie in [0, 2**w):
+        each row is then read as plain base-2**w digits (`_row_digits`).
+        """
+        terms: dict[int, int] = {}
+        for row, value in rows.items():
+            low, digits = _row_digits(value, w)
+            keys = _row_keys(row, low, low + len(digits))
+            if sign < 0:
+                digits = [-digit for digit in digits]
+            if 0 in digits:
+                terms.update((key, digit) for key, digit in zip(keys, digits) if digit)
+            else:
+                terms.update(zip(keys, digits))
+        return _from_packed(terms, max(terms) >> _DEG_SHIFT if terms else 0)
 
     def substitute(
         self,

@@ -22,6 +22,18 @@ file placements of n-k tilings on the staircase with n columns, Sf[n][k]
 counts the rook-style placements, and `triangle_from_boards` rebuilds the
 triangles that way.
 
+The recursions run on integers, in the image of q -> 2**w (Kronecker
+substitution): an entry is one int per (p, r) monomial whose base-2**w
+digits are the coefficients of the powers of q. Each W_n has one power of
+q per (p, r) monomial, so W_n times an entry is a shift, a small multiply
+and an add per pair of rows. The slot width w is safe because cf, cp, Sf,
+Sp and Lf have nonnegative coefficients: each is at most the entry's value
+at q = p = r = 1, and that integer triangle is built first. sf and sp are
+cf and cp with the sign (-1)^(n-k) on each entry, and the integer pass
+also tracks total degrees, so `check_degree` refuses a row before its
+(p, r) keys could overflow. `fibrook table` prints straight from the image
+(`triangle_image`); `build_triangle` unpacks it into `PQRPoly` entries.
+
 The Sf/sf matrices are mutually inverse. `involution` realizes the
 orthogonality bijectively: on pairs (rook-style placement of n-j tilings
 on the n-staircase, file placement of j-k tilings on the j-staircase),
@@ -33,7 +45,7 @@ shrunken boards when both last columns are empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from fibrook.board import (
     FerrersBoard,
@@ -44,7 +56,14 @@ from fibrook.board import (
     file_poly,
     rook_poly,
 )
-from fibrook.poly import PQRPoly, XPoly, check_degree, xpoly_product
+from fibrook.poly import (
+    PQRPoly,
+    XPoly,
+    check_degree,
+    q_image_row,
+    q_image_text,
+    xpoly_product,
+)
 from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
 
 TRIANGLE_KINDS = ("cf", "sf", "Sf", "Lf", "cp", "sp", "Sp")
@@ -72,8 +91,20 @@ def family_for_kind(kind: str) -> TileFamily:
 # ──────────────────────────────────────────────────────────────────────────
 
 
+class _TriangleText:
+    """JSON and CSV views of a triangle, read from its `text_rows()`."""
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, "N": self.N, "entries": list(self.text_rows())}
+
+    def csv_rows(self) -> Iterator[tuple[int, int, str]]:
+        for n, row in enumerate(self.text_rows()):
+            for k, text in enumerate(row):
+                yield (n, k, text)
+
+
 @dataclass(frozen=True)
-class CoeffTriangle:
+class CoeffTriangle(_TriangleText):
     """Rows 0..N of one coefficient family; row n holds entries k = 0..n,
     or k = 0..min(n, width) when the triangle was built to a column bound."""
 
@@ -95,55 +126,191 @@ class CoeffTriangle:
             raise ValueError(f"column {k} not built (width={self.width})")
         return self.rows[n][k]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "N": self.N,
-            "entries": [[str(e) for e in row] for row in self.rows],
-        }
+    def text_rows(self) -> Iterator[list[str]]:
+        for row in self.rows:
+            yield [str(e) for e in row]
 
-    def csv_rows(self) -> Iterator[tuple[int, int, str]]:
+
+@dataclass(frozen=True)
+class TriangleImage(_TriangleText):
+    """A triangle held in the q-image q -> 2**slot, as `triangle_image` builds it.
+
+    rows[n][k] is the image `{q_image_row(e_p, e_r): sum coeff * 2**(slot * e_q)}`
+    of the unsigned entry (the cf/cp entry for sf/sp), which gets its sign
+    back when it is printed. Every coefficient lies in [0, 2**slot), so an
+    entry reads back digit by digit.
+    """
+
+    kind: str
+    N: int
+    rows: tuple[tuple[dict[int, int], ...], ...]
+    slot: int
+    width: int | None = None
+
+    def text_rows(self) -> Iterator[list[str]]:
+        """The printed entries, row by row, equal to `str` of the unpacked ones."""
         for n, row in enumerate(self.rows):
-            for k, e in enumerate(row):
-                yield (n, k, str(e))
+            yield [
+                q_image_text(image, self.slot, _entry_sign(self.kind, n, k))
+                for k, image in enumerate(row)
+            ]
+
+
+# signed kind -> the unsigned kind whose entries it negates at odd n - k
+_SIGNED = {"sf": "cf", "sp": "cp"}
+
+
+def _entry_sign(kind: str, n: int, k: int) -> int:
+    return -1 if kind in _SIGNED and (n - k) % 2 else 1
+
+
+def _slot_width(bound: int) -> int:
+    """The narrowest image slot that holds every coefficient in [0, bound]."""
+    return bound.bit_length()
+
+
+def _multipliers(kind: str, N: int) -> Callable[[int, int], tuple[list, int, int]]:
+    """The factor m(n, k) of T[n][k] in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k].
+
+    Each factor comes as (terms, value at q = p = r = 1, total degree), its
+    terms as (row key, e_q, coeff) triples; W_0 = 0 has no terms, value 0
+    and degree -1.
+    """
+    fam = family_for_kind(kind)
+    parts = []
+    for j in range(N + 1):
+        weight = weight_poly(fam, j)
+        terms = [(q_image_row(e_p, e_r), e_q, c) for (e_q, e_p, e_r), c in weight.terms.items()]
+        parts.append((terms, weight.eval_at(1, 1, 1), weight.total_degree()))
+    unsigned = _SIGNED.get(kind, kind)
+    if unsigned in ("cf", "cp"):
+        return lambda n, k: parts[n]
+    if unsigned in ("Sf", "Sp"):
+        return lambda n, k: parts[k]
+
+    def sum_of_weights(n: int, k: int) -> tuple[list, int, int]:  # Lf: W_k + W_n
+        (ta, va, da), (tb, vb, db) = parts[k], parts[n]
+        return ta + tb, va + vb, max(da, db)
+
+    return sum_of_weights
+
+
+def _row_tops(N: int, width: int | None) -> Iterator[tuple[int, int]]:
+    """(n, top): row n + 1 of the recursion holds the entries k = 0..top."""
+    for n in range(N):
+        yield n, n + 1 if width is None else min(n + 1, width)
+
+
+def triangle_image(kind: str, N: int, width: int | None = None) -> TriangleImage:
+    """Rows 0..N of the `kind` triangle in the q-image; see `build_triangle`."""
+    slot, rows = _image_rows(kind, N, width)
+    return TriangleImage(kind, N, tuple(rows), slot, width)
+
+
+def _image_rows(
+    kind: str, N: int, width: int | None
+) -> tuple[int, Iterator[tuple[dict[int, int], ...]]]:
+    """The slot width of the `kind` triangle's image and its rows, lazily.
+
+    Two passes of the same recursion: the first, on integers at
+    q = p = r = 1 and on total degrees, runs here, so that the slot is known
+    and an oversized degree raises before any image is built; the second
+    runs on the images as the rows are drawn.
+    """
+    family_for_kind(kind)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if width is not None and width < 0:
+        raise ValueError("width must be >= 0")
+    factor = _multipliers(kind, N)
+
+    # The unsigned triangle at q = p = r = 1, and the total degree of every
+    # entry; with nonnegative coefficients nothing cancels, so degrees add
+    # under products and take the max under sums.
+    ones, degrees, largest = [1], [0], 1
+    for n, top in _row_tops(N, width):
+        size = len(ones)
+        row, row_deg = [], []
+        for k in range(top + 1):
+            value, deg = (ones[k - 1], degrees[k - 1]) if 0 < k <= size else (0, -1)
+            if k < size and ones[k]:
+                _, at_one, m_deg = factor(n, k)
+                if at_one:
+                    value += at_one * ones[k]
+                    deg = max(deg, m_deg + degrees[k])
+            row.append(value)
+            row_deg.append(deg)
+        check_degree(max(row_deg))
+        largest = max(largest, *row)
+        ones, degrees = row, row_deg
+    slot = _slot_width(largest)
+    return slot, _recur_images(factor, slot, N, width)
+
+
+def _recur_images(
+    factor: Callable[[int, int], tuple[list, int, int]], slot: int, N: int, width: int | None
+) -> Iterator[tuple[dict[int, int], ...]]:
+    """The image rows 0..N, each computed from the one before and then dropped."""
+    prev: tuple[dict[int, int], ...] = ({0: 1},)
+    yield prev
+    for n, top in _row_tops(N, width):
+        size = len(prev)
+        row_images = []
+        for k in range(top + 1):
+            out = dict(prev[k - 1]) if 0 < k <= size else {}
+            source = prev[k] if k < size else None
+            if source:
+                get = out.get
+                for shift_row, e_q, c in factor(n, k)[0]:
+                    shift = slot * e_q
+                    if c == 1:
+                        for row, value in source.items():
+                            key = row + shift_row
+                            out[key] = get(key, 0) + (value << shift)
+                    else:
+                        for row, value in source.items():
+                            key = row + shift_row
+                            out[key] = get(key, 0) + (c * value << shift)
+            row_images.append(out)
+        prev = tuple(row_images)
+        yield prev
 
 
 def build_triangle(kind: str, N: int, width: int | None = None) -> CoeffTriangle:
     """Rows 0..N of the `kind` triangle by its two-term recursion.
+
+    The recursion runs in the q-image q -> 2**w of `triangle_image`: each
+    entry is one int per (p, r) monomial, `{q_image_row(e_p, e_r):
+    sum coeff * 2**(w * e_q)}`, as `PQRPoly.q_image` maps it. A term of the
+    factor (W_n, W_k or W_k + W_n) times an entry is then one shift by
+    w * e_q, one small-int multiply and one add per (term, row) pair, with
+    no dict of terms. One slot width w serves the whole triangle. cf, cp,
+    Sf, Sp and Lf have nonnegative coefficients, so nothing cancels and
+    each coefficient of an entry is at most the entry's value at
+    q = p = r = 1; w is the bit length of the largest value of that integer
+    triangle, and below 2**w the base-2**w digits of a row are exactly its
+    coefficients. sf and sp are cf and cp with the sign (-1)**(n - k) on
+    each entry. Degree guard: the integer pass also carries the exact total
+    degree of every entry (degrees add under products and take the max
+    under sums, again since nothing cancels) and calls `check_degree` on
+    each row before it is built, so row keys, which add the way packed keys
+    do, never carry from the r field into the p field. The image is then
+    unpacked into a `CoeffTriangle` of `PQRPoly`s.
 
     Entry (n+1, k) reads only entries (n, k-1) and (n, k), so column k
     depends on columns <= k alone. With a `width`, row n holds only the
     entries k = 0..min(n, width), which equal the leading entries of the
     full row; `entry` then raises for width < k <= n instead of guessing.
     """
-    fam = family_for_kind(kind)
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if width is not None and width < 0:
-        raise ValueError("width must be >= 0")
-    zero = PQRPoly.zero()
-    rows: list[list[PQRPoly]] = [[PQRPoly.one()]]
-    for n in range(N):
-        prev = rows[n]
-        size = len(prev)
-        top = n + 1 if width is None else min(n + 1, width)
-
-        def at(k: int) -> PQRPoly:
-            return prev[k] if 0 <= k < size else zero
-
-        new_row: list[PQRPoly] = []
-        for k in range(top + 1):
-            if kind in ("cf", "cp"):
-                step = weight_poly(fam, n) * at(k)
-            elif kind in ("sf", "sp"):
-                step = -(weight_poly(fam, n) * at(k))
-            elif kind in ("Sf", "Sp"):
-                step = weight_poly(fam, k) * at(k)
-            else:  # Lf
-                step = (weight_poly(fam, k) + weight_poly(fam, n)) * at(k)
-            new_row.append(at(k - 1) + step)
-        rows.append(new_row)
-    return CoeffTriangle(kind, N, tuple(tuple(row) for row in rows), width)
+    slot, images = _image_rows(kind, N, width)
+    rows = tuple(
+        tuple(
+            PQRPoly.from_q_image(image, slot, _entry_sign(kind, n, k))
+            for k, image in enumerate(row)
+        )
+        for n, row in enumerate(images)
+    )
+    return CoeffTriangle(kind, N, rows, width)
 
 
 def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:

@@ -4,7 +4,10 @@ import errno
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +235,33 @@ def test_involution_cap_follows_fibrook_max_n(capsys, monkeypatch):
     assert code == 2
     assert "involution n=4 exceeds the enumeration cap 3" in err
     assert run(capsys, "verify", "involution", "--N", "3")[0] == 0
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "env,message",
+    [
+        ({}, "error: involution n=12 exceeds the enumeration cap 9"),
+        ({"FIBROOK_MAX_N": "0"}, "error: FIBROOK_MAX_N must be a positive integer"),
+    ],
+)
+def test_run_verifications_script_keeps_the_verify_caps(env, message):
+    # an uncapped --N 12 would enumerate involution domains for many minutes
+    # (4.7 GB at n = 11), so the timeout is the assertion that nothing ran
+    base = {key: value for key, value in os.environ.items() if key != "FIBROOK_MAX_N"}
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), base.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_verifications.py"), "--N", "12"],
+        capture_output=True,
+        text=True,
+        timeout=1,
+        env={**base, "PYTHONPATH": path, **env},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert message in done.stderr
 
 
 @pytest.mark.parametrize("suite", [s for s in cli.SUITES if s not in ("involution", "all")])

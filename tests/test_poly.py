@@ -14,6 +14,8 @@ from fibrook.poly import (
     XPoly,
     q_binomial,
     q_factorial,
+    q_image_row,
+    q_image_text,
     q_int,
     tseries_geom,
     xpoly_product,
@@ -270,6 +272,50 @@ def test_q_image_is_not_injective_beyond_the_bound():
     for w in (1, 4, 74):
         assert (Q - 2**w) != 0
         assert (Q - 2**w).q_image(w) == {}
+
+
+def test_q_image_row_is_the_row_key():
+    assert q_image_row(3, 2) == _row(3, 2)
+    assert q_image_row(0, 0) == 0
+
+
+# nonnegative coefficients below 2**4, read back at slots of 4 to 9 bits
+digit_polys = st.dictionaries(exponent_triples, st.integers(0, 15), max_size=6).map(PQRPoly)
+
+
+@given(digit_polys, st.integers(4, 9), st.sampled_from([1, -1]))
+def test_from_q_image_and_its_text_invert_q_image(f: PQRPoly, w: int, sign: int):
+    image = f.q_image(w)
+    assert PQRPoly.from_q_image(image, w, sign) == sign * f
+    assert q_image_text(image, w, sign) == str(sign * f)
+
+
+def test_q_image_text_reads_inner_zero_digits_and_long_rows():
+    f = 5 * Q**7 + Q**2 * P + 3 * P + 1 + R**2 * Q**3
+    for w in (3, 12, 68):
+        assert PQRPoly.from_q_image(f.q_image(w), w) == f
+        assert q_image_text(f.q_image(w), w) == str(f)
+        assert q_image_text(f.q_image(w), w, -1) == str(-f)
+    big = (2**67 - 1) * Q**3 + 2**66 * P
+    assert q_image_text(big.q_image(68), 68) == str(big)
+    # rows of 16 digits and more are cut into blocks of 16 before the digits
+    for length in (15, 16, 17, 40):
+        row = sum((i % 7) * Q**i for i in range(3, 3 + length)) * P
+        assert PQRPoly.from_q_image(row.q_image(5), 5) == row
+        assert q_image_text(row.q_image(5), 5) == str(row)
+    assert PQRPoly.from_q_image({}, 8) == 0
+    assert q_image_text({}, 8) == "0"
+
+
+def test_reading_an_image_keeps_the_degree_limit():
+    row = q_image_row(0, 65000)
+    top = PQRPoly.from_q_image({row: 1 << 535}, 1)
+    assert top == PQRPoly.term(1, e_q=535, e_r=65000)
+    assert top.total_degree() == 2**16 - 1
+    with pytest.raises(OverflowError):
+        PQRPoly.from_q_image({row: 1 << 536}, 1)
+    with pytest.raises(OverflowError):
+        q_image_text({row: 1 << 536}, 1)
 
 
 @given(polys, polys)
