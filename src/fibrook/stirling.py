@@ -131,21 +131,21 @@ class CoeffTriangle(_TriangleText):
             yield [str(e) for e in row]
 
 
-@dataclass(frozen=True)
 class TriangleImage(_TriangleText):
     """A triangle held in the q-image q -> 2**slot, as `triangle_image` builds it.
 
     rows[n][k] is the image `{q_image_row(e_p, e_r): sum coeff * 2**(slot * e_q)}`
     of the unsigned entry (the cf/cp entry for sf/sp), which gets its sign
     back when it is printed. Every coefficient lies in [0, 2**slot), so an
-    entry reads back digit by digit.
+    entry reads back digit by digit. A plain class, not a dataclass: the
+    CLI imports it on every run, and a dataclass compiles its methods then.
     """
 
-    kind: str
-    N: int
-    rows: tuple[tuple[dict[int, int], ...], ...]
-    slot: int
-    width: int | None = None
+    def __init__(self, kind: str, N: int, rows: tuple[tuple[dict[int, int], ...], ...], slot: int):
+        self.kind = kind
+        self.N = N
+        self.rows = rows
+        self.slot = slot
 
     def text_rows(self) -> Iterator[list[str]]:
         """The printed entries, row by row, equal to `str` of the unpacked ones."""
@@ -201,10 +201,10 @@ def _row_tops(N: int, width: int | None) -> Iterator[tuple[int, int]]:
         yield n, n + 1 if width is None else min(n + 1, width)
 
 
-def triangle_image(kind: str, N: int, width: int | None = None) -> TriangleImage:
+def triangle_image(kind: str, N: int) -> TriangleImage:
     """Rows 0..N of the `kind` triangle in the q-image; see `build_triangle`."""
-    slot, rows = _image_rows(kind, N, width)
-    return TriangleImage(kind, N, tuple(rows), slot, width)
+    slot, rows = _image_rows(kind, N, None)
+    return TriangleImage(kind, N, tuple(rows), slot)
 
 
 def _image_rows(

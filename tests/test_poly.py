@@ -298,9 +298,11 @@ def test_q_image_text_reads_inner_zero_digits_and_long_rows():
         assert q_image_text(f.q_image(w), w, -1) == str(-f)
     big = (2**67 - 1) * Q**3 + 2**66 * P
     assert q_image_text(big.q_image(68), 68) == str(big)
-    # rows of 16 digits and more are cut into blocks of 16 before the digits
-    for length in (15, 16, 17, 40):
-        row = sum((i % 7) * Q**i for i in range(3, 3 + length)) * P
+    # rows of 16 digits and more are cut into blocks of 16 before the digits,
+    # and a block whose top digits are 0 must still fill its 16 places
+    gappy = sum(Q**i for i in range(40) if i % 16 not in (14, 15))
+    rows = [sum((i % 7) * Q**i for i in range(3, 3 + m)) * P for m in (15, 16, 17, 40)]
+    for row in rows + [gappy]:
         assert PQRPoly.from_q_image(row.q_image(5), 5) == row
         assert q_image_text(row.q_image(5), 5) == str(row)
     assert PQRPoly.from_q_image({}, 8) == 0

@@ -120,10 +120,8 @@ def test_image_build_matches_the_dict_recursion(kind: str):
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
 def test_table_text_is_str_of_the_entries(kind: str):
-    for width in (None, 2):
-        image = triangle_image(kind, 9, width)
-        want = [[str(e) for e in row] for row in _dict_recursion(kind, 9, width)]
-        assert list(image.text_rows()) == want
+    want = [[str(e) for e in row] for row in _dict_recursion(kind, 9)]
+    assert list(triangle_image(kind, 9).text_rows()) == want
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
