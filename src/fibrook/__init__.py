@@ -7,7 +7,8 @@ there is no floating point anywhere. The submodules build on each other:
     tiling     height-1/2/3 column tilings, weight polynomials, tree ranks
     board      Ferrers boards, file and rook placements, product formulas
     stirling   connection-coefficient triangles, basis expansions, involution
-    identities closed forms, coefficient formulas, sequences, log-concavity
+    identities closed forms, coefficient formulas, sequences, log-concavity,
+               and the registry of verification suites
     cli        command line front end (`fibrook ...`)
 """
 

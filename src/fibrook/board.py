@@ -15,12 +15,14 @@ b_1, ..., b_{n-k} in left-to-right order. `uncanceled_heights` runs the
 literal per-cell simulation; the closed rule feeds everything else, and
 the tests assert they agree.
 
-The two placement polynomials can each be computed two independent ways:
-"recursion" peels the last column (file: by whether it is tiled; rook: the
-shortened tiling in the k-th chosen column has b_{n-(k-1)} cells), while
-"enumeration" walks every subset of columns and multiplies per-column
-weight sums obtained by exhaustively listing tilings. Mixed and augmented
-placement sums re-derive the product formulas column by column.
+The two placement polynomials share one model whose parameter is the
+cancellation rule, and each can be computed two independent ways:
+"recursion" peels the last column by whether it is tiled (if tiled, as the
+k-th chosen column it has b_n cells in the file model and b_{n-(k-1)} in
+the rook model), while "enumeration" walks every subset of columns and
+multiplies per-column weight sums obtained by exhaustively listing
+tilings. Mixed and augmented placement sums re-derive the product formulas
+column by column.
 """
 
 from __future__ import annotations
@@ -303,36 +305,31 @@ def enumerate_rook_placements(
 # ──────────────────────────────────────────────────────────────────────────
 
 
+# The two models differ in one rule: the s-th tiled column (s = 0, 1, ...) at
+# 0-based position j receives b[j - lag*s] cells, with lag 0 for file
+# placements (no cancellation) and lag 1 for rook-style ones.
+
+
 @lru_cache(maxsize=None)
-def _file_rec(heights: tuple[int, ...], fam_heights: tuple[int, ...], k: int) -> PQRPoly:
+def _placement_rec(
+    heights: tuple[int, ...], fam_heights: tuple[int, ...], k: int, lag: int
+) -> PQRPoly:
     if k < 0 or k > len(heights):
         return PQRPoly.zero()
     if k == 0:
         return PQRPoly.one()
     fam = TileFamily(fam_heights)
     body = heights[:-1]
-    keep = _file_rec(body, fam_heights, k)
-    use = weight_poly(fam, heights[-1]) * _file_rec(body, fam_heights, k - 1)
+    keep = _placement_rec(body, fam_heights, k, lag)
+    # tiled, the last column is the k-th tiled one
+    last = len(heights) - 1 - lag * (k - 1)
+    use = weight_poly(fam, heights[last]) * _placement_rec(body, fam_heights, k - 1, lag)
     return keep + use
 
 
 @lru_cache(maxsize=None)
-def _rook_rec(heights: tuple[int, ...], fam_heights: tuple[int, ...], k: int) -> PQRPoly:
-    if k < 0 or k > len(heights):
-        return PQRPoly.zero()
-    if k == 0:
-        return PQRPoly.one()
-    fam = TileFamily(fam_heights)
-    body = heights[:-1]
-    keep = _rook_rec(body, fam_heights, k)
-    # with the last column tiled, cancellation has cut it down to b_{n-(k-1)} cells
-    use = weight_poly(fam, heights[len(heights) - k]) * _rook_rec(body, fam_heights, k - 1)
-    return keep + use
-
-
-@lru_cache(maxsize=None)
-def _file_enum_sums(
-    heights: tuple[int, ...], fam_heights: tuple[int, ...]
+def _enum_sums(
+    heights: tuple[int, ...], fam_heights: tuple[int, ...], lag: int
 ) -> tuple[PQRPoly, ...]:
     fam = TileFamily(fam_heights)
     n = len(heights)
@@ -342,7 +339,7 @@ def _file_enum_sums(
     def walk(start: int, count: int, acc: PQRPoly) -> None:
         sums[count] = sums[count] + acc
         for j in range(start, n):
-            w = col_weight[j]
+            w = col_weight[j - lag * count]
             if w:
                 walk(j + 1, count + 1, acc * w)
 
@@ -350,24 +347,16 @@ def _file_enum_sums(
     return tuple(sums)
 
 
-@lru_cache(maxsize=None)
-def _rook_enum_sums(
-    heights: tuple[int, ...], fam_heights: tuple[int, ...]
-) -> tuple[PQRPoly, ...]:
-    fam = TileFamily(fam_heights)
-    n = len(heights)
-    sums = [PQRPoly.zero() for _ in range(n + 1)]
-
-    def walk(start: int, count: int, acc: PQRPoly) -> None:
-        sums[count] = sums[count] + acc
-        for j in range(start, n):
-            # the (count+1)-th chosen column keeps heights[j - count] cells
-            w = tiling_weight_sum(fam, heights[j - count])
-            if w:
-                walk(j + 1, count + 1, acc * w)
-
-    walk(0, 0, PQRPoly.one())
-    return tuple(sums)
+def _placement_poly(
+    board: FerrersBoard, fam: TileFamily, k: int, mode: str, lag: int
+) -> PQRPoly:
+    if mode == "recursion":
+        return _placement_rec(board.heights, fam.heights, k, lag)
+    if mode == "enumeration":
+        if k < 0 or k > board.n:
+            return PQRPoly.zero()
+        return _enum_sums(board.heights, fam.heights, lag)[k]
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def file_poly(
@@ -378,13 +367,7 @@ def file_poly(
     mode="recursion" peels the last column; mode="enumeration" walks the
     column subsets and multiplies exhaustively enumerated per-column sums.
     """
-    if mode == "recursion":
-        return _file_rec(board.heights, fam.heights, k)
-    if mode == "enumeration":
-        if k < 0 or k > board.n:
-            return PQRPoly.zero()
-        return _file_enum_sums(board.heights, fam.heights)[k]
-    raise ValueError(f"unknown mode {mode!r}")
+    return _placement_poly(board, fam, k, mode, lag=0)
 
 
 def rook_poly(
@@ -392,13 +375,7 @@ def rook_poly(
 ) -> PQRPoly:
     """Total weight of the k-column rook-style placements on `board`."""
     _require_ferrers(board, "a rook-style placement")
-    if mode == "recursion":
-        return _rook_rec(board.heights, fam.heights, k)
-    if mode == "enumeration":
-        if k < 0 or k > board.n:
-            return PQRPoly.zero()
-        return _rook_enum_sums(board.heights, fam.heights)[k]
-    raise ValueError(f"unknown mode {mode!r}")
+    return _placement_poly(board, fam, k, mode, lag=1)
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -3,7 +3,9 @@
 Subcommands:
 
     table KIND N          print a coefficient triangle (text, json or csv)
-    verify SUITE          run a verification suite, exit 1 on failure
+    verify SUITE          run a verification suite, exit 1 on failure; the
+                          report is JSON, or with --format summary one line
+                          per check plus the FAIL/WARN totals
     enumerate BOARD       list placements on one board with their weights
     series K              dump the generating series for an Sf column
     sequences [NAME]      regenerate bundled integer sequences
@@ -28,50 +30,18 @@ import stat
 import sys
 from dataclasses import dataclass
 
-from fibrook.board import (
-    FerrersBoard,
-    aug_mixed_sum,
-    aug_mixed_sum_row_explicit,
-    enumerate_file_placements,
-    enumerate_rook_placements,
-    file_poly,
-    mixed_file_sum,
-    mixed_file_sum_row_explicit,
-    parse_board,
-    rook_poly,
-)
+from fibrook.board import enumerate_file_placements, enumerate_rook_placements, parse_board
 from fibrook.identities import (
     SEQUENCE_NAMES,
-    check_cf_columns,
-    check_closed_forms,
-    check_fibonomials,
-    check_log_concavity,
-    check_q1_specializations,
-    check_sequences,
-    check_series_columns,
-    check_sf_p_coefficients,
+    SUITES,
+    involution_top,
+    run_suite,
     sequence_export,
     sf_column_series,
 )
-from fibrook.poly import PQRPoly, XPoly, xpoly_product
-from fibrook.stirling import (
-    TRIANGLE_KINDS,
-    involution_verify,
-    matrix_inverse_check,
-    triangle_from_boards,
-    triangle_image,
-    verify_basis_expansions,
-)
-from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
-
-SUITES = (
-    "recursion-vs-enumeration",
-    "products",
-    "inverse",
-    "involution",
-    "identities",
-    "all",
-)
+from fibrook.poly import PQRPoly
+from fibrook.stirling import TRIANGLE_KINDS, triangle_image
+from fibrook.tiling import FIBONACCI, TRIBONACCI
 
 _FAMILIES = {"fib": FIBONACCI, "trib": TRIBONACCI}
 
@@ -206,157 +176,6 @@ def cmd_table(cfg: RunConfig) -> int:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def _small_boards(max_n: int, max_height: int):
-    """Every Ferrers board with 1..max_n columns and heights <= max_height."""
-    def rec(prefix: tuple[int, ...], n: int):
-        if n == 0:
-            yield FerrersBoard(prefix)
-            return
-        lo = prefix[-1] if prefix else 0
-        for h in range(lo, max_height + 1):
-            yield from rec(prefix + (h,), n - 1)
-
-    for n in range(1, max_n + 1):
-        yield from rec((), n)
-
-
-def _verify_recursion_vs_enumeration(N: int) -> dict:
-    bad = []
-    boards = list(_small_boards(4, 4)) + [FerrersBoard.staircase(n) for n in range(N + 1)]
-    for board in boards:
-        for fam in (FIBONACCI, TRIBONACCI):
-            for k in range(board.n + 1):
-                pairs = [
-                    ("file", file_poly(board, fam, k), file_poly(board, fam, k, mode="enumeration")),
-                    ("rook", rook_poly(board, fam, k), rook_poly(board, fam, k, mode="enumeration")),
-                ]
-                for model, rec_val, enum_val in pairs:
-                    if rec_val != enum_val:
-                        bad.append({
-                            "board": str(board), "family": fam.label, "model": model,
-                            "k": k, "recursion": str(rec_val), "enumeration": str(enum_val),
-                        })
-    return {
-        "check": "recursion-vs-enumeration",
-        "range": f"boards n<=4 heights<=4, staircases n<={N}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
-
-
-def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
-    bad = []
-    n = board.n
-    # file side: prod_i (x + W_{b_i}) = sum_k fT_k x^(n-k), any heights
-    lhs = xpoly_product([(1, weight_poly(fam, h)) for h in board.heights])
-    rhs = XPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + XPoly.x_power(n - k) * file_poly(board, fam, k)
-    if lhs != rhs:
-        bad.append({"board": str(board), "family": fam.label, "identity": "file-product",
-                    "lhs": str(lhs), "rhs": str(rhs)})
-    # rook side: x^n = sum_k rT_{n-k} prod_{i<=k} (x - W_{b_i}), Ferrers only
-    if board.is_ferrers:
-        rhs = XPoly.zero()
-        for k in range(n + 1):
-            factors = [(-1, weight_poly(fam, board.heights[i])) for i in range(k)]
-            rhs = rhs + xpoly_product(factors) * rook_poly(board, fam, n - k)
-        if XPoly.x_power(n) != rhs:
-            bad.append({"board": str(board), "family": fam.label, "identity": "rook-product",
-                        "rhs": str(rhs)})
-    return bad
-
-
-def _verify_products(N: int) -> dict:
-    bad = []
-    boards = list(_small_boards(4, 4)) + [FerrersBoard.staircase(n) for n in range(N + 1)]
-    for board in boards:
-        for fam in (FIBONACCI, TRIBONACCI):
-            bad.extend(_product_identities(board, fam))
-    # the product identities do not need weakly increasing heights on the file side
-    for heights in ((3, 1, 2), (2, 0, 5, 1), (4, 4, 1)):
-        board = FerrersBoard(heights)
-        for fam in (FIBONACCI, TRIBONACCI):
-            bad.extend(_product_identities(board, fam))
-    # mixed and augmented sums against their product forms
-    for board in _small_boards(4, 4):
-        for fam in (FIBONACCI, TRIBONACCI):
-            for x in range(4):
-                mixed = mixed_file_sum(board, fam, x)
-                want = PQRPoly.one()
-                for h in board.heights:
-                    want = want * (weight_poly(fam, h) + x)
-                if mixed != want:
-                    bad.append({"board": str(board), "family": fam.label, "x": x,
-                                "identity": "mixed-product", "sum": str(mixed), "product": str(want)})
-                aug = aug_mixed_sum(board, fam, x)
-                if aug != PQRPoly.constant(x**board.n):
-                    bad.append({"board": str(board), "family": fam.label, "x": x,
-                                "identity": "aug-power", "sum": str(aug)})
-                if board.n <= 3:
-                    if mixed_file_sum_row_explicit(board, fam, x) != mixed:
-                        bad.append({"board": str(board), "family": fam.label, "x": x,
-                                    "identity": "mixed-row-explicit"})
-                    if aug_mixed_sum_row_explicit(board, fam, x) != aug:
-                        bad.append({"board": str(board), "family": fam.label, "x": x,
-                                    "identity": "aug-row-explicit"})
-    return {
-        "check": "products",
-        "range": f"boards n<=4 heights<=4, staircases n<={N}, x<=3",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
-
-
-def _verify_inverse(N: int) -> list[dict]:
-    return [
-        matrix_inverse_check(N, FIBONACCI),
-        matrix_inverse_check(min(N, 10), TRIBONACCI),
-    ]
-
-
-def _involution_top(cfg: RunConfig) -> int:
-    """The largest staircase the involution suite enumerates."""
-    if cfg.n is not None:
-        return cfg.n
-    return cfg.N if cfg.N is not None else 6
-
-
-def _verify_involution(cfg: RunConfig) -> list[dict]:
-    if cfg.n is not None:
-        return [involution_verify(cfg.n, cfg.k)]
-    top = _involution_top(cfg)
-    return [
-        involution_verify(n, k)
-        for n in range(2, top + 1)
-        for k in range(1, n)
-    ]
-
-
-def _verify_identities(N: int | None) -> list[dict]:
-    if N is None:
-        return [
-            check_series_columns(),
-            check_closed_forms(),
-            check_sf_p_coefficients(),
-            check_q1_specializations(),
-            check_cf_columns(),
-            check_fibonomials(),
-            check_sequences(),
-            check_log_concavity(),
-        ]
-    return [
-        check_series_columns(N, min(6, N)),
-        check_closed_forms(N),
-        check_sf_p_coefficients(min(N, 12)),
-        check_q1_specializations(N, min(N, 14)),
-        check_cf_columns(N),
-        check_fibonomials(max(N, 30)),
-        check_sequences(),
-        check_log_concavity(),
-    ]
-
-
 def _verify_refusal(cfg: RunConfig) -> str | None:
     """Why `cfg` is not a runnable verify request (a usage error), or None."""
     suite = cfg.name
@@ -367,7 +186,7 @@ def _verify_refusal(cfg: RunConfig) -> str | None:
     if suite in ("involution", "all"):
         if (cfg.n is None) != (cfg.k is None):
             return "involution needs both --n and --k (or neither)"
-        top = _involution_top(cfg)
+        top = involution_top(cfg.N, cfg.n)
         if top > cfg.enum_max:
             return (
                 f"involution n={top} exceeds the enumeration cap {cfg.enum_max}; "
@@ -378,35 +197,36 @@ def _verify_refusal(cfg: RunConfig) -> str | None:
     return None
 
 
+def _summary(reports: list[dict], failed: int, warned: int) -> str:
+    """One line per report (check, status, range), then the totals."""
+    width = max(len(r["check"]) for r in reports)
+    lines = []
+    for r in reports:
+        extras = ""
+        if r["counterexamples"]:
+            extras = f"  ({len(r['counterexamples'])} counterexamples)"
+        elif r.get("warnings"):
+            extras = f"  ({len(r['warnings'])} warnings)"
+        lines.append(f"{r['check']:<{width}}  {r['status']:<4}  {r['range']}{extras}")
+    lines.append(f"\n{len(reports)} reports: {failed} FAIL, {warned} WARN")
+    return "\n".join(lines)
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     refusal = _verify_refusal(cfg)
     if refusal:
         return _usage_error(refusal)
-    suite = cfg.name
-    reports: list[dict] = []
-    if suite in ("recursion-vs-enumeration", "all"):
-        reports.append(_verify_recursion_vs_enumeration(cfg.N if cfg.N is not None else 8))
-    if suite in ("products", "all"):
-        reports.append(_verify_products(cfg.N if cfg.N is not None else 6))
-    if suite in ("inverse", "all"):
-        reports.extend(_verify_inverse(cfg.N if cfg.N is not None else 12))
-        for fam, cap in ((FIBONACCI, 12), (TRIBONACCI, 10)):
-            top = cap if cfg.N is None else min(cfg.N, cap)
-            reports.append(verify_basis_expansions(top, fam))
-    if suite in ("involution", "all"):
-        reports.extend(_verify_involution(cfg))
-    if suite in ("identities", "all"):
-        reports.extend(_verify_identities(cfg.N))
+    reports = run_suite(cfg.name, cfg.N, cfg.n, cfg.k)
     if not reports:
-        return _usage_error(f"suite {suite} has nothing to check at N={cfg.N}")
-    statuses = {r["status"] for r in reports}
-    overall = "FAIL" if "FAIL" in statuses else ("WARN" if "WARN" in statuses else "PASS")
-    _emit(cfg, json.dumps({"suite": suite, "status": overall, "reports": reports}, indent=2))
-    if overall == "FAIL":
-        return 1
-    if overall == "WARN" and cfg.strict:
-        return 1
-    return 0
+        return _usage_error(f"suite {cfg.name} has nothing to check at N={cfg.N}")
+    failed = sum(r["status"] == "FAIL" for r in reports)
+    warned = sum(r["status"] == "WARN" for r in reports)
+    if cfg.fmt == "summary":
+        _emit(cfg, _summary(reports, failed, warned))
+    else:
+        overall = "FAIL" if failed else ("WARN" if warned else "PASS")
+        _emit(cfg, json.dumps({"suite": cfg.name, "status": overall, "reports": reports}, indent=2))
+    return 1 if failed or (warned and cfg.strict) else 0
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -537,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--N", type=int, help="main size bound of the suite")
     p_verify.add_argument("--n", type=int, help="involution: staircase size")
     p_verify.add_argument("--k", type=int, help="involution: target column")
+    p_verify.add_argument("--format", dest="fmt", choices=("json", "summary"), default="json",
+                          help="full JSON reports, or one line per report and the totals")
     p_verify.add_argument("--strict", action="store_true", help="treat WARN as failure")
-    p_verify.add_argument("--out", help="write the JSON report to this path")
+    p_verify.add_argument("--out", help="write the report to this path instead of stdout")
 
     p_enum = sub.add_parser("enumerate", help="list placements on one board")
     p_enum.add_argument("board", help='board text, like "F(0,1,2)"')

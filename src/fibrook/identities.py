@@ -1,9 +1,11 @@
-"""Closed forms, coefficient formulas, sequences and shape properties.
+"""Every verification check, and the registry that runs them as suites.
 
-Everything here is a prediction about the triangles of `fibrook.stirling`,
-and every check treats the triangle recursion as the source of truth: the
-formulas are evaluated independently and compared entrywise. The checks
-return JSON-ready report dicts {check, range, status, counterexamples}.
+The board-level checks compare the two independent modes of the placement
+polynomials (recursion and enumeration) and the product identities they
+satisfy. Everything else is a prediction about the triangles of
+`fibrook.stirling`: the triangle recursion is the source of truth, and the
+formulas are evaluated independently and compared entrywise. Every check
+returns a JSON-ready report dict {check, range, status, counterexamples}.
 
 Covered: the generating function for a fixed column of the Sf triangle,
 the small-column closed forms, the p^0 and p^1 coefficient extractions,
@@ -11,18 +13,36 @@ the q = 1 binomial specializations, the first two cf columns, Fibonacci
 binomial coefficients (with the quotient cross-check), log-concavity and
 unimodality of coefficient sequences, and bundled integer-sequence
 fixtures exported by name.
+
+`run_suite` is the one registry of suites and their default sizes; the
+command line only validates a request, calls it and formats the reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
-from fibrook.poly import PQRPoly, TSeries, q_binomial, q_factorial, q_int
-from fibrook.stirling import CoeffTriangle, build_triangle
-from fibrook.tiling import FIBONACCI, fibonacci_number, weight_poly
+from fibrook.board import (
+    FerrersBoard,
+    aug_mixed_sum,
+    aug_mixed_sum_row_explicit,
+    file_poly,
+    mixed_file_sum,
+    mixed_file_sum_row_explicit,
+    rook_poly,
+)
+from fibrook.poly import PQRPoly, TSeries, XPoly, q_binomial, q_int, xpoly_product
+from fibrook.stirling import (
+    build_triangle,
+    involution_verify,
+    matrix_inverse_check,
+    verify_basis_expansions,
+)
+from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, fibonacci_number, weight_poly
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -384,8 +404,11 @@ def sequence_export(name: str) -> SequenceReport:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def check_series_columns(N: int = 12, kmax: int = 6) -> dict:
-    """Series coefficients equal triangle entries: t^n coefficient = Sf[n][k]."""
+def check_series_columns(N: int = 12, kmax: int | None = None) -> dict:
+    """Series coefficients equal triangle entries: t^n coefficient = Sf[n][k],
+    for columns k <= kmax (default min(N, 6))."""
+    if kmax is None:
+        kmax = min(N, 6)
     tri = build_triangle("Sf", N, width=kmax)
     bad = []
     for k in range(1, kmax + 1):
@@ -428,7 +451,12 @@ def check_closed_forms(N: int = 20) -> dict:
     }
 
 
-def check_sf_p_coefficients(N: int = 12) -> dict:
+# the sf-p check runs at most at this size, and fibonomials at least at this one
+SF_P_MAX_N = 12
+FIBONOMIAL_MIN_N = 30
+
+
+def check_sf_p_coefficients(N: int = SF_P_MAX_N) -> dict:
     """p^0 and p^1 coefficient formulas for Sf against the triangle."""
     tri = build_triangle("Sf", N)
     bad = []
@@ -452,9 +480,11 @@ def check_sf_p_coefficients(N: int = 12) -> dict:
     }
 
 
-def check_q1_specializations(N: int = 20, N_single: int = 14) -> dict:
+def check_q1_specializations(N: int = 20, N_single: int | None = None) -> dict:
     """Binomial formulas for Sf columns 3..5 at q = 1, plus the single-p
-    product formula for every column."""
+    product formula for every column up to N_single (default min(N, 14))."""
+    if N_single is None:
+        N_single = min(N, 14)
     tri = build_triangle("Sf", max(N, N_single))
     bad = []
     for k in (3, 4, 5):
@@ -511,7 +541,7 @@ def check_cf_columns(N: int = 20) -> dict:
     }
 
 
-def check_fibonomials(N: int = 30) -> dict:
+def check_fibonomials(N: int = FIBONOMIAL_MIN_N) -> dict:
     """Gould recursion vs quotient definition, positivity, symmetry."""
     bad = []
     for n in range(N + 1):
@@ -593,3 +623,186 @@ def check_log_concavity(
         "counterexamples": bad,
         "warnings": warnings,
     }
+
+
+# ──────────────────────────────────────────────────────────────────────────
+# placement polynomials on boards
+# ──────────────────────────────────────────────────────────────────────────
+
+SMALL_BOARD_MAX = 4  # the exhaustive board set: columns and heights up to this
+
+
+def _small_boards() -> list[FerrersBoard]:
+    """Every Ferrers board with 1..SMALL_BOARD_MAX columns and heights <=
+    SMALL_BOARD_MAX, 125 boards in lexicographic order."""
+    return [
+        FerrersBoard(heights)
+        for n in range(1, SMALL_BOARD_MAX + 1)
+        for heights in combinations_with_replacement(range(SMALL_BOARD_MAX + 1), n)
+    ]
+
+
+_BOARDS_RANGE = f"boards n<={SMALL_BOARD_MAX} heights<={SMALL_BOARD_MAX}"
+
+
+def check_recursion_vs_enumeration(N: int) -> dict:
+    """File and rook polynomials by recursion equal those by enumeration,
+    for both tile families and every k, on the small boards and the
+    staircases up to N."""
+    bad = []
+    for board in _small_boards() + [FerrersBoard.staircase(n) for n in range(N + 1)]:
+        for fam in (FIBONACCI, TRIBONACCI):
+            for k in range(board.n + 1):
+                for model, poly in (("file", file_poly), ("rook", rook_poly)):
+                    rec_val = poly(board, fam, k)
+                    enum_val = poly(board, fam, k, mode="enumeration")
+                    if rec_val != enum_val:
+                        bad.append({
+                            "board": str(board), "family": fam.label, "model": model,
+                            "k": k, "recursion": str(rec_val), "enumeration": str(enum_val),
+                        })
+    return {
+        "check": "recursion-vs-enumeration",
+        "range": f"{_BOARDS_RANGE}, staircases n<={N}",
+        "status": "PASS" if not bad else "FAIL",
+        "counterexamples": bad,
+    }
+
+
+def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
+    bad = []
+    n = board.n
+    # file side: prod_i (x + W_{b_i}) = sum_k fT_k x^(n-k), any heights
+    lhs = xpoly_product([(1, weight_poly(fam, h)) for h in board.heights])
+    rhs = XPoly.zero()
+    for k in range(n + 1):
+        rhs = rhs + XPoly.x_power(n - k) * file_poly(board, fam, k)
+    if lhs != rhs:
+        bad.append({"board": str(board), "family": fam.label, "identity": "file-product",
+                    "lhs": str(lhs), "rhs": str(rhs)})
+    # rook side: x^n = sum_k rT_{n-k} prod_{i<=k} (x - W_{b_i}), Ferrers only
+    if board.is_ferrers:
+        rhs = XPoly.zero()
+        for k in range(n + 1):
+            factors = [(-1, weight_poly(fam, board.heights[i])) for i in range(k)]
+            rhs = rhs + xpoly_product(factors) * rook_poly(board, fam, n - k)
+        if XPoly.x_power(n) != rhs:
+            bad.append({"board": str(board), "family": fam.label, "identity": "rook-product",
+                        "rhs": str(rhs)})
+    return bad
+
+
+def check_products(N: int) -> dict:
+    """The file and rook product identities on the small boards, the
+    staircases up to N and a few non-Ferrers boards; the mixed and
+    augmented placement sums against their product forms."""
+    bad = []
+    for board in _small_boards() + [FerrersBoard.staircase(n) for n in range(N + 1)]:
+        for fam in (FIBONACCI, TRIBONACCI):
+            bad.extend(_product_identities(board, fam))
+    # the product identities do not need weakly increasing heights on the file side
+    for heights in ((3, 1, 2), (2, 0, 5, 1), (4, 4, 1)):
+        board = FerrersBoard(heights)
+        for fam in (FIBONACCI, TRIBONACCI):
+            bad.extend(_product_identities(board, fam))
+    # mixed and augmented sums against their product forms
+    for board in _small_boards():
+        for fam in (FIBONACCI, TRIBONACCI):
+            for x in range(4):
+                mixed = mixed_file_sum(board, fam, x)
+                want = PQRPoly.one()
+                for h in board.heights:
+                    want = want * (weight_poly(fam, h) + x)
+                if mixed != want:
+                    bad.append({"board": str(board), "family": fam.label, "x": x,
+                                "identity": "mixed-product", "sum": str(mixed), "product": str(want)})
+                aug = aug_mixed_sum(board, fam, x)
+                if aug != PQRPoly.constant(x**board.n):
+                    bad.append({"board": str(board), "family": fam.label, "x": x,
+                                "identity": "aug-power", "sum": str(aug)})
+                if board.n <= 3:
+                    if mixed_file_sum_row_explicit(board, fam, x) != mixed:
+                        bad.append({"board": str(board), "family": fam.label, "x": x,
+                                    "identity": "mixed-row-explicit"})
+                    if aug_mixed_sum_row_explicit(board, fam, x) != aug:
+                        bad.append({"board": str(board), "family": fam.label, "x": x,
+                                    "identity": "aug-row-explicit"})
+    return {
+        "check": "products",
+        "range": f"{_BOARDS_RANGE}, staircases n<={N}, x<=3",
+        "status": "PASS" if not bad else "FAIL",
+        "counterexamples": bad,
+    }
+
+
+# ──────────────────────────────────────────────────────────────────────────
+# the suite registry
+# ──────────────────────────────────────────────────────────────────────────
+
+# each suite, in report order, with its default size N; the identities
+# suite runs every check at that check's own default size unless N is given
+SUITE_DEFAULT_N = {
+    "recursion-vs-enumeration": 8,
+    "products": 6,
+    "inverse": 12,
+    "involution": 6,
+    "identities": None,
+}
+SUITES = (*SUITE_DEFAULT_N, "all")
+
+
+def involution_top(N: int | None = None, n: int | None = None) -> int:
+    """The largest staircase the involution suite enumerates."""
+    if n is not None:
+        return n
+    return SUITE_DEFAULT_N["involution"] if N is None else N
+
+
+def run_suite(
+    name: str, N: int | None = None, n: int | None = None, k: int | None = None
+) -> list[dict]:
+    """The reports of one suite in order; "all" runs every suite in turn.
+
+    N sizes the suite (None: its default size). n and k select a single
+    involution domain instead of every one up to the staircase N. Checks
+    are called by their module-level names, so a patched check takes effect.
+    """
+    if name == "all":
+        return [report for suite in SUITE_DEFAULT_N for report in run_suite(suite, N, n, k)]
+    if name not in SUITE_DEFAULT_N:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if N is None:
+        N = SUITE_DEFAULT_N[name]
+    if name == "recursion-vs-enumeration":
+        return [check_recursion_vs_enumeration(N)]
+    if name == "products":
+        return [check_products(N)]
+    if name == "inverse":
+        # the tribonacci checks stop at 10, and the basis expansions at 12
+        tops = ((FIBONACCI, N), (TRIBONACCI, min(N, 10)))
+        return [matrix_inverse_check(top, fam) for fam, top in tops] + [
+            verify_basis_expansions(min(top, 12), fam) for fam, top in tops
+        ]
+    if name == "involution":
+        if n is not None:
+            return [involution_verify(n, k)]
+        return [involution_verify(m, j) for m in range(2, N + 1) for j in range(1, m)]
+    if N is None:
+        triangle_checks = [
+            check_series_columns(),
+            check_closed_forms(),
+            check_sf_p_coefficients(),
+            check_q1_specializations(),
+            check_cf_columns(),
+            check_fibonomials(),
+        ]
+    else:
+        triangle_checks = [
+            check_series_columns(N),
+            check_closed_forms(N),
+            check_sf_p_coefficients(min(N, SF_P_MAX_N)),
+            check_q1_specializations(N),
+            check_cf_columns(N),
+            check_fibonomials(max(N, FIBONOMIAL_MIN_N)),
+        ]
+    return triangle_checks + [check_sequences(), check_log_concavity()]

@@ -719,8 +719,3 @@ class TSeries:
 
     def __repr__(self) -> str:
         return f"TSeries({self})"
-
-
-def tseries_geom(c: PQRPoly, order: int) -> TSeries:
-    """Convenience alias for the truncated geometric series in t."""
-    return TSeries.geometric(c, order)

@@ -4,14 +4,12 @@ import errno
 import json
 import os
 import stat
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 import fibrook.cli as cli
+import fibrook.identities as identities
 from fibrook.cli import main
 
 
@@ -237,9 +235,6 @@ def test_involution_cap_follows_fibrook_max_n(capsys, monkeypatch):
     assert run(capsys, "verify", "involution", "--N", "3")[0] == 0
 
 
-REPO = Path(__file__).resolve().parents[1]
-
-
 @pytest.mark.parametrize(
     "env,message",
     [
@@ -247,21 +242,76 @@ REPO = Path(__file__).resolve().parents[1]
         ({"FIBROOK_MAX_N": "0"}, "error: FIBROOK_MAX_N must be a positive integer"),
     ],
 )
-def test_run_verifications_script_keeps_the_verify_caps(env, message):
+def test_verify_summary_keeps_the_verify_caps(capsys, monkeypatch, env, message):
     # an uncapped --N 12 would enumerate involution domains for many minutes
-    # (4.7 GB at n = 11), so the timeout is the assertion that nothing ran
-    base = {key: value for key, value in os.environ.items() if key != "FIBROOK_MAX_N"}
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), base.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_verifications.py"), "--N", "12"],
-        capture_output=True,
-        text=True,
-        timeout=1,
-        env={**base, "PYTHONPATH": path, **env},
+    # (4.7 GB at n = 11), so the time limit is the assertion that nothing ran
+    monkeypatch.delenv("FIBROOK_MAX_N", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "all", "--format", "summary", "--N", "12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def _report(check: str, status: str, bad: int = 0, warnings: int | None = None) -> dict:
+    report = {"check": check, "range": f"{check} range", "status": status,
+              "counterexamples": [{"i": i} for i in range(bad)]}
+    if warnings is not None:
+        report["warnings"] = [{"i": i} for i in range(warnings)]
+    return report
+
+
+@pytest.mark.parametrize(
+    "reports,strict,code,lines",
+    [
+        (
+            [_report("products", "PASS"), _report("sequences", "WARN", warnings=1)],
+            False,
+            0,
+            ["products   PASS  products range",
+             "sequences  WARN  sequences range  (1 warnings)",
+             "",
+             "2 reports: 0 FAIL, 1 WARN"],
+        ),
+        (
+            [_report("products", "PASS"), _report("sequences", "WARN", warnings=2)],
+            True,
+            1,
+            ["products   PASS  products range",
+             "sequences  WARN  sequences range  (2 warnings)",
+             "",
+             "2 reports: 0 FAIL, 1 WARN"],
+        ),
+        (
+            [_report("closed-forms", "FAIL", bad=3, warnings=1), _report("x", "PASS")],
+            False,
+            1,
+            ["closed-forms  FAIL  closed-forms range  (3 counterexamples)",
+             "x             PASS  x range",
+             "",
+             "2 reports: 1 FAIL, 0 WARN"],
+        ),
+    ],
+)
+def test_verify_summary_lines_and_exit_codes(capsys, monkeypatch, reports, strict, code, lines):
+    monkeypatch.setattr(cli, "run_suite", lambda name, N, n, k: reports)
+    argv = ["verify", "products", "--format", "summary"] + (["--strict"] if strict else [])
+    got_code, out, err = run(capsys, *argv)
+    assert (got_code, err) == (code, "")
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_verify_summary_of_a_real_suite(capsys):
+    code, out, _ = run(capsys, "verify", "products", "--N", "2", "--format", "summary")
+    assert code == 0
+    assert out == (
+        "products  PASS  boards n<=4 heights<=4, staircases n<=2, x<=3\n"
+        "\n"
+        "1 reports: 0 FAIL, 0 WARN\n"
     )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert message in done.stderr
 
 
 @pytest.mark.parametrize("suite", [s for s in cli.SUITES if s not in ("involution", "all")])
@@ -280,7 +330,7 @@ def test_verify_unknown_suite(capsys):
 def test_verify_failure_exits_one(capsys, monkeypatch):
     bad = {"check": "sequences", "range": "", "status": "FAIL",
            "counterexamples": [{"value": "wrong"}]}
-    monkeypatch.setattr(cli, "check_sequences", lambda: bad)
+    monkeypatch.setattr(identities, "check_sequences", lambda: bad)
     code, out, _ = run(capsys, "verify", "identities")
     assert code == 1
     assert json.loads(out)["status"] == "FAIL"

@@ -29,8 +29,10 @@ from fibrook.identities import (
     sf_q1_coefficient,
     unimodal,
 )
-from fibrook.poly import P, Q, PQRPoly
+from fibrook.board import FerrersBoard
+from fibrook.poly import P, Q, PQRPoly, XPoly, xpoly_product
 from fibrook.stirling import CoeffTriangle, build_triangle
+from fibrook.tiling import FIBONACCI, weight_poly
 
 
 # generating series -----------------------------------------------------------
@@ -327,3 +329,78 @@ def test_cf_columns_catch_a_wrong_entry(monkeypatch):
         {"col": 2, "n": 5, "s": 0, "formula": "q^6 + q^7 + q^8 + q^9",
          "triangle": "q + q^6 + q^7 + q^8 + q^9"}
     ]
+
+
+# board-level checks and the suite registry ---------------------------------------------
+
+
+def test_small_boards_are_every_weakly_increasing_profile():
+    boards = identities._small_boards()
+    assert len(boards) == 5 + 15 + 35 + 70
+    assert [str(b) for b in boards[:6]] == ["F(0)", "F(1)", "F(2)", "F(3)", "F(4)", "F(0,0)"]
+    assert str(boards[-1]) == "F(4,4,4,4)"
+    assert all(b.is_ferrers for b in boards)
+
+
+def _perturb_placement_poly(monkeypatch, name: str, board: str, k: int, mode: str) -> None:
+    """Make the checks in `identities` see `name`(board, fib, k, mode) + q."""
+    real = getattr(identities, name)
+    target = (board, FIBONACCI, k, mode)
+
+    def perturbed(board_, fam, k_, mode="recursion"):
+        value = real(board_, fam, k_, mode=mode)
+        return value + Q if (str(board_), fam, k_, mode) == target else value
+
+    monkeypatch.setattr(identities, name, perturbed)
+
+
+def test_recursion_vs_enumeration_passes():
+    report = identities.check_recursion_vs_enumeration(3)
+    assert report["status"] == "PASS"
+    assert report["range"] == "boards n<=4 heights<=4, staircases n<=3"
+
+
+def test_recursion_vs_enumeration_catches_a_wrong_enumeration(monkeypatch):
+    board = FerrersBoard((1, 1, 3))
+    want = identities.rook_poly(board, FIBONACCI, 2)
+    _perturb_placement_poly(monkeypatch, "rook_poly", "F(1,1,3)", 2, "enumeration")
+    report = identities.check_recursion_vs_enumeration(2)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"board": "F(1,1,3)", "family": FIBONACCI.label, "model": "rook", "k": 2,
+         "recursion": str(want), "enumeration": str(want + Q)}
+    ]
+
+
+def test_products_catch_a_wrong_file_polynomial(monkeypatch):
+    heights = (1, 2, 2)
+    lhs = xpoly_product([(1, weight_poly(FIBONACCI, h)) for h in heights])
+    _perturb_placement_poly(monkeypatch, "file_poly", "F(1,2,2)", 1, "recursion")
+    report = identities.check_products(2)
+    assert report["status"] == "FAIL"
+    # file_poly(k=1) is the coefficient of x^(n-1) = x^2 in the file product
+    assert report["counterexamples"] == [
+        {"board": "F(1,2,2)", "family": FIBONACCI.label, "identity": "file-product",
+         "lhs": str(lhs), "rhs": str(lhs + XPoly.x_power(2) * Q)}
+    ]
+
+
+def test_all_is_every_suite_in_order():
+    reports = identities.run_suite("all", 2)
+    parts = [r for suite in identities.SUITE_DEFAULT_N for r in identities.run_suite(suite, 2)]
+    assert reports == parts
+    assert [r["check"] for r in reports[:6]] == [
+        "recursion-vs-enumeration", "products", "matrix-inverse", "matrix-inverse",
+        "basis-expansions", "basis-expansions",
+    ]
+
+
+def test_run_suite_calls_the_checks_by_name(monkeypatch):
+    monkeypatch.setattr(identities, "check_products", lambda N: {"check": "stub", "N": N})
+    assert identities.run_suite("products") == [{"check": "stub", "N": 6}]
+    assert identities.run_suite("products", 2) == [{"check": "stub", "N": 2}]
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite"):
+        identities.run_suite("everything")

@@ -17,7 +17,6 @@ from fibrook.poly import (
     q_image_row,
     q_image_text,
     q_int,
-    tseries_geom,
     xpoly_product,
 )
 
@@ -497,7 +496,7 @@ def test_xpoly_ops_match_integer_evaluation(f: XPoly, g: XPoly, x0: int, point):
 
 
 def test_geometric_series_coefficients():
-    s = tseries_geom(Q, 3)
+    s = TSeries.geometric(Q, 3)
     assert [s.coefficient(n) for n in range(4)] == [1, Q, Q**2, Q**3]
     with pytest.raises(ValueError):
         s.coefficient(4)
@@ -506,15 +505,15 @@ def test_geometric_series_coefficients():
 @given(polys, st.integers(1, 6))
 def test_geometric_series_inverts_its_linear_factor(c: PQRPoly, order: int):
     one_minus_ct = TSeries(order, [PQRPoly.one(), -c])
-    assert tseries_geom(c, order) * one_minus_ct == TSeries.one(order)
+    assert TSeries.geometric(c, order) * one_minus_ct == TSeries.one(order)
 
 
 def test_series_shift_and_truncation():
-    s = tseries_geom(Q, 5).shifted(2)
+    s = TSeries.geometric(Q, 5).shifted(2)
     assert s.coefficient(1) == 0
     assert s.coefficient(2) == 1
     assert s.coefficient(4) == Q**2
     # multiplication truncates at the smaller order
-    prod = tseries_geom(Q, 5) * tseries_geom(Q, 3)
+    prod = TSeries.geometric(Q, 5) * TSeries.geometric(Q, 3)
     assert prod.order == 3
     assert prod.coefficient(3) == 4 * Q**3
