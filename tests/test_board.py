@@ -108,6 +108,9 @@ def test_placement_validation():
     assert ok.weight() == P**2 * Q**2
     with pytest.raises(ValueError):
         RookPlacement(board, ((3, parse_tiling("1,1")), (4, parse_tiling("1,2"))))
+    # equal board and entries, different models: not the same placement
+    entries = ((3, parse_tiling("1,2")),)
+    assert FilePlacement(board, entries) != RookPlacement(board, entries)
 
 
 def test_parse_placement_round_trip():

@@ -1,0 +1,35 @@
+"""Golden digests of `fibrook enumerate` for both placement models.
+
+The digests pin stdout byte for byte: the placements, their order, their
+weights and the total. The boards cover a zero-height column, a staircase,
+a non-Ferrers file board and the tribonacci family.
+"""
+
+import hashlib
+
+import pytest
+
+from fibrook.cli import main
+
+GOLDEN = [
+    ("F(0,2,2,3)", 2, "fib", "file", "text", 122, "566fcf254355494c662310b1cdcd2fd272024865a906b4c7439c01e4a98ba4df"),
+    ("F(0,2,2,3)", 2, "fib", "file", "json", 487, "7e8f4af3c62bd3ec88b94a88120ca3f5957743655ae81bdef03c99ba7ef574f6"),
+    ("F(0,2,2,3)", 2, "fib", "rook", "text", 64, "bf44544b10a23f10f66ac96c1d75b75a65dcebe896e0782bbef032266219ffd9"),
+    ("F(0,2,2,3)", 2, "fib", "rook", "json", 325, "36c79aacc9a21981607087cc711100010dddfb1d07807d4fcb709eae268cc634"),
+    ("F(0,1,2,3,4,5)", 2, "fib", "file", "text", 1393, "85fe48e6e9de07f9c8a70d2bf8d7ef02ef6515d5c1af413c852d38a754374f34"),
+    ("F(0,1,2,3,4,5)", 2, "fib", "file", "json", 4206, "da03222a7671cd1e7113f79e0fa35511f41c091ae886007389150439efc36693"),
+    ("F(0,1,2,3,4,5)", 2, "fib", "rook", "text", 819, "57e25f132884b2669ab44f83de3cb49e0fb0517cf4a2d5bb6011c41a65021b05"),
+    ("F(0,1,2,3,4,5)", 2, "fib", "rook", "json", 2592, "c8c9c32e070ac27bd07c4c8452398302883b2c0765e25f364828012cd73880fb"),
+    ("F(3,1,2)", 2, "fib", "file", "text", 126, "c4c59ff956ce49fcc9aaf6625e8a9a1cede7cc51a6ee3c2c58cc06508a608879"),
+    ("F(3,1,2)", 2, "fib", "file", "json", 489, "b3046cf9bb948ddc3e7e79c918f3504b49c232ac43f3a345ff8d87bcc6d916e6"),
+    ("F(1,2,3,4)", 2, "trib", "file", "text", 544, "1b4d6b25396f460675af3d8f03ee69dca1e3065b75bcb0e10d3f85a4d8ce1859"),
+    ("F(1,2,3,4)", 2, "trib", "rook", "text", 274, "0dd62266d16d6f45c38586154566931f1582c508f87e9366782c2c558f5ee288"),
+]
+
+
+@pytest.mark.parametrize("board,k,family,model,fmt,nbytes,sha256", GOLDEN)
+def test_enumerate_output_is_pinned(capsys, board, k, family, model, fmt, nbytes, sha256):
+    argv = ["enumerate", board, "--k", str(k), "--family", family, "--model", model, "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (nbytes, sha256)
