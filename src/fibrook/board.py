@@ -1,4 +1,4 @@
-"""Ferrers boards and tiling placements, in two flavors.
+"""Ferrers boards and tiling placements, file and rook-style.
 
 A board is a sequence of column heights b_1 <= ... <= b_n (weakly
 increasing for the rook model; arbitrary nonnegative heights are allowed
@@ -15,8 +15,12 @@ b_1, ..., b_{n-k} in left-to-right order. `uncanceled_heights` runs the
 literal per-cell simulation; the closed rule feeds everything else, and
 the tests assert they agree.
 
-The two placement polynomials share one model whose parameter is the
-cancellation rule, and each can be computed two independent ways:
+Both models are one placement model whose parameter is the cancellation
+rule `lag`: the s-th tiled column (s = 0, 1, ...) at column c gets
+b_{c - lag*s} cells, with lag 0 for file placements and lag 1 for rook
+placements. The placement classes, their validation, both enumerators and
+both placement polynomials read that one rule, and each polynomial can be
+computed two independent ways:
 "recursion" peels the last column by whether it is tiled (if tiled, as the
 k-th chosen column it has b_n cells in the file model and b_{n-(k-1)} in
 the rook model), while "enumeration" walks every subset of columns and
@@ -31,6 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import ClassVar
 
 from fibrook.poly import PQRPoly
 from fibrook.tiling import (
@@ -161,7 +166,12 @@ def rook_tiling_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
     """
     _require_ferrers(board, "cancellation")
     cols = _check_columns(board, chosen)
-    return tuple(board.heights[col - 1 - s] for s, col in enumerate(cols))
+    return _rule_heights(board.heights, cols, RookPlacement.lag)
+
+
+def _rule_heights(heights: tuple[int, ...], cols, lag: int) -> tuple[int, ...]:
+    """Cells of each chosen column (1-based, ascending) under the rule `lag`."""
+    return tuple(heights[col - 1 - lag * s] for s, col in enumerate(cols))
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -169,45 +179,30 @@ def rook_tiling_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def _check_entries(board: FerrersBoard, entries) -> tuple[tuple[int, Tiling], ...]:
-    pairs = tuple((int(c), t) for c, t in entries)
-    cols = tuple(c for c, _ in pairs)
-    if list(cols) != sorted(set(cols)):
-        raise ValueError("placement columns must be strictly increasing")
-    if cols and (cols[0] < 1 or cols[-1] > board.n):
-        raise ValueError(f"placement columns out of range for {board}")
-    return pairs
-
-
-def _entries_str(entries: tuple[tuple[int, Tiling], ...]) -> str:
-    return ";".join(f"{c}:{t}" for c, t in entries)
-
-
-def _entries_weight(entries: tuple[tuple[int, Tiling], ...]) -> PQRPoly:
-    ones = twos = threes = 0
-    for _, t in entries:
-        a, b, c = t.height_counts()
-        ones += a
-        twos += b
-        threes += c
-    return PQRPoly.term(1, e_q=ones, e_p=twos, e_r=threes)
-
-
 @dataclass(frozen=True)
-class FilePlacement:
-    """k chosen columns, each tiled to its full board height."""
+class Placement:
+    """k chosen columns, the s-th (s = 0, 1, ...) at column c tiled to the
+    b_{c - lag*s} cells the cancellation rule leaves it."""
 
     board: FerrersBoard
     entries: tuple[tuple[int, Tiling], ...]
+    lag: ClassVar[int]
 
     def __post_init__(self) -> None:
-        pairs = _check_entries(self.board, self.entries)
-        for col, t in pairs:
-            want = self.board.heights[col - 1]
+        if self.lag:
+            _require_ferrers(self.board, "a rook-style placement")
+        b = self.board.heights
+        pairs = tuple((int(c), t) for c, t in self.entries)
+        prev = 0
+        for s, (col, t) in enumerate(pairs):
+            if not 1 <= col <= len(b):
+                raise ValueError(f"placement columns out of range for {self.board}")
+            if col <= prev:
+                raise ValueError("placement columns must be strictly increasing")
+            want = b[col - 1 - self.lag * s]
             if t.height != want:
-                raise ValueError(
-                    f"column {col} has height {want}, tiling covers {t.height}"
-                )
+                raise ValueError(f"column {col} has {want} uncanceled cells, tiling covers {t.height}")
+            prev = col
         object.__setattr__(self, "entries", pairs)
 
     @property
@@ -215,40 +210,32 @@ class FilePlacement:
         return len(self.entries)
 
     def weight(self) -> PQRPoly:
-        return _entries_weight(self.entries)
+        ones = twos = threes = 0
+        for _, t in self.entries:
+            a, b, c = t.height_counts()
+            ones += a
+            twos += b
+            threes += c
+        return PQRPoly.term(1, e_q=ones, e_p=twos, e_r=threes)
 
     def __str__(self) -> str:
-        return _entries_str(self.entries)
+        return ";".join(f"{c}:{t}" for c, t in self.entries)
 
 
-@dataclass(frozen=True)
-class RookPlacement:
+class FilePlacement(Placement):
+    """k chosen columns, each tiled to its full board height."""
+
+    lag = 0
+
+
+class RookPlacement(Placement):
     """k chosen columns tiled under cancellation: the s-th tiling covers the
     b_{i_s-(s-1)} cells its column still has."""
 
-    board: FerrersBoard
-    entries: tuple[tuple[int, Tiling], ...]
+    lag = 1
 
-    def __post_init__(self) -> None:
-        _require_ferrers(self.board, "a rook-style placement")
-        pairs = _check_entries(self.board, self.entries)
-        want = rook_tiling_heights(self.board, tuple(c for c, _ in pairs))
-        for (col, t), h in zip(pairs, want):
-            if t.height != h:
-                raise ValueError(
-                    f"column {col} has {h} uncanceled cells, tiling covers {t.height}"
-                )
-        object.__setattr__(self, "entries", pairs)
 
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-    def weight(self) -> PQRPoly:
-        return _entries_weight(self.entries)
-
-    def __str__(self) -> str:
-        return _entries_str(self.entries)
+_MODELS = {"file": FilePlacement, "rook": RookPlacement}
 
 
 def parse_placement(board: FerrersBoard, text: str, model: str = "file"):
@@ -259,11 +246,23 @@ def parse_placement(board: FerrersBoard, text: str, model: str = "file"):
         for chunk in text.split(";"):
             col_text, _, tiling_text = chunk.partition(":")
             entries.append((int(col_text), parse_tiling(tiling_text)))
-    if model == "file":
-        return FilePlacement(board, tuple(entries))
-    if model == "rook":
-        return RookPlacement(board, tuple(entries))
-    raise ValueError(f"unknown placement model {model!r}")
+    if model not in _MODELS:
+        raise ValueError(f"unknown placement model {model!r}")
+    return _MODELS[model](board, tuple(entries))
+
+
+def _enumerate_placements(cls, board: FerrersBoard, fam: TileFamily, k: int) -> list:
+    if k < 0:
+        return []
+    out = []
+    for combo in combinations(range(1, board.n + 1), k):
+        hts = _rule_heights(board.heights, combo, cls.lag)
+        if 0 in hts:
+            continue
+        pools = [enumerate_tilings(fam, h) for h in hts]
+        for choice in product(*pools):
+            out.append(cls(board, tuple(zip(combo, choice))))
+    return out
 
 
 def enumerate_file_placements(
@@ -271,15 +270,7 @@ def enumerate_file_placements(
 ) -> list[FilePlacement]:
     """Every file placement with k tiled columns, in a fixed order
     (column subsets in ascending order, tilings lexicographic)."""
-    if k < 0:
-        return []
-    cols = [c for c in range(1, board.n + 1) if board.heights[c - 1] > 0]
-    out: list[FilePlacement] = []
-    for combo in combinations(cols, k):
-        pools = [enumerate_tilings(fam, board.heights[c - 1]) for c in combo]
-        for choice in product(*pools):
-            out.append(FilePlacement(board, tuple(zip(combo, choice))))
-    return out
+    return _enumerate_placements(FilePlacement, board, fam, k)
 
 
 def enumerate_rook_placements(
@@ -287,27 +278,12 @@ def enumerate_rook_placements(
 ) -> list[RookPlacement]:
     """Every rook-style placement with k tiled columns, fixed order as above."""
     _require_ferrers(board, "a rook-style placement")
-    if k < 0:
-        return []
-    out: list[RookPlacement] = []
-    for combo in combinations(range(1, board.n + 1), k):
-        hts = rook_tiling_heights(board, combo)
-        if any(h == 0 for h in hts):
-            continue
-        pools = [enumerate_tilings(fam, h) for h in hts]
-        for choice in product(*pools):
-            out.append(RookPlacement(board, tuple(zip(combo, choice))))
-    return out
+    return _enumerate_placements(RookPlacement, board, fam, k)
 
 
 # ──────────────────────────────────────────────────────────────────────────
 # placement polynomials, two independent modes
 # ──────────────────────────────────────────────────────────────────────────
-
-
-# The two models differ in one rule: the s-th tiled column (s = 0, 1, ...) at
-# 0-based position j receives b[j - lag*s] cells, with lag 0 for file
-# placements (no cancellation) and lag 1 for rook-style ones.
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +343,7 @@ def file_poly(
     mode="recursion" peels the last column; mode="enumeration" walks the
     column subsets and multiplies exhaustively enumerated per-column sums.
     """
-    return _placement_poly(board, fam, k, mode, lag=0)
+    return _placement_poly(board, fam, k, mode, FilePlacement.lag)
 
 
 def rook_poly(
@@ -375,7 +351,7 @@ def rook_poly(
 ) -> PQRPoly:
     """Total weight of the k-column rook-style placements on `board`."""
     _require_ferrers(board, "a rook-style placement")
-    return _placement_poly(board, fam, k, mode, lag=1)
+    return _placement_poly(board, fam, k, mode, RookPlacement.lag)
 
 
 # ──────────────────────────────────────────────────────────────────────────
