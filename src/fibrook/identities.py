@@ -645,12 +645,18 @@ def _small_boards() -> list[FerrersBoard]:
 _BOARDS_RANGE = f"boards n<={SMALL_BOARD_MAX} heights<={SMALL_BOARD_MAX}"
 
 
+def _small_boards_and_staircases(N: int) -> list[FerrersBoard]:
+    """The small boards, then the staircases up to N that are not among
+    them, each board once."""
+    return list(dict.fromkeys(_small_boards() + [FerrersBoard.staircase(n) for n in range(N + 1)]))
+
+
 def check_recursion_vs_enumeration(N: int) -> dict:
     """File and rook polynomials by recursion equal those by enumeration,
     for both tile families and every k, on the small boards and the
     staircases up to N."""
     bad = []
-    for board in _small_boards() + [FerrersBoard.staircase(n) for n in range(N + 1)]:
+    for board in _small_boards_and_staircases(N):
         for fam in (FIBONACCI, TRIBONACCI):
             for k in range(board.n + 1):
                 for model, poly in (("file", file_poly), ("rook", rook_poly)):
@@ -697,7 +703,7 @@ def check_products(N: int) -> dict:
     staircases up to N and a few non-Ferrers boards; the mixed and
     augmented placement sums against their product forms."""
     bad = []
-    for board in _small_boards() + [FerrersBoard.staircase(n) for n in range(N + 1)]:
+    for board in _small_boards_and_staircases(N):
         for fam in (FIBONACCI, TRIBONACCI):
             bad.extend(_product_identities(board, fam))
     # the product identities do not need weakly increasing heights on the file side

@@ -385,6 +385,69 @@ def test_products_catch_a_wrong_file_polynomial(monkeypatch):
     ]
 
 
+def test_a_staircase_among_the_small_boards_is_checked_once(monkeypatch):
+    # F(0,1,2) is both a small board and the staircase n = 3
+    board = FerrersBoard.staircase(3)
+    want = identities.rook_poly(board, FIBONACCI, 1)
+    _perturb_placement_poly(monkeypatch, "rook_poly", "F(0,1,2)", 1, "enumeration")
+    report = identities.check_recursion_vs_enumeration(3)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"board": "F(0,1,2)", "family": FIBONACCI.label, "model": "rook", "k": 1,
+         "recursion": str(want), "enumeration": str(want + Q)}
+    ]
+
+
+def test_products_catch_a_wrong_rook_polynomial(monkeypatch):
+    # rook_poly(k=n) multiplies the empty product, so the rhs is x^3 + q
+    _perturb_placement_poly(monkeypatch, "rook_poly", "F(1,2,2)", 3, "recursion")
+    report = identities.check_products(2)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"board": "F(1,2,2)", "family": FIBONACCI.label, "identity": "rook-product",
+         "rhs": str(XPoly.x_power(3) + XPoly.x_power(0) * Q)}
+    ]
+
+
+def _perturb_placement_sum(monkeypatch, name: str, board: str, x: int) -> None:
+    """Make the checks in `identities` see `name`(board, fib, x) + q."""
+    real = getattr(identities, name)
+
+    def perturbed(board_, fam, x_):
+        value = real(board_, fam, x_)
+        return value + Q if (str(board_), fam, x_) == (board, FIBONACCI, x) else value
+
+    monkeypatch.setattr(identities, name, perturbed)
+
+
+# the row-explicit cross-checks run only up to 3 columns, so a 4-column
+# board leaves the product identity as the one check that sees the fault
+
+
+def test_products_catch_a_wrong_mixed_sum(monkeypatch):
+    heights = (1, 2, 3, 4)
+    want = PQRPoly.one()
+    for h in heights:
+        want = want * (weight_poly(FIBONACCI, h) + 1)
+    _perturb_placement_sum(monkeypatch, "mixed_file_sum", "F(1,2,3,4)", 1)
+    report = identities.check_products(2)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"board": "F(1,2,3,4)", "family": FIBONACCI.label, "x": 1, "identity": "mixed-product",
+         "sum": str(want + Q), "product": str(want)}
+    ]
+
+
+def test_products_catch_a_wrong_augmented_sum(monkeypatch):
+    _perturb_placement_sum(monkeypatch, "aug_mixed_sum", "F(0,2,2,3)", 2)
+    report = identities.check_products(2)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"board": "F(0,2,2,3)", "family": FIBONACCI.label, "x": 2, "identity": "aug-power",
+         "sum": str(PQRPoly.constant(2**4) + Q)}
+    ]
+
+
 def test_all_is_every_suite_in_order():
     reports = identities.run_suite("all", 2)
     parts = [r for suite in identities.SUITE_DEFAULT_N for r in identities.run_suite(suite, 2)]
