@@ -91,20 +91,8 @@ def family_for_kind(kind: str) -> TileFamily:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-class _TriangleText:
-    """JSON and CSV views of a triangle, read from its `text_rows()`."""
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "N": self.N, "entries": list(self.text_rows())}
-
-    def csv_rows(self) -> Iterator[tuple[int, int, str]]:
-        for n, row in enumerate(self.text_rows()):
-            for k, text in enumerate(row):
-                yield (n, k, text)
-
-
 @dataclass(frozen=True)
-class CoeffTriangle(_TriangleText):
+class CoeffTriangle:
     """Rows 0..N of one coefficient family; row n holds entries k = 0..n,
     or k = 0..min(n, width) when the triangle was built to a column bound."""
 
@@ -126,12 +114,8 @@ class CoeffTriangle(_TriangleText):
             raise ValueError(f"column {k} not built (width={self.width})")
         return self.rows[n][k]
 
-    def text_rows(self) -> Iterator[list[str]]:
-        for row in self.rows:
-            yield [str(e) for e in row]
 
-
-class TriangleImage(_TriangleText):
+class TriangleImage:
     """A triangle held in the q-image q -> 2**slot, as `triangle_image` builds it.
 
     rows[n][k] is the image `{q_image_row(e_p, e_r): sum coeff * 2**(slot * e_q)}`
@@ -154,6 +138,14 @@ class TriangleImage(_TriangleText):
                 q_image_text(image, self.slot, _entry_sign(self.kind, n, k))
                 for k, image in enumerate(row)
             ]
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, "N": self.N, "entries": list(self.text_rows())}
+
+    def csv_rows(self) -> Iterator[tuple[int, int, str]]:
+        for n, row in enumerate(self.text_rows()):
+            for k, text in enumerate(row):
+                yield (n, k, text)
 
 
 # signed kind -> the unsigned kind whose entries it negates at odd n - k

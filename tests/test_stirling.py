@@ -181,7 +181,7 @@ def test_triangle_from_boards_rejects_other_kinds():
 
 
 def test_json_and_csv_views():
-    tri = build_triangle("Sf", 2)
+    tri = triangle_image("Sf", 2)
     assert tri.to_json_dict() == {
         "kind": "Sf",
         "N": 2,
