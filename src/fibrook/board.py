@@ -67,6 +67,7 @@ class FerrersBoard:
         object.__setattr__(self, "heights", hts)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def staircase(cls, n: int) -> FerrersBoard:
         """The board with heights (0, 1, ..., n-1)."""
         if n < 0:

@@ -255,24 +255,27 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     else:
         placements = enumerate_file_placements(board, fam, k)
     total = PQRPoly.zero()
-    for placement in placements:
-        total = total + placement.weight()
+    rows = []
+    for pl in placements:
+        weight = pl.weight()
+        total = total + weight
+        if cfg.fmt == "json":
+            rows.append({"placement": str(pl), "weight": str(weight)})
+        else:
+            rows.append(f"{str(pl) or '(empty)'}  {weight}")
     if cfg.fmt == "json":
         payload = {
             "board": str(board),
             "family": fam.label,
             "model": cfg.model,
             "k": k,
-            "placements": [
-                {"placement": str(pl), "weight": str(pl.weight())} for pl in placements
-            ],
+            "placements": rows,
             "total": str(total),
         }
         _emit(cfg, json.dumps(payload, indent=2))
     else:
-        lines = [f"{str(pl) or '(empty)'}  {pl.weight()}" for pl in placements]
-        lines.append(f"total  {total}")
-        _emit(cfg, "\n".join(lines))
+        rows.append(f"total  {total}")
+        _emit(cfg, "\n".join(rows))
     return 0
 
 

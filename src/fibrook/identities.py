@@ -197,10 +197,10 @@ def cf_column_coefficient_formula(n: int, col: int, s: int) -> PQRPoly:
             c = comb(n - 2, 2) if n >= 4 else 0
             return PQRPoly.term(c, e_q=comb(n, 2) - 2) if c else PQRPoly.zero()
         if s == 2:
-            c = 3 * comb(n - 1, 4) - comb(n - 3, 2) if n >= 5 else 0
+            c = cf_col1_p2_count(n) if n >= 5 else 0
             return PQRPoly.term(c, e_q=comb(n, 2) - 4) if c else PQRPoly.zero()
         if s == 3:
-            c = 15 * comb(n, 6) - 6 * comb(n - 2, 4) + comb(n - 4, 4) if n >= 6 else 0
+            c = cf_col1_p3_count(n) if n >= 6 else 0
             return PQRPoly.term(c, e_q=comb(n, 2) - 6) if c else PQRPoly.zero()
         raise ValueError("column 1 has stated formulas for s <= 3 only")
     if col == 2:
@@ -218,6 +218,16 @@ def cf_column_coefficient_formula(n: int, col: int, s: int) -> PQRPoly:
             return first + PQRPoly.term(1, e_q=comb(n - 1, 2) - 2) * ramp
         raise ValueError("column 2 has stated formulas for s <= 1 only")
     raise ValueError("only columns 1 and 2 have stated formulas")
+
+
+def cf_col1_p2_count(n: int) -> int:
+    """The coefficient of p^2 q^(C(n,2)-4) in cf[n][1], for n >= 5."""
+    return 3 * comb(n - 1, 4) - comb(n - 3, 2)
+
+
+def cf_col1_p3_count(n: int) -> int:
+    """The coefficient of p^3 q^(C(n,2)-6) in cf[n][1], for n >= 6."""
+    return 15 * comb(n, 6) - 6 * comb(n - 2, 4) + comb(n - 4, 4)
 
 
 def cf_col2_p_coefficient_at_q1(n: int) -> int:
@@ -334,35 +344,23 @@ def _read_fixture(filename: str) -> tuple[int, ...]:
     return tuple(int(line) for line in text.split())
 
 
-def _a086602(n: int) -> int:
-    return 3 * comb(n - 1, 4) - comb(n - 3, 2)
-
-
-def _cfn1p3(n: int) -> int:
-    return 15 * comb(n, 6) - 6 * comb(n - 2, 4) + comb(n - 4, 4)
-
-
-def _a006002(n: int) -> int:
-    return (n - 2) * comb(n - 2, 2)
-
-
 _SEQUENCES = {
     "A086602": (
-        _a086602,
+        cf_col1_p2_count,
         5,
         "A086602.txt",
         "3*C(n-1,4) - C(n-3,2), n >= 5; the p^2 count in cf[n][1]; OEIS A086602",
         None,
     ),
     "cfn1p3": (
-        _cfn1p3,
+        cf_col1_p3_count,
         6,
         "cfn1p3.txt",
         "15*C(n,6) - 6*C(n-2,4) + C(n-4,4), n >= 6; the p^3 count in cf[n][1]",
         None,
     ),
     "A006002": (
-        _a006002,
+        cf_col2_p_coefficient_at_q1,
         4,
         "A006002.txt",
         "(n-2)*C(n-2,2), n >= 4; the p^1 count in cf[n][2] at q = 1; OEIS A006002",

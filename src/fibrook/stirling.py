@@ -38,8 +38,8 @@ The Sf/sf matrices are mutually inverse. `involution` realizes the
 orthogonality bijectively: on pairs (rook-style placement of n-j tilings
 on the n-staircase, file placement of j-k tilings on the j-staircase),
 signed by (-1)^(j-k), it flips the sign while preserving total weight, by
-moving a tiling between the last columns of the two boards, recursing on
-shrunken boards when both last columns are empty.
+moving one tiling from one board to the other. Its recursion on shrunken
+boards, while both last columns are empty, unrolls to a closed form.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class CoeffTriangle:
     N: int
     rows: tuple[tuple[PQRPoly, ...], ...]
     width: int | None = None
-
-    @property
-    def family(self) -> TileFamily:
-        return family_for_kind(self.kind)
 
     def entry(self, n: int, k: int) -> PQRPoly:
         if n < 0 or n > self.N:
@@ -517,18 +513,21 @@ def involution_domain(n: int, k: int) -> Iterator[PlacementPair]:
                 yield PlacementPair(j, rp, fp)
 
 
-def _pair_checked(n: int, k: int, pair: PlacementPair) -> None:
+def _domain_problem(n: int, k: int, pair: PlacementPair) -> str | None:
+    """Why `pair` is not in `involution_domain(n, k)`, or None if it is.
+    Each placement validated its entries when it was built."""
     j = pair.j
     if not k <= j <= n:
-        raise ValueError(f"pair has j={j} outside {k}..{n}")
-    if pair.rook.board != FerrersBoard.staircase(n):
-        raise ValueError("rook part lives on the wrong board")
-    if pair.file.board != FerrersBoard.staircase(j):
-        raise ValueError("file part lives on the wrong board")
-    if len(pair.rook.entries) != n - j:
-        raise ValueError("rook part has the wrong number of tilings")
-    if len(pair.file.entries) != j - k:
-        raise ValueError("file part has the wrong number of tilings")
+        return f"pair has j={j} outside {k}..{n}"
+    for label, part, cls, size, count in (("rook", pair.rook, RookPlacement, n, n - j),
+                                          ("file", pair.file, FilePlacement, j, j - k)):
+        if not isinstance(part, cls) or part.board != FerrersBoard.staircase(size):
+            return f"{label} part is not a {cls.__name__} on the {size}-staircase"
+        if len(part.entries) != count:
+            return f"{label} part has the wrong number of tilings"
+        if any(3 in t.tiles for _, t in part.entries):
+            return f"{label} part has a tile outside {{1,2}}"
+    return None
 
 
 def involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
@@ -545,45 +544,41 @@ def involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
     n empty but the file part tiles its own last column, of height j-1;
     moved onto column n of the rook board it again fits exactly, because
     the rightmost of n-j+1 tilings keeps b_{n-(n-j)} = j-1 cells. Case 3:
-    both last columns empty; drop both last columns, recurse at
-    (n-1, k-1), and put the empty columns back. The recursion terminates
-    because a file placement of j-1 tilings on the j-staircase (the k = 1
-    shape) cannot avoid its last column: only j-2 earlier columns are
-    nonempty. Raises on pairs outside the domain.
+    both last columns empty; drop both, apply the map at (n-1, k-1), and
+    put the empty columns back. Repeated, case 3 stops at the first depth
+    d = min(d_rook, d_file) where a last column is tiled, with d_rook = n
+    minus the last rook column (n if none) and d_file = j minus the last
+    file column (j if none). A staircase's first columns do not depend on
+    its size, so case 1 (if d_rook == d) moves the rook's last tiling to
+    file column j+1-d, and otherwise case 2 moves the file's last tiling to
+    rook column n-d. d < k because a file placement of j-1 tilings on the
+    j-staircase (the k = 1 shape) cannot avoid its last column: only j-2
+    earlier columns are nonempty. Raises on pairs outside the domain.
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
-    _pair_checked(n, k, pair)
+    problem = _domain_problem(n, k, pair)
+    if problem is not None:
+        raise ValueError(problem)
     j = pair.j
     rook_entries = pair.rook.entries
     file_entries = pair.file.entries
+    d_rook = n - rook_entries[-1][0] if rook_entries else n
+    d_file = j - file_entries[-1][0] if file_entries else j
+    d = min(d_rook, d_file)
+    if d >= k:
+        raise ValueError(f"both last columns stay empty to depth {d} >= k={k}")
 
-    if rook_entries and rook_entries[-1][0] == n:
-        moved = rook_entries[-1][1]
+    if d_rook == d:
         new_rook = RookPlacement(pair.rook.board, rook_entries[:-1])
-        new_file = FilePlacement(
-            FerrersBoard.staircase(j + 1), file_entries + ((j + 1, moved),)
-        )
+        moved = (j + 1 - d, rook_entries[-1][1])
+        new_file = FilePlacement(FerrersBoard.staircase(j + 1), file_entries + (moved,))
         return PlacementPair(j + 1, new_rook, new_file)
 
-    if file_entries and file_entries[-1][0] == j:
-        moved = file_entries[-1][1]
-        new_file = FilePlacement(FerrersBoard.staircase(j - 1), file_entries[:-1])
-        new_rook = RookPlacement(pair.rook.board, rook_entries + ((n, moved),))
-        return PlacementPair(j - 1, new_rook, new_file)
-
-    # both last columns empty: the pair restricts to staircases one smaller
-    inner = PlacementPair(
-        j - 1,
-        RookPlacement(FerrersBoard.staircase(n - 1), rook_entries),
-        FilePlacement(FerrersBoard.staircase(j - 1), file_entries),
-    )
-    image = involution(n - 1, k - 1, inner)
-    return PlacementPair(
-        image.j + 1,
-        RookPlacement(FerrersBoard.staircase(n), image.rook.entries),
-        FilePlacement(FerrersBoard.staircase(image.j + 1), image.file.entries),
-    )
+    new_file = FilePlacement(FerrersBoard.staircase(j - 1), file_entries[:-1])
+    moved = (n - d, file_entries[-1][1])
+    new_rook = RookPlacement(pair.rook.board, rook_entries + (moved,))
+    return PlacementPair(j - 1, new_rook, new_file)
 
 
 def involution_verify(n: int, k: int) -> dict:
@@ -591,29 +586,30 @@ def involution_verify(n: int, k: int) -> dict:
 
     Confirms: the map stays inside the domain, is a fixed-point-free
     involution, flips the sign, preserves the weight, and therefore the
-    signed weight sum over the domain vanishes.
+    signed weight sum over the domain vanishes. The domain is streamed, and
+    the map is applied again only to an image inside the domain.
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
-    domain = list(involution_domain(n, k))
-    index = {pair: i for i, pair in enumerate(domain)}
     signed_total = PQRPoly.zero()
     counterexamples = []
     per_j: dict[int, int] = {}
-    for pair in domain:
+    for pair in involution_domain(n, k):
         per_j[pair.j] = per_j.get(pair.j, 0) + 1
-        signed_total = signed_total + pair.sign() * pair.weight()
+        weight = pair.weight()
+        signed_total = signed_total + pair.sign() * weight
         image = involution(n, k, pair)
+        inside = _domain_problem(n, k, image) is None
         problems = []
-        if image not in index:
+        if not inside:
             problems.append("image outside domain")
         if image == pair:
             problems.append("fixed point")
         if image.sign() != -pair.sign():
             problems.append("sign not flipped")
-        if image.weight() != pair.weight():
+        if image.weight() != weight:
             problems.append("weight changed")
-        if involution(n, k, image) != pair:
+        if inside and involution(n, k, image) != pair:
             problems.append("not an involution")
         if problems:
             counterexamples.append({"pair": f"j={pair.j} {pair.rook};{pair.file}",
@@ -623,7 +619,7 @@ def involution_verify(n: int, k: int) -> dict:
         "check": "involution",
         "range": f"n={n}, k={k}",
         "status": "PASS" if ok else "FAIL",
-        "domain_size": len(domain),
+        "domain_size": sum(per_j.values()),
         "pairs_per_j": {str(j): per_j[j] for j in sorted(per_j)},
         "signed_sum": str(signed_total),
         "counterexamples": counterexamples,

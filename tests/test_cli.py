@@ -10,6 +10,7 @@ import pytest
 
 import fibrook.cli as cli
 import fibrook.identities as identities
+import fibrook.stirling as stirling
 from fibrook.cli import main
 
 
@@ -167,6 +168,15 @@ def test_verify_involution_single_pair(capsys):
     payload = json.loads(out)
     assert payload["status"] == "PASS"
     assert payload["reports"][0]["range"] == "n=4, k=2"
+
+
+def test_verify_involution_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(stirling, "involution", lambda n, k, pair: pair)
+    code, out, _ = run(capsys, "verify", "involution", "--n", "4", "--k", "2")
+    assert code == 1
+    report = json.loads(out)["reports"][0]
+    assert report["status"] == "FAIL"
+    assert len(report["counterexamples"]) == 16
 
 
 def test_verify_involution_needs_both_bounds(capsys):

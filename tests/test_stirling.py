@@ -3,7 +3,7 @@
 import pytest
 
 import fibrook.stirling as stirling
-from fibrook.board import FerrersBoard, parse_placement
+from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, parse_placement
 from fibrook.poly import P, Q, R, PQRPoly, XPoly
 from fibrook.stirling import (
     TRIANGLE_KINDS,
@@ -337,6 +337,50 @@ def _pair(n: int, j: int, rook_text: str, file_text: str) -> PlacementPair:
     return PlacementPair(j, rook, file)
 
 
+def _recursive_involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
+    """The involution as first stated, case 3 by recursion on smaller staircases.
+
+    The differential reference for the closed form: every level builds its
+    own boards and placements, so each level's placements revalidate.
+    """
+    if not 1 <= k < n:
+        raise ValueError("the involution is defined for 1 <= k < n")
+    j, rook, file = pair.j, pair.rook.entries, pair.file.entries
+    if rook and rook[-1][0] == n:
+        return PlacementPair(
+            j + 1,
+            RookPlacement(pair.rook.board, rook[:-1]),
+            FilePlacement(FerrersBoard.staircase(j + 1), file + ((j + 1, rook[-1][1]),)),
+        )
+    if file and file[-1][0] == j:
+        return PlacementPair(
+            j - 1,
+            RookPlacement(pair.rook.board, rook + ((n, file[-1][1]),)),
+            FilePlacement(FerrersBoard.staircase(j - 1), file[:-1]),
+        )
+    inner = PlacementPair(
+        j - 1,
+        RookPlacement(FerrersBoard.staircase(n - 1), rook),
+        FilePlacement(FerrersBoard.staircase(j - 1), file),
+    )
+    image = _recursive_involution(n - 1, k - 1, inner)
+    return PlacementPair(
+        image.j + 1,
+        RookPlacement(FerrersBoard.staircase(n), image.rook.entries),
+        FilePlacement(FerrersBoard.staircase(image.j + 1), image.file.entries),
+    )
+
+
+def test_closed_form_matches_the_recursion_on_every_small_domain():
+    checked = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            for pair in involution_domain(n, k):
+                assert involution(n, k, pair) == _recursive_involution(n, k, pair)
+                checked += 1
+    assert checked == 16062
+
+
 def test_involution_base_case_swaps_the_two_pairs():
     a = _pair(2, 1, "2:1", "")
     b = _pair(2, 2, "", "2:1")
@@ -376,6 +420,16 @@ def test_involution_rejects_bad_input():
         involution(3, 3, _pair(3, 3, "", ""))  # needs k < n
     with pytest.raises(ValueError):
         involution(4, 2, _pair(5, 3, "4:1,1;5:1,1", "2:1"))  # wrong boards
+    with pytest.raises(ValueError, match="outside 2..4"):
+        involution(4, 2, _pair(5, 5, "", "2:1;3:1,1;5:1,1,1,1"))
+    with pytest.raises(ValueError, match="wrong number of tilings"):
+        involution(4, 2, _pair(4, 3, "", "2:1"))
+    swapped = _pair(4, 3, "2:1", "2:1")
+    with pytest.raises(ValueError, match="rook part is not a RookPlacement"):
+        involution(4, 2, PlacementPair(3, FilePlacement(swapped.rook.board, swapped.rook.entries),
+                                       swapped.file))
+    with pytest.raises(ValueError, match="tile outside"):
+        involution(5, 2, _pair(5, 4, "5:1,3", "2:1;3:1,1"))
 
 
 def test_involution_domain_size():
@@ -392,3 +446,56 @@ def test_involution_domain_size():
 def test_involution_verified_small_range(n: int):
     for k in range(1, n):
         assert involution_verify(n, k)["status"] == "PASS"
+
+
+def _counterexamples(report: dict) -> dict[str, list[str]]:
+    assert report["status"] == "FAIL"
+    return {c["pair"]: c["problems"] for c in report["counterexamples"]}
+
+
+def test_involution_check_fails_on_the_identity(monkeypatch):
+    monkeypatch.setattr(stirling, "involution", lambda n, k, pair: pair)
+    found = _counterexamples(involution_verify(4, 2))
+    assert len(found) == 16
+    assert all(problems == ["fixed point", "sign not flipped"] for problems in found.values())
+    assert found["j=2 2:1;4:1,1;"] == ["fixed point", "sign not flipped"]
+
+
+def test_involution_check_fails_on_a_map_that_does_not_map_back(monkeypatch):
+    # a and b have the same sign and weight; exchanging their images keeps
+    # every image in the domain, sign-flipped and weight-preserving
+    real = stirling.involution
+    a, b = _pair(4, 2, "2:1;4:1,1", ""), _pair(4, 4, "", "2:1;3:1,1")
+    swap = {a: real(4, 2, b), b: real(4, 2, a)}
+    monkeypatch.setattr(stirling, "involution", lambda n, k, pair: swap.get(pair) or real(n, k, pair))
+    found = _counterexamples(involution_verify(4, 2))
+    assert found == {
+        "j=2 2:1;4:1,1;": ["not an involution"],
+        "j=3 2:1;3:1,1": ["not an involution"],
+        "j=3 3:1,1;2:1": ["not an involution"],
+        "j=4 ;2:1;3:1,1": ["not an involution"],
+    }
+
+
+def test_involution_check_fails_on_an_image_outside_the_domain(monkeypatch):
+    # images at j = n are sent to j = n + 1; the check reports them instead
+    # of applying the map to a pair it is not defined on
+    real = stirling.involution
+
+    def leaky(n: int, k: int, pair: PlacementPair) -> PlacementPair:
+        image = real(n, k, pair)
+        return PlacementPair(n + 1, image.rook, image.file) if image.j == n else image
+
+    monkeypatch.setattr(stirling, "involution", leaky)
+    found = _counterexamples(involution_verify(4, 2))
+    outside = {pair for pair, problems in found.items() if problems == ["image outside domain"]}
+    assert outside == {
+        "j=3 3:1,1;2:1",
+        "j=3 4:1,1,1;2:1",
+        "j=3 4:1,1,1;3:1,1",
+        "j=3 4:1,2;2:1",
+        "j=3 4:1,2;3:1,1",
+    }
+    assert len(found) == 10
+    assert all(problems == ["not an involution"] for pair, problems in found.items()
+               if pair not in outside)
