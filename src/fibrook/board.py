@@ -180,10 +180,44 @@ def _rule_heights(heights: tuple[int, ...], cols, lag: int) -> tuple[int, ...]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+def _entries_problem(
+    board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...], lag: int
+) -> str | None:
+    """Why `entries` break the placement rule `lag` on `board`, or None.
+
+    The entries must be (column, tiling) pairs, columns strictly increasing
+    and in range, the s-th tiling (s = 0, 1, ...) at column c covering the
+    b_{c - lag*s} cells the rule leaves it. The board's shape is not
+    checked here: the rook rule needs a Ferrers board, which the caller
+    knows or checks once.
+    """
+    b = board.heights
+    prev = 0
+    for s, (col, t) in enumerate(entries):
+        if not 1 <= col <= len(b):
+            return f"placement columns out of range for {board}"
+        if col <= prev:
+            return "placement columns must be strictly increasing"
+        want = b[col - 1 - lag * s]
+        if t.height != want:
+            return f"column {col} has {want} uncanceled cells, tiling covers {t.height}"
+        prev = col
+    return None
+
+
+@dataclass(frozen=True, slots=True)
 class Placement:
     """k chosen columns, the s-th (s = 0, 1, ...) at column c tiled to the
-    b_{c - lag*s} cells the cancellation rule leaves it."""
+    b_{c - lag*s} cells the cancellation rule leaves it.
+
+    Built directly (or by `parse_placement`), a placement validates its
+    entries with `_entries_problem` and raises on a bad one. The
+    enumerators and the involution build theirs through `_trusted`, which
+    skips that check: the enumerator picks every tiling from the pool of
+    the height the rule gives, and `stirling.involution_verify` checks
+    every involution image with its domain predicate, which runs the same
+    validator.
+    """
 
     board: FerrersBoard
     entries: tuple[tuple[int, Tiling], ...]
@@ -192,40 +226,45 @@ class Placement:
     def __post_init__(self) -> None:
         if self.lag:
             _require_ferrers(self.board, "a rook-style placement")
-        b = self.board.heights
         pairs = tuple((int(c), t) for c, t in self.entries)
-        prev = 0
-        for s, (col, t) in enumerate(pairs):
-            if not 1 <= col <= len(b):
-                raise ValueError(f"placement columns out of range for {self.board}")
-            if col <= prev:
-                raise ValueError("placement columns must be strictly increasing")
-            want = b[col - 1 - self.lag * s]
-            if t.height != want:
-                raise ValueError(f"column {col} has {want} uncanceled cells, tiling covers {t.height}")
-            prev = col
+        problem = _entries_problem(self.board, pairs, self.lag)
+        if problem is not None:
+            raise ValueError(problem)
         object.__setattr__(self, "entries", pairs)
+
+    @classmethod
+    def _trusted(cls, board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...]):
+        """A placement from entries known to satisfy the rule; no checks."""
+        pl = object.__new__(cls)
+        object.__setattr__(pl, "board", board)
+        object.__setattr__(pl, "entries", entries)
+        return pl
 
     @property
     def k(self) -> int:
         return len(self.entries)
 
-    def weight(self) -> PQRPoly:
+    def exponents(self) -> tuple[int, int, int]:
+        """(e_q, e_p, e_r) of the weight: the tiles of each height, summed."""
         ones = twos = threes = 0
         for _, t in self.entries:
             a, b, c = t.height_counts()
             ones += a
             twos += b
             threes += c
-        return PQRPoly.term(1, e_q=ones, e_p=twos, e_r=threes)
+        return ones, twos, threes
+
+    def weight(self) -> PQRPoly:
+        return PQRPoly.term(1, *self.exponents())
 
     def __str__(self) -> str:
-        return ";".join(f"{c}:{t}" for c, t in self.entries)
+        return ";".join([f"{c}:{t}" for c, t in self.entries])
 
 
 class FilePlacement(Placement):
     """k chosen columns, each tiled to its full board height."""
 
+    __slots__ = ()
     lag = 0
 
 
@@ -233,6 +272,7 @@ class RookPlacement(Placement):
     """k chosen columns tiled under cancellation: the s-th tiling covers the
     b_{i_s-(s-1)} cells its column still has."""
 
+    __slots__ = ()
     lag = 1
 
 
@@ -253,16 +293,18 @@ def parse_placement(board: FerrersBoard, text: str, model: str = "file"):
 
 
 def _enumerate_placements(cls, board: FerrersBoard, fam: TileFamily, k: int) -> list:
+    # every tiling comes from the pool of the height the rule gives its
+    # column, so the entries hold by construction and skip validation
     if k < 0:
         return []
     out = []
+    build = cls._trusted
     for combo in combinations(range(1, board.n + 1), k):
         hts = _rule_heights(board.heights, combo, cls.lag)
         if 0 in hts:
             continue
         pools = [enumerate_tilings(fam, h) for h in hts]
-        for choice in product(*pools):
-            out.append(cls(board, tuple(zip(combo, choice))))
+        out.extend(build(board, tuple(zip(combo, choice))) for choice in product(*pools))
     return out
 
 

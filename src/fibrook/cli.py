@@ -15,7 +15,9 @@ findings exit 0 unless --strict. Output is deterministic for a fixed
 command line; no timings are printed. Triangles are capped at N <= 40 and
 enumeration-backed commands at n <= 9: `enumerate` takes --force, and the
 involution suite refuses a larger --n (or --N) outright. The env var
-FIBROOK_MAX_N replaces both caps. `verify` accepts --n/--k only for the
+FIBROOK_MAX_N replaces both caps. `enumerate` also refuses a request of
+more than PLACEMENT_MAX placements, counted exactly before listing any;
+--force lifts that cap too. `verify` accepts --n/--k only for the
 involution and all suites.
 """
 
@@ -30,7 +32,13 @@ import stat
 import sys
 from dataclasses import dataclass
 
-from fibrook.board import enumerate_file_placements, enumerate_rook_placements, parse_board
+from fibrook.board import (
+    enumerate_file_placements,
+    enumerate_rook_placements,
+    file_poly,
+    parse_board,
+    rook_poly,
+)
 from fibrook.identities import (
     SEQUENCE_NAMES,
     SUITES,
@@ -47,6 +55,8 @@ _FAMILIES = {"fib": FIBONACCI, "trib": TRIBONACCI}
 
 DEFAULT_TRIANGLE_MAX = 40
 DEFAULT_ENUM_MAX = 9
+# `enumerate` refuses more placements than this without --force
+PLACEMENT_MAX = 250_000
 
 
 @dataclass
@@ -250,19 +260,32 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         )
     if cfg.model == "rook" and not board.is_ferrers:
         return _usage_error(f"{board} is not a Ferrers board; the rook model needs weakly increasing heights")
-    if cfg.model == "rook":
+    rook = cfg.model == "rook"
+    count = (rook_poly if rook else file_poly)(board, fam, k).eval_at(1, 1, 1)
+    if count > PLACEMENT_MAX and not cfg.force:
+        return _usage_error(
+            f"{board} has {count} {cfg.model} placements with k={k}, over the "
+            f"placement cap {PLACEMENT_MAX}; pass --force to override"
+        )
+    if rook:
         placements = enumerate_rook_placements(board, fam, k)
     else:
         placements = enumerate_file_placements(board, fam, k)
-    total = PQRPoly.zero()
+    # placements per weight, as exponent triples; each weight is printed once
+    counts: dict[tuple[int, int, int], int] = {}
+    weight_text: dict[tuple[int, int, int], str] = {}
     rows = []
     for pl in placements:
-        weight = pl.weight()
-        total = total + weight
+        exps = pl.exponents()
+        counts[exps] = counts.get(exps, 0) + 1
+        weight = weight_text.get(exps)
+        if weight is None:
+            weight = weight_text[exps] = str(PQRPoly.term(1, *exps))
         if cfg.fmt == "json":
-            rows.append({"placement": str(pl), "weight": str(weight)})
+            rows.append({"placement": str(pl), "weight": weight})
         else:
             rows.append(f"{str(pl) or '(empty)'}  {weight}")
+    total = PQRPoly(counts)
     if cfg.fmt == "json":
         payload = {
             "board": str(board),
@@ -372,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--model", choices=("file", "rook"), default="file")
     p_enum.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     p_enum.add_argument("--out", help="write to this path instead of stdout")
-    p_enum.add_argument("--force", action="store_true", help="ignore the size cap")
+    p_enum.add_argument("--force", action="store_true", help="ignore the column and placement caps")
 
     p_series = sub.add_parser("series", help="generating series of an Sf column")
     p_series.add_argument("k", type=int)

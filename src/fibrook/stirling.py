@@ -51,6 +51,7 @@ from fibrook.board import (
     FerrersBoard,
     FilePlacement,
     RookPlacement,
+    _entries_problem,
     enumerate_file_placements,
     enumerate_rook_placements,
     file_poly,
@@ -497,8 +498,13 @@ class PlacementPair:
     def sign(self) -> int:
         return -1 if len(self.file.entries) % 2 else 1
 
+    def exponents(self) -> tuple[int, int, int]:
+        """(e_q, e_p, e_r) of the weight, the sum of both parts' exponents."""
+        (a, b, c), (x, y, z) = self.rook.exponents(), self.file.exponents()
+        return a + x, b + y, c + z
+
     def weight(self) -> PQRPoly:
-        return self.rook.weight() * self.file.weight()
+        return PQRPoly.term(1, *self.exponents())
 
 
 def involution_domain(n: int, k: int) -> Iterator[PlacementPair]:
@@ -515,7 +521,11 @@ def involution_domain(n: int, k: int) -> Iterator[PlacementPair]:
 
 def _domain_problem(n: int, k: int, pair: PlacementPair) -> str | None:
     """Why `pair` is not in `involution_domain(n, k)`, or None if it is.
-    Each placement validated its entries when it was built."""
+
+    The complete membership test: it checks the entries of both parts
+    against their placement rule, because the involution builds its images
+    without validation.
+    """
     j = pair.j
     if not k <= j <= n:
         return f"pair has j={j} outside {k}..{n}"
@@ -525,6 +535,9 @@ def _domain_problem(n: int, k: int, pair: PlacementPair) -> str | None:
             return f"{label} part is not a {cls.__name__} on the {size}-staircase"
         if len(part.entries) != count:
             return f"{label} part has the wrong number of tilings"
+        problem = _entries_problem(part.board, part.entries, cls.lag)
+        if problem is not None:
+            return f"{label} part: {problem}"
         if any(3 in t.tiles for _, t in part.entries):
             return f"{label} part has a tile outside {{1,2}}"
     return None
@@ -553,7 +566,8 @@ def involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
     file column j+1-d, and otherwise case 2 moves the file's last tiling to
     rook column n-d. d < k because a file placement of j-1 tilings on the
     j-staircase (the k = 1 shape) cannot avoid its last column: only j-2
-    earlier columns are nonempty. Raises on pairs outside the domain.
+    earlier columns are nonempty. Raises on pairs outside the domain. The
+    image is built without validation; `_domain_problem` checks it.
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
@@ -570,14 +584,14 @@ def involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
         raise ValueError(f"both last columns stay empty to depth {d} >= k={k}")
 
     if d_rook == d:
-        new_rook = RookPlacement(pair.rook.board, rook_entries[:-1])
+        new_rook = RookPlacement._trusted(pair.rook.board, rook_entries[:-1])
         moved = (j + 1 - d, rook_entries[-1][1])
-        new_file = FilePlacement(FerrersBoard.staircase(j + 1), file_entries + (moved,))
+        new_file = FilePlacement._trusted(FerrersBoard.staircase(j + 1), file_entries + (moved,))
         return PlacementPair(j + 1, new_rook, new_file)
 
-    new_file = FilePlacement(FerrersBoard.staircase(j - 1), file_entries[:-1])
+    new_file = FilePlacement._trusted(FerrersBoard.staircase(j - 1), file_entries[:-1])
     moved = (n - d, file_entries[-1][1])
-    new_rook = RookPlacement(pair.rook.board, rook_entries + (moved,))
+    new_rook = RookPlacement._trusted(pair.rook.board, rook_entries + (moved,))
     return PlacementPair(j - 1, new_rook, new_file)
 
 
@@ -587,17 +601,19 @@ def involution_verify(n: int, k: int) -> dict:
     Confirms: the map stays inside the domain, is a fixed-point-free
     involution, flips the sign, preserves the weight, and therefore the
     signed weight sum over the domain vanishes. The domain is streamed, and
-    the map is applied again only to an image inside the domain.
+    the map is applied again only to an image inside the domain. Weights
+    are compared as exponent triples, and the signed sum is kept as a
+    signed count per triple until the end.
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
-    signed_total = PQRPoly.zero()
+    signed: dict[tuple[int, int, int], int] = {}
     counterexamples = []
     per_j: dict[int, int] = {}
     for pair in involution_domain(n, k):
         per_j[pair.j] = per_j.get(pair.j, 0) + 1
-        weight = pair.weight()
-        signed_total = signed_total + pair.sign() * weight
+        weight = pair.exponents()
+        signed[weight] = signed.get(weight, 0) + pair.sign()
         image = involution(n, k, pair)
         inside = _domain_problem(n, k, image) is None
         problems = []
@@ -607,13 +623,14 @@ def involution_verify(n: int, k: int) -> dict:
             problems.append("fixed point")
         if image.sign() != -pair.sign():
             problems.append("sign not flipped")
-        if image.weight() != weight:
+        if image.exponents() != weight:
             problems.append("weight changed")
         if inside and involution(n, k, image) != pair:
             problems.append("not an involution")
         if problems:
             counterexamples.append({"pair": f"j={pair.j} {pair.rook};{pair.file}",
                                     "problems": problems})
+    signed_total = PQRPoly(signed)
     ok = not counterexamples and signed_total.is_zero
     return {
         "check": "involution",

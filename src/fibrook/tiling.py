@@ -85,21 +85,24 @@ class Tiling:
         if any(h not in _ALLOWED_HEIGHTS for h in tiles):
             raise ValueError("tile heights must be drawn from {1, 2, 3}")
         object.__setattr__(self, "tiles", tiles)
-        # not a field, so equality and hashing still see the tiles only
+        # not fields, so equality and hashing still see the tiles only;
+        # tilings are shared cached objects, so each is summed and joined once
         object.__setattr__(
             self, "_counts", (tiles.count(1), tiles.count(2), tiles.count(3))
         )
+        object.__setattr__(self, "_height", sum(tiles))
+        object.__setattr__(self, "_text", ",".join(str(h) for h in tiles))
 
     @property
     def height(self) -> int:
-        return sum(self.tiles)
+        return self._height
 
     def height_counts(self) -> tuple[int, int, int]:
         """(number of height-1 tiles, height-2 tiles, height-3 tiles)."""
         return self._counts
 
     def __str__(self) -> str:
-        return ",".join(str(h) for h in self.tiles)
+        return self._text
 
 
 def parse_tiling(text: str) -> Tiling:

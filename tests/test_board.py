@@ -11,6 +11,7 @@ from fibrook.board import (
     FilePlacement,
     RookPlacement,
     _cancellation_simulation,
+    _entries_problem,
     aug_mixed_sum,
     aug_mixed_sum_row_explicit,
     enumerate_file_placements,
@@ -121,6 +122,46 @@ def test_parse_placement_round_trip():
     empty = parse_placement(board, "", model="file")
     assert empty.k == 0
     assert empty.weight() == 1
+
+
+MODELS = [
+    (FilePlacement, enumerate_file_placements, file_poly),
+    (RookPlacement, enumerate_rook_placements, rook_poly),
+]
+
+
+def _check_enumerator_contract(cls, enumerate_placements, count, boards, fam) -> int:
+    # the enumerators build placements without validating them, so each
+    # must pass the validator and equal the placement built with it
+    listed = 0
+    for board in boards:
+        for k in range(board.n + 2):
+            got = enumerate_placements(board, fam, k)
+            assert len(got) == count(board, fam, k).eval_at(1, 1, 1)
+            assert all(_entries_problem(board, pl.entries, cls.lag) is None for pl in got)
+            assert got == [cls(board, pl.entries) for pl in got]
+            listed += len(got)
+    return listed
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
+@pytest.mark.parametrize("cls,enumerate_placements,count", MODELS, ids=["file", "rook"])
+def test_enumerated_placements_satisfy_their_rule(cls, enumerate_placements, count, fam):
+    boards = all_ferrers_boards(5, 5)
+    assert _check_enumerator_contract(cls, enumerate_placements, count, boards, fam) > 10_000
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
+def test_enumerated_file_placements_satisfy_their_rule_off_ferrers(fam):
+    # the file rule reads each column alone, so a smaller range of profiles
+    # suffices: every non-Ferrers board of at most 4 columns, heights <= 4
+    boards = [
+        board
+        for n in range(2, 5)
+        for heights in itertools.product(range(5), repeat=n)
+        if not (board := FerrersBoard(heights)).is_ferrers
+    ]
+    assert _check_enumerator_contract(*MODELS[0], boards, fam) > 10_000
 
 
 def test_file_enumeration_counts():

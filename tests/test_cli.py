@@ -107,6 +107,28 @@ def test_enumerate_usage_errors(capsys):
     )[0] == 0
 
 
+def test_enumerate_refuses_more_placements_than_the_cap(capsys):
+    # one column clears the column cap; its F_40 tilings do not clear the
+    # placement cap, which is counted without listing them
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "F(40)", "--k", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "F(40) has 102334155 file placements with k=1" in err
+    assert "pass --force to override" in err
+    assert cli.PLACEMENT_MAX >= 202_344
+
+
+def test_enumerate_force_lifts_the_placement_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PLACEMENT_MAX", 3)
+    code, _, err = run(capsys, "enumerate", "F(0,1,2)", "--k", "1", "--model", "rook")
+    assert (code, err) == (0, "")  # exactly two placements
+    code, _, err = run(capsys, "enumerate", "F(1,2,3)", "--k", "1")
+    assert code == 2 and "has 4 file placements" in err
+    code, out, _ = run(capsys, "enumerate", "F(1,2,3)", "--k", "1", "--force")
+    assert code == 0 and out.endswith("total  q + p*q + q^2 + q^3\n")
+
+
 # series and sequences --------------------------------------------------------------
 
 

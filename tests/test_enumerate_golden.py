@@ -2,7 +2,8 @@
 
 The digests pin stdout byte for byte: the placements, their order, their
 weights and the total. The boards cover a zero-height column, a staircase,
-a non-Ferrers file board and the tribonacci family.
+a non-Ferrers file board and the tribonacci family; the k = 0 and
+k > columns rows pin the one empty placement and the empty list.
 """
 
 import hashlib
@@ -24,6 +25,16 @@ GOLDEN = [
     ("F(3,1,2)", 2, "fib", "file", "json", 489, "b3046cf9bb948ddc3e7e79c918f3504b49c232ac43f3a345ff8d87bcc6d916e6"),
     ("F(1,2,3,4)", 2, "trib", "file", "text", 544, "1b4d6b25396f460675af3d8f03ee69dca1e3065b75bcb0e10d3f85a4d8ce1859"),
     ("F(1,2,3,4)", 2, "trib", "rook", "text", 274, "0dd62266d16d6f45c38586154566931f1582c508f87e9366782c2c558f5ee288"),
+    # k = 0: the one empty placement, total 1
+    ("F(0,2,2,3)", 0, "fib", "file", "text", 20, "243642a7267084490f036c6b2c817b350e1ff185a394dc2c584c83e0e6cf9076"),
+    ("F(0,2,2,3)", 0, "fib", "file", "json", 170, "0f9c31d8f78f4d8b1017f2c01f2c794615fb80460728a99a1badb5bf9bfee4da"),
+    ("F(0,2,2,3)", 0, "fib", "rook", "text", 20, "243642a7267084490f036c6b2c817b350e1ff185a394dc2c584c83e0e6cf9076"),
+    ("F(0,2,2,3)", 0, "fib", "rook", "json", 170, "f5c358e5d7bb75accce4ee7cbf7245f334ef0c7bee36c9da5139557765c7282b"),
+    # k over the column count: no placements, total 0
+    ("F(0,2,2,3)", 5, "fib", "file", "text", 9, "a0f4a44637099e8bb4f5d78a5556e54f43eadbe6f2a87cfa0481bd401b6c2a9b"),
+    ("F(0,2,2,3)", 5, "fib", "file", "json", 112, "0288f8f4e91ced19724b8b04579457afbf274bb2141bac2b1622e74c4d76c761"),
+    ("F(0,2,2,3)", 5, "fib", "rook", "text", 9, "a0f4a44637099e8bb4f5d78a5556e54f43eadbe6f2a87cfa0481bd401b6c2a9b"),
+    ("F(0,2,2,3)", 5, "fib", "rook", "json", 112, "cb2b624a4349cba1ead954ed38a2ff5daf1a1d2ad3766f5f339072bc334783dc"),
 ]
 
 

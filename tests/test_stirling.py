@@ -1,9 +1,12 @@
 """Coefficient triangles, basis expansions, inversion, and the involution."""
 
+import json
+
 import pytest
 
 import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, parse_placement
+from fibrook.cli import main
 from fibrook.poly import P, Q, R, PQRPoly, XPoly
 from fibrook.stirling import (
     TRIANGLE_KINDS,
@@ -499,3 +502,36 @@ def test_involution_check_fails_on_an_image_outside_the_domain(monkeypatch):
     assert len(found) == 10
     assert all(problems == ["not an involution"] for pair, problems in found.items()
                if pair not in outside)
+
+
+def test_involution_check_fails_on_a_mis_sized_image(monkeypatch, capsys):
+    # each image's last file tiling moves one column right, built as the
+    # involution builds its images: reported, not raised while being built
+    real = stirling.involution
+
+    def shifted(n: int, k: int, pair: PlacementPair) -> PlacementPair:
+        image = real(n, k, pair)
+        if not image.file.entries:
+            return image
+        *kept, (col, tiling) = image.file.entries
+        moved = FilePlacement._trusted(image.file.board, (*kept, (col + 1, tiling)))
+        return PlacementPair(image.j, image.rook, moved)
+
+    monkeypatch.setattr(stirling, "involution", shifted)
+    found = _counterexamples(involution_verify(5, 2))
+    expected = {}
+    for pair in involution_domain(5, 2):
+        image = real(5, 2, pair)
+        # an image with an empty file part is the real one, but the map
+        # then sends it to a shifted copy of the pair
+        problem = "image outside domain" if image.file.entries else "not an involution"
+        expected[f"j={pair.j} {pair.rook};{pair.file}"] = [problem]
+    assert found == expected
+    assert len(found) == 78
+    assert sum(p == ["image outside domain"] for p in found.values()) == 74
+    pair = _pair(5, 3, "3:1,1;4:1,1", "2:1")  # real image: j=4, file 2:1;3:1,1
+    assert stirling._domain_problem(5, 2, stirling.involution(5, 2, pair)) == (
+        "file part: column 4 has 3 uncanceled cells, tiling covers 2"
+    )
+    assert main(["verify", "involution", "--n", "5", "--k", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "FAIL"
