@@ -43,6 +43,7 @@ from fibrook.tiling import (
     Tiling,
     enumerate_tilings,
     parse_tiling,
+    tiling_count,
     tiling_weight,
     tiling_weight_sum,
     weight_poly,
@@ -395,6 +396,30 @@ def rook_poly(
     """Total weight of the k-column rook-style placements on `board`."""
     _require_ferrers(board, "a rook-style placement")
     return _placement_poly(board, fam, k, mode, RookPlacement.lag)
+
+
+def placement_count(board: FerrersBoard, fam: TileFamily, k: int, model: str = "file") -> int:
+    """How many k-column placements of `model` the board has: its placement
+    polynomial at q = p = r = 1, on integers, so that a tall column is
+    counted without building its weight polynomial.
+
+    Left to right, ways[s] counts the placements of s tilings on the
+    columns seen so far; a column tiled as the (s+1)-th gets the height
+    b_(c - lag*s) the rule gives it.
+    """
+    if model not in _MODELS:
+        raise ValueError(f"unknown placement model {model!r}")
+    lag = _MODELS[model].lag
+    if lag:
+        _require_ferrers(board, "a rook-style placement")
+    if k < 0:
+        return 0
+    ways = [1] + [0] * k
+    for c in range(board.n):
+        for s in range(min(c, k - 1), -1, -1):
+            if ways[s]:
+                ways[s + 1] += ways[s] * tiling_count(fam, board.heights[c - lag * s])
+    return ways[k]
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -18,26 +18,27 @@ involution suite refuses a larger --n (or --N) outright. The env var
 FIBROOK_MAX_N replaces both caps. `enumerate` also refuses a request of
 more than PLACEMENT_MAX placements, counted exactly before listing any;
 --force lifts that cap too. `verify` accepts --n/--k only for the
-involution and all suites.
+involution and all suites. `table` and `enumerate` write their output
+row by row, as it is rendered, to stdout or to the --out file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from fibrook.board import (
+    Placement,
     enumerate_file_placements,
     enumerate_rook_placements,
-    file_poly,
     parse_board,
-    rook_poly,
+    placement_count,
 )
 from fibrook.identities import (
     SEQUENCE_NAMES,
@@ -48,7 +49,7 @@ from fibrook.identities import (
     sf_column_series,
 )
 from fibrook.poly import PQRPoly
-from fibrook.stirling import TRIANGLE_KINDS, triangle_image
+from fibrook.stirling import TRIANGLE_KINDS, TriangleImage, triangle_image
 from fibrook.tiling import FIBONACCI, TRIBONACCI
 
 _FAMILIES = {"fib": FIBONACCI, "trib": TRIBONACCI}
@@ -100,23 +101,45 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
+    """Write `chunks`, which end the output with a newline, to the --out
+    path or to stdout as they are drawn, gathered into writes of about
+    `_WRITE_SIZE` characters."""
     if cfg.out:
-        _write_out(cfg.out, text)
+        _write_out(cfg.out, chunks)
     else:
-        sys.stdout.write(text)
+        _write_all(sys.stdout, chunks)
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write `text` to `path`, replacing a plain file atomically.
+# chunks are gathered into writes of about this many characters: stdout may
+# be unbuffered (PYTHONUNBUFFERED), and one write per placement line then
+# costs a system call each
+_WRITE_SIZE = 1 << 16
+
+
+def _write_all(handle, chunks: Iterable[str]) -> None:
+    pending: list[str] = []
+    size = 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_SIZE:
+            handle.write("".join(pending))
+            pending, size = [], 0
+    if pending:
+        handle.write("".join(pending))
+
+
+def _write_out(path: str, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `path`, replacing a plain file atomically.
 
     A new file, or a regular file with one link, is written beside itself
-    and renamed over, so a failed run never leaves it truncated; symlinks
-    are followed and stay in place, and the file keeps its mode. Devices,
-    FIFOs, hard-linked files and files in read-only directories are written
-    in place, as `open` would.
+    and renamed over once the last chunk is in, so a failed run, in
+    drawing the chunks or in writing them, never leaves it truncated;
+    symlinks are followed and stay in place, and the file keeps its mode.
+    Devices, FIFOs, hard-linked files and files in read-only directories
+    are written in place, as `open` would, so a failed run leaves them
+    part-written.
     """
     path = os.path.realpath(path)
     try:
@@ -132,7 +155,7 @@ def _write_out(path: str, text: str) -> None:
         else:
             try:
                 with handle:
-                    handle.write(text)
+                    _write_all(handle, chunks)
                 if st is not None:
                     os.chmod(tmp, stat.S_IMODE(st.st_mode))
                 os.replace(tmp, path)
@@ -141,7 +164,36 @@ def _write_out(path: str, text: str) -> None:
                 raise
             return
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        _write_all(handle, chunks)
+
+
+def _json_chunks(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
+    """`json.dumps(dict(fields), indent=2)` and a newline, piece by piece.
+
+    `fields` is drawn lazily, so a field after a streamed list may be
+    computed from what the list's items left behind.
+    """
+    sep = "{"
+    for name, value in fields:
+        yield f"{sep}\n  {json.dumps(name)}: "
+        sep = ","
+        yield from _json_value(value, "\n  ")
+    yield "{}\n" if sep == "{" else "\n}\n"
+
+
+def _json_value(value: object, newline: str) -> Iterator[str]:
+    """`json.dumps(value, indent=2)` nested at the indent of `newline`; an
+    iterator is written as a list, one item at a time."""
+    if not isinstance(value, Iterator):
+        yield json.dumps(value, indent=2).replace("\n", newline)
+        return
+    inner = newline + "  "
+    sep = "["
+    for item in value:
+        yield sep + inner
+        yield from _json_value(item, inner)
+        sep = ","
+    yield "[]" if sep == "[" else newline + "]"
 
 
 def _usage_error(message: str) -> int:
@@ -165,20 +217,42 @@ def cmd_table(cfg: RunConfig) -> int:
         )
     tri = triangle_image(cfg.kind, cfg.N)
     if cfg.fmt == "json":
-        _emit(cfg, json.dumps(tri.to_json_dict(), indent=2))
+        # each row as an iterator, so that its entries are dumped one by one
+        rows = map(iter, tri.text_rows())
+        _emit(cfg, _json_chunks((("kind", tri.kind), ("N", tri.N), ("entries", rows))))
     elif cfg.fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["n", "k", "poly"])
-        for n, k, text in tri.csv_rows():
-            writer.writerow([n, k, text])
-        _emit(cfg, buffer.getvalue())
+        _emit(cfg, _csv_chunks(tri))
     else:
-        lines = [f"{cfg.kind} triangle, rows 0..{cfg.N}"]
-        for n, row in enumerate(tri.text_rows()):
-            lines.append(f"n={n}: " + " | ".join(row))
-        _emit(cfg, "\n".join(lines))
+        _emit(cfg, _text_chunks(tri))
     return 0
+
+
+def _text_chunks(tri: TriangleImage) -> Iterator[str]:
+    yield f"{tri.kind} triangle, rows 0..{tri.N}\n"
+    for n, row in enumerate(tri.text_rows()):
+        sep = f"n={n}: "
+        for text in row:
+            yield sep
+            yield text
+            sep = " | "
+        del row  # free this row's text before the next row is drawn
+        yield "\n"
+
+
+class _Echo:
+    """A file for `csv.writer` whose `write` hands the line back, so that
+    `writerow` returns it."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _csv_chunks(tri: TriangleImage) -> Iterator[str]:
+    writer = csv.writer(_Echo)
+    yield writer.writerow(["n", "k", "poly"])
+    for n, k, text in tri.csv_rows():
+        yield writer.writerow([n, k, text])
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -232,10 +306,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     failed = sum(r["status"] == "FAIL" for r in reports)
     warned = sum(r["status"] == "WARN" for r in reports)
     if cfg.fmt == "summary":
-        _emit(cfg, _summary(reports, failed, warned))
+        _emit(cfg, [_summary(reports, failed, warned), "\n"])
     else:
         overall = "FAIL" if failed else ("WARN" if warned else "PASS")
-        _emit(cfg, json.dumps({"suite": cfg.name, "status": overall, "reports": reports}, indent=2))
+        report = {"suite": cfg.name, "status": overall, "reports": reports}
+        _emit(cfg, [json.dumps(report, indent=2), "\n"])
     return 1 if failed or (warned and cfg.strict) else 0
 
 
@@ -261,45 +336,53 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     if cfg.model == "rook" and not board.is_ferrers:
         return _usage_error(f"{board} is not a Ferrers board; the rook model needs weakly increasing heights")
     rook = cfg.model == "rook"
-    count = (rook_poly if rook else file_poly)(board, fam, k).eval_at(1, 1, 1)
+    count = placement_count(board, fam, k, cfg.model)
     if count > PLACEMENT_MAX and not cfg.force:
+        # past about 4,300 digits, Python refuses to print an int in decimal
+        bits = count.bit_length()
+        shown = str(count) if bits < 14_000 else f"more than 2**{bits - 1}"
         return _usage_error(
-            f"{board} has {count} {cfg.model} placements with k={k}, over the "
+            f"{board} has {shown} {cfg.model} placements with k={k}, over the "
             f"placement cap {PLACEMENT_MAX}; pass --force to override"
         )
     if rook:
         placements = enumerate_rook_placements(board, fam, k)
     else:
         placements = enumerate_file_placements(board, fam, k)
-    # placements per weight, as exponent triples; each weight is printed once
-    counts: dict[tuple[int, int, int], int] = {}
+    if cfg.fmt == "json":
+        head = {"board": str(board), "family": fam.label, "model": cfg.model, "k": k}
+        _emit(cfg, _json_chunks(_placement_fields(head, placements)))
+    else:
+        _emit(cfg, _placement_lines(placements))
+    return 0
+
+
+def _weighed(placements: Iterable[Placement], counts: dict) -> Iterator[tuple[str, str]]:
+    """(placement, weight) texts per placement, adding up in `counts` the
+    placements per weight, as exponent triples; each weight is printed once."""
     weight_text: dict[tuple[int, int, int], str] = {}
-    rows = []
     for pl in placements:
         exps = pl.exponents()
         counts[exps] = counts.get(exps, 0) + 1
         weight = weight_text.get(exps)
         if weight is None:
             weight = weight_text[exps] = str(PQRPoly.term(1, *exps))
-        if cfg.fmt == "json":
-            rows.append({"placement": str(pl), "weight": weight})
-        else:
-            rows.append(f"{str(pl) or '(empty)'}  {weight}")
-    total = PQRPoly(counts)
-    if cfg.fmt == "json":
-        payload = {
-            "board": str(board),
-            "family": fam.label,
-            "model": cfg.model,
-            "k": k,
-            "placements": rows,
-            "total": str(total),
-        }
-        _emit(cfg, json.dumps(payload, indent=2))
-    else:
-        rows.append(f"total  {total}")
-        _emit(cfg, "\n".join(rows))
-    return 0
+        yield str(pl), weight
+
+
+def _placement_lines(placements: list[Placement]) -> Iterator[str]:
+    counts: dict[tuple[int, int, int], int] = {}
+    for text, weight in _weighed(placements, counts):
+        yield f"{text or '(empty)'}  {weight}\n"
+    yield f"total  {PQRPoly(counts)}\n"
+
+
+def _placement_fields(head: dict, placements: list[Placement]) -> Iterator[tuple[str, object]]:
+    counts: dict[tuple[int, int, int], int] = {}
+    yield from head.items()
+    listed = _weighed(placements, counts)
+    yield "placements", ({"placement": text, "weight": weight} for text, weight in listed)
+    yield "total", str(PQRPoly(counts))
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -325,10 +408,9 @@ def cmd_series(cfg: RunConfig) -> int:
             "order": order,
             "coefficients": [str(series.coefficient(n)) for n in range(order + 1)],
         }
-        _emit(cfg, json.dumps(payload, indent=2))
+        _emit(cfg, [json.dumps(payload, indent=2), "\n"])
     else:
-        lines = [f"t^{n}  {series.coefficient(n)}" for n in range(order + 1)]
-        _emit(cfg, "\n".join(lines))
+        _emit(cfg, [f"t^{n}  {series.coefficient(n)}\n" for n in range(order + 1)])
     return 0
 
 
@@ -354,7 +436,7 @@ def cmd_sequences(cfg: RunConfig) -> int:
             lines.append(f"{prefix}WARN: {report.warn}")
         if report.status != "MATCH":
             failed = True
-    _emit(cfg, "\n".join(lines))
+    _emit(cfg, ["\n".join(lines), "\n"])
     return 1 if failed else 0
 
 

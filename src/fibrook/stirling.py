@@ -115,22 +115,31 @@ class CoeffTriangle:
 class TriangleImage:
     """A triangle held in the q-image q -> 2**slot, as `triangle_image` builds it.
 
-    rows[n][k] is the image `{q_image_row(e_p, e_r): sum coeff * 2**(slot * e_q)}`
-    of the unsigned entry (the cf/cp entry for sf/sp), which gets its sign
-    back when it is printed. Every coefficient lies in [0, 2**slot), so an
-    entry reads back digit by digit. A plain class, not a dataclass: the
-    CLI imports it on every run, and a dataclass compiles its methods then.
+    Its rows are drawn lazily: each pass over `text_rows` runs the image
+    recursion again and holds at most two image rows, so a printed table
+    never holds the whole image. Image row n holds, per k, the image
+    `{q_image_row(e_p, e_r): sum coeff * 2**(slot * e_q)}` of the unsigned
+    entry (the cf/cp entry for sf/sp), which gets its sign back when it is
+    printed. Every coefficient lies in [0, 2**slot), so an entry reads back
+    digit by digit. A plain class, not a dataclass: the CLI imports it on
+    every run, and a dataclass compiles its methods then.
     """
 
-    def __init__(self, kind: str, N: int, rows: tuple[tuple[dict[int, int], ...], ...], slot: int):
+    def __init__(
+        self,
+        kind: str,
+        N: int,
+        slot: int,
+        draw_rows: Callable[[], Iterator[tuple[dict[int, int], ...]]],
+    ):
         self.kind = kind
         self.N = N
-        self.rows = rows
         self.slot = slot
+        self._draw_rows = draw_rows
 
     def text_rows(self) -> Iterator[list[str]]:
         """The printed entries, row by row, equal to `str` of the unpacked ones."""
-        for n, row in enumerate(self.rows):
+        for n, row in enumerate(self._draw_rows()):
             yield [
                 q_image_text(image, self.slot, _entry_sign(self.kind, n, k))
                 for k, image in enumerate(row)
@@ -143,6 +152,7 @@ class TriangleImage:
         for n, row in enumerate(self.text_rows()):
             for k, text in enumerate(row):
                 yield (n, k, text)
+            del row  # free this row's text before the next row is drawn
 
 
 # signed kind -> the unsigned kind whose entries it negates at odd n - k
@@ -192,14 +202,14 @@ def _row_tops(N: int, width: int | None) -> Iterator[tuple[int, int]]:
 
 def triangle_image(kind: str, N: int) -> TriangleImage:
     """Rows 0..N of the `kind` triangle in the q-image; see `build_triangle`."""
-    slot, rows = _image_rows(kind, N, None)
-    return TriangleImage(kind, N, tuple(rows), slot)
+    return TriangleImage(kind, N, *_image_rows(kind, N, None))
 
 
 def _image_rows(
     kind: str, N: int, width: int | None
-) -> tuple[int, Iterator[tuple[dict[int, int], ...]]]:
-    """The slot width of the `kind` triangle's image and its rows, lazily.
+) -> tuple[int, Callable[[], Iterator[tuple[dict[int, int], ...]]]]:
+    """The slot width of the `kind` triangle's image, and a function that
+    draws its rows lazily, afresh on each call.
 
     Two passes of the same recursion: the first, on integers at
     q = p = r = 1 and on total degrees, runs here, so that the slot is known
@@ -233,7 +243,7 @@ def _image_rows(
         largest = max(largest, *row)
         ones, degrees = row, row_deg
     slot = _slot_width(largest)
-    return slot, _recur_images(factor, slot, N, width)
+    return slot, lambda: _recur_images(factor, slot, N, width)
 
 
 def _recur_images(
@@ -291,13 +301,13 @@ def build_triangle(kind: str, N: int, width: int | None = None) -> CoeffTriangle
     entries k = 0..min(n, width), which equal the leading entries of the
     full row; `entry` then raises for width < k <= n instead of guessing.
     """
-    slot, images = _image_rows(kind, N, width)
+    slot, draw_images = _image_rows(kind, N, width)
     rows = tuple(
         tuple(
             PQRPoly.from_q_image(image, slot, _entry_sign(kind, n, k))
             for k, image in enumerate(row)
         )
-        for n, row in enumerate(images)
+        for n, row in enumerate(draw_images())
     )
     return CoeffTriangle(kind, N, rows, width)
 

@@ -156,18 +156,26 @@ _TILE_WEIGHT = {
 }
 
 
-@lru_cache(maxsize=None)
-def _weight_poly(heights: tuple[int, ...], n: int) -> PQRPoly:
-    if n < 1:
-        return PQRPoly.zero()
-    if n == 1:
-        return _TILE_WEIGHT[1]
-    total = PQRPoly.zero()
-    for h in heights:
-        tail = _weight_poly(heights, n - h)
-        if tail:
-            total = total + _TILE_WEIGHT[h] * tail
-    return total
+_WEIGHTS: dict[tuple[int, ...], list[PQRPoly]] = {}
+_COUNTS: dict[tuple[int, ...], list[int]] = {}
+_TILE_COUNT = {1: 1, 2: 1, 3: 1}
+
+
+def _bottom_up(known: list, heights: tuple[int, ...], n: int, tile: dict) -> list:
+    """`known` = [W_0, W_1, ...] extended through W_n by the tiling recursion.
+
+    Peeling the top tile gives W_m = sum over tile heights h < m of
+    tile[h] * W_(m-h); the loop runs upward from the last value known, so
+    a tall column costs no stack depth.
+    """
+    while len(known) <= n:
+        m = len(known)
+        total = known[0]
+        for h in heights:
+            if h < m and known[m - h]:
+                total = total + tile[h] * known[m - h]
+        known.append(total)
+    return known
 
 
 def weight_poly(fam: TileFamily, n: int) -> PQRPoly:
@@ -179,7 +187,8 @@ def weight_poly(fam: TileFamily, n: int) -> PQRPoly:
     """
     if n < 0:
         raise ValueError("weight_poly needs n >= 0")
-    return _weight_poly(fam.heights, n)
+    known = _WEIGHTS.setdefault(fam.heights, [PQRPoly.zero(), _TILE_WEIGHT[1]])
+    return _bottom_up(known, fam.heights, n, _TILE_WEIGHT)[n]
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +211,11 @@ def tiling_weight_sum(fam: TileFamily, n: int) -> PQRPoly:
 
 
 def tiling_count(fam: TileFamily, n: int) -> int:
-    """How many height-n tilings the family admits."""
-    return weight_poly(fam, n).eval_at(1, 1, 1)
+    """How many height-n tilings the family admits: W_n at q = p = r = 1,
+    by the same recursion on integers, so a tall column builds no polynomial."""
+    if n < 0:
+        raise ValueError("tiling_count needs n >= 0")
+    return _bottom_up(_COUNTS.setdefault(fam.heights, [0, 1]), fam.heights, n, _TILE_COUNT)[n]
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -21,6 +21,7 @@ from fibrook.board import (
     mixed_file_sum_row_explicit,
     parse_board,
     parse_placement,
+    placement_count,
     rook_poly,
     rook_tiling_heights,
     uncanceled_heights,
@@ -128,6 +129,19 @@ MODELS = [
     (FilePlacement, enumerate_file_placements, file_poly),
     (RookPlacement, enumerate_rook_placements, rook_poly),
 ]
+
+
+@pytest.mark.parametrize("model,poly", [("file", file_poly), ("rook", rook_poly)])
+def test_placement_count_is_the_placement_polynomial_at_one(model, poly):
+    boards = list(all_ferrers_boards(4, 5))
+    if model == "file":
+        boards.append(FerrersBoard((3, 1, 2, 0, 4)))
+    for fam in FAMILIES:
+        for board in boards:
+            for k in range(-1, board.n + 2):
+                assert placement_count(board, fam, k, model) == poly(board, fam, k).eval_at(1, 1, 1)
+    with pytest.raises(ValueError, match="weakly increasing"):
+        placement_count(FerrersBoard((2, 1)), FIBONACCI, 1, "rook")
 
 
 def _check_enumerator_contract(cls, enumerate_placements, count, boards, fam) -> int:

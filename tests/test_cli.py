@@ -1,9 +1,11 @@
 """Exit codes, output shapes, and byte determinism of the command line."""
 
 import errno
+import itertools
 import json
 import os
 import stat
+import sys
 import time
 
 import pytest
@@ -12,6 +14,7 @@ import fibrook.cli as cli
 import fibrook.identities as identities
 import fibrook.stirling as stirling
 from fibrook.cli import main
+from fibrook.tiling import fibonacci_number
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -117,6 +120,25 @@ def test_enumerate_refuses_more_placements_than_the_cap(capsys):
     assert "F(40) has 102334155 file placements with k=1" in err
     assert "pass --force to override" in err
     assert cli.PLACEMENT_MAX >= 202_344
+
+
+@pytest.mark.parametrize(
+    "height,shown",
+    [
+        (900, str(fibonacci_number(900))),
+        (5000, str(fibonacci_number(5000))),
+        # too many digits for str(int): the count is given by its size
+        (30000, "more than 2**20826"),
+    ],
+)
+def test_enumerate_refuses_a_tall_column_by_its_count(capsys, height, shown):
+    # the count is taken on integers, bottom up, so a column far taller
+    # than the interpreter's stack is counted at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", f"F({height})", "--k", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"F({height}) has {shown} file placements with k=1" in err
 
 
 def test_enumerate_force_lifts_the_placement_cap(capsys, monkeypatch):
@@ -462,4 +484,71 @@ def test_out_in_a_read_only_directory_writes_in_place(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "open", no_new_files, raising=False)
     assert run(capsys, "table", "cf", "3", "--out", str(target))[0] == 0
     assert target.read_text(encoding="utf-8").startswith("cf triangle")
+    assert list(tmp_path.iterdir()) == [target]
+
+
+# streaming ---------------------------------------------------------------------
+
+
+class _Writes:
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.chunks: list[str] = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "Sf", "16"),
+        ("table", "Sf", "16", "--format", "csv"),
+        ("table", "Sf", "16", "--format", "json"),
+        ("enumerate", "F(1,2,3,4,5,6,7,8)", "--k", "3"),
+        ("enumerate", "F(1,2,3,4,5,6,7,8)", "--k", "3", "--format", "json"),
+    ],
+)
+def test_table_and_enumerate_reach_stdout_in_more_than_one_write(capsys, monkeypatch, argv):
+    code, whole, _ = run(capsys, *argv)
+    assert len(whole) > 2 * cli._WRITE_SIZE
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(list(argv)) == code == 0
+    assert len(writes.chunks) > 1
+    assert "".join(writes.chunks) == whole
+
+
+def _fail_after_rows(monkeypatch, count, before_failing=lambda: None):
+    recur = stirling._recur_images
+
+    def rows_then_fail(*args):
+        yield from itertools.islice(recur(*args), count)
+        before_failing()
+        raise RuntimeError("row source failed")
+
+    monkeypatch.setattr(stirling, "_recur_images", rows_then_fail)
+
+
+def test_table_writes_its_rows_before_drawing_the_rest(capsys, monkeypatch):
+    whole = run(capsys, "table", "Sf", "16")[1]
+    _fail_after_rows(monkeypatch, 16)
+    with pytest.raises(RuntimeError, match="row source failed"):
+        main(["table", "Sf", "16"])
+    out = capsys.readouterr().out
+    assert out and whole.startswith(out)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_out_keeps_the_previous_file_when_the_rows_fail(tmp_path, monkeypatch, fmt):
+    target = tmp_path / "tri.txt"
+    target.write_bytes(b"previous run\n")
+    # the rows go to the temp file beside the target as they are drawn
+    seen: list[list[str]] = []
+    _fail_after_rows(monkeypatch, 1, lambda: seen.append(sorted(os.listdir(tmp_path))))
+    with pytest.raises(RuntimeError, match="row source failed"):
+        main(["table", "cf", "5", "--format", fmt, "--out", str(target)])
+    assert seen == [["tri.txt", f"tri.txt.{os.getpid()}.tmp"]]
+    assert target.read_bytes() == b"previous run\n"
     assert list(tmp_path.iterdir()) == [target]

@@ -81,6 +81,13 @@ def test_tiling_counts():
     assert [tiling_count(TRIBONACCI, n) for n in range(1, 9)] == [1, 1, 2, 4, 7, 13, 24, 44]
 
 
+def test_tall_columns_take_no_stack_depth():
+    # both recursions run bottom up; recursing once per unit of height
+    # overflowed the interpreter's stack near height 490
+    assert tiling_count(FIBONACCI, 5000) == fibonacci_number(5000)
+    assert weight_poly(FIBONACCI, 600).eval_at(1, 1, 1) == fibonacci_number(600)
+
+
 WEIGHT_STRINGS = [
     (FIBONACCI, 1, "q"),
     (FIBONACCI, 2, "q^2"),
