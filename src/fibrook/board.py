@@ -295,8 +295,9 @@ def parse_placement(board: FerrersBoard, text: str, model: str = "file"):
 
 def _enumerate_placements(cls, board: FerrersBoard, fam: TileFamily, k: int) -> list:
     # every tiling comes from the pool of the height the rule gives its
-    # column, so the entries hold by construction and skip validation
-    if k < 0:
+    # column, so the entries hold by construction and skip validation;
+    # `combinations` would allocate k indices before finding none
+    if k < 0 or k > board.n:
         return []
     out = []
     build = cls._trusted
@@ -398,28 +399,36 @@ def rook_poly(
     return _placement_poly(board, fam, k, mode, RookPlacement.lag)
 
 
-def placement_count(board: FerrersBoard, fam: TileFamily, k: int, model: str = "file") -> int:
-    """How many k-column placements of `model` the board has: its placement
-    polynomial at q = p = r = 1, on integers, so that a tall column is
-    counted without building its weight polynomial.
+def placement_count(
+    board: FerrersBoard, fam: TileFamily, k: int, model: str = "file", limit: int | None = None
+) -> int:
+    """How many k-column placements of `model` the board has, or
+    min(count, limit): its placement polynomial at q = p = r = 1.
 
-    Left to right, ways[s] counts the placements of s tilings on the
-    columns seen so far; a column tiled as the (s+1)-th gets the height
-    b_(c - lag*s) the rule gives it.
+    Counted on integers, not by `file_poly`/`rook_poly`: those build each
+    column's weight polynomial, which for a column 5000 cells tall takes
+    about 7 s and 2 GB. Left to right, ways[s] counts the placements of s
+    tilings on the columns seen so far; a column tiled as the (s+1)-th gets
+    the height b_(c - lag*s) the rule gives it. With `limit`, every sum and
+    product is capped there, which leaves any count below it exact and
+    bounds the work a tall column costs.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown placement model {model!r}")
     lag = _MODELS[model].lag
     if lag:
         _require_ferrers(board, "a rook-style placement")
-    if k < 0:
+    if k < 0 or k > board.n:
         return 0
+    tilings = {h: tiling_count(fam, h, limit) for h in set(board.heights)}
     ways = [1] + [0] * k
     for c in range(board.n):
         for s in range(min(c, k - 1), -1, -1):
             if ways[s]:
-                ways[s + 1] += ways[s] * tiling_count(fam, board.heights[c - lag * s])
-    return ways[k]
+                ways[s + 1] += ways[s] * tilings[board.heights[c - lag * s]]
+                if limit is not None and ways[s + 1] > limit:
+                    ways[s + 1] = limit
+    return ways[k] if limit is None else min(ways[k], limit)
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -58,6 +58,11 @@ DEFAULT_TRIANGLE_MAX = 40
 DEFAULT_ENUM_MAX = 9
 # `enumerate` refuses more placements than this without --force
 PLACEMENT_MAX = 250_000
+# the placement count is exact below 2**_COUNT_BITS + 1 and capped there,
+# so a tall column is counted at once; past about 4,300 digits (14,284
+# bits), Python refuses to print an int in decimal
+_COUNT_BITS = 14_000
+_COUNT_LIMIT = (1 << _COUNT_BITS) + 1
 
 
 @dataclass
@@ -217,9 +222,7 @@ def cmd_table(cfg: RunConfig) -> int:
         )
     tri = triangle_image(cfg.kind, cfg.N)
     if cfg.fmt == "json":
-        # each row as an iterator, so that its entries are dumped one by one
-        rows = map(iter, tri.text_rows())
-        _emit(cfg, _json_chunks((("kind", tri.kind), ("N", tri.N), ("entries", rows))))
+        _emit(cfg, _json_chunks(tri.json_fields()))
     elif cfg.fmt == "csv":
         _emit(cfg, _csv_chunks(tri))
     else:
@@ -336,11 +339,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     if cfg.model == "rook" and not board.is_ferrers:
         return _usage_error(f"{board} is not a Ferrers board; the rook model needs weakly increasing heights")
     rook = cfg.model == "rook"
-    count = placement_count(board, fam, k, cfg.model)
+    count = placement_count(board, fam, k, cfg.model, _COUNT_LIMIT)
     if count > PLACEMENT_MAX and not cfg.force:
-        # past about 4,300 digits, Python refuses to print an int in decimal
-        bits = count.bit_length()
-        shown = str(count) if bits < 14_000 else f"more than 2**{bits - 1}"
+        shown = str(count) if count < _COUNT_LIMIT else f"more than 2**{_COUNT_BITS}"
         return _usage_error(
             f"{board} has {shown} {cfg.model} placements with k={k}, over the "
             f"placement cap {PLACEMENT_MAX}; pass --force to override"

@@ -145,8 +145,16 @@ class TriangleImage:
                 for k, image in enumerate(row)
             ]
 
+    def json_fields(self) -> tuple[tuple[str, object], ...]:
+        """The fields of the table's JSON document, in order. The entries
+        are drawn lazily, each row an iterator over its printed entries."""
+        return (("kind", self.kind), ("N", self.N), ("entries", map(iter, self.text_rows())))
+
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "N": self.N, "entries": list(self.text_rows())}
+        return {
+            name: [list(row) for row in value] if name == "entries" else value
+            for name, value in self.json_fields()
+        }
 
     def csv_rows(self) -> Iterator[tuple[int, int, str]]:
         for n, row in enumerate(self.text_rows()):

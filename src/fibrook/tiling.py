@@ -156,26 +156,8 @@ _TILE_WEIGHT = {
 }
 
 
+# W_0, W_1, ... per family, extended upward as taller columns are asked for
 _WEIGHTS: dict[tuple[int, ...], list[PQRPoly]] = {}
-_COUNTS: dict[tuple[int, ...], list[int]] = {}
-_TILE_COUNT = {1: 1, 2: 1, 3: 1}
-
-
-def _bottom_up(known: list, heights: tuple[int, ...], n: int, tile: dict) -> list:
-    """`known` = [W_0, W_1, ...] extended through W_n by the tiling recursion.
-
-    Peeling the top tile gives W_m = sum over tile heights h < m of
-    tile[h] * W_(m-h); the loop runs upward from the last value known, so
-    a tall column costs no stack depth.
-    """
-    while len(known) <= n:
-        m = len(known)
-        total = known[0]
-        for h in heights:
-            if h < m and known[m - h]:
-                total = total + tile[h] * known[m - h]
-        known.append(total)
-    return known
 
 
 def weight_poly(fam: TileFamily, n: int) -> PQRPoly:
@@ -187,8 +169,16 @@ def weight_poly(fam: TileFamily, n: int) -> PQRPoly:
     """
     if n < 0:
         raise ValueError("weight_poly needs n >= 0")
+    # bottom up from the last value known, so a tall column costs no stack depth
     known = _WEIGHTS.setdefault(fam.heights, [PQRPoly.zero(), _TILE_WEIGHT[1]])
-    return _bottom_up(known, fam.heights, n, _TILE_WEIGHT)[n]
+    while len(known) <= n:
+        m = len(known)
+        total = PQRPoly.zero()
+        for h in fam.heights:
+            if h < m and known[m - h]:
+                total = total + _TILE_WEIGHT[h] * known[m - h]
+        known.append(total)
+    return known[n]
 
 
 @lru_cache(maxsize=None)
@@ -210,12 +200,30 @@ def tiling_weight_sum(fam: TileFamily, n: int) -> PQRPoly:
     return _weight_sum_enumerated(fam.heights, n)
 
 
-def tiling_count(fam: TileFamily, n: int) -> int:
-    """How many height-n tilings the family admits: W_n at q = p = r = 1,
-    by the same recursion on integers, so a tall column builds no polynomial."""
+# the tiles' weights at q = p = r = 1
+_TILE_COUNT = {h: w.eval_at(1, 1, 1) for h, w in _TILE_WEIGHT.items()}
+
+
+def tiling_count(fam: TileFamily, n: int, limit: int | None = None) -> int:
+    """How many height-n tilings the family admits, or min(count, limit).
+
+    W_n at q = p = r = 1, by the tiling recursion on integers: a column
+    thousands of cells tall would take seconds and gigabytes as a
+    polynomial. Only the last max(heights) values are kept, and W_n never
+    falls as n grows (every family has the height-1 tile), so the loop
+    stops as soon as it reaches `limit`.
+    """
     if n < 0:
         raise ValueError("tiling_count needs n >= 0")
-    return _bottom_up(_COUNTS.setdefault(fam.heights, [0, 1]), fam.heights, n, _TILE_COUNT)[n]
+    # W_m for m = 2 - max(heights) .. 1, oldest first; W_m = 0 for m <= 0
+    window = [0] * (fam.heights[-1] - 1) + [1]
+    for _ in range(n - 1):
+        if limit is not None and window[-1] >= limit:
+            return limit
+        window.append(sum(_TILE_COUNT[h] * window[-h] for h in fam.heights))
+        del window[0]
+    count = window[-1] if n else 0
+    return count if limit is None else min(count, limit)
 
 
 # ──────────────────────────────────────────────────────────────────────────

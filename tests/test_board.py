@@ -139,7 +139,10 @@ def test_placement_count_is_the_placement_polynomial_at_one(model, poly):
     for fam in FAMILIES:
         for board in boards:
             for k in range(-1, board.n + 2):
-                assert placement_count(board, fam, k, model) == poly(board, fam, k).eval_at(1, 1, 1)
+                count = poly(board, fam, k).eval_at(1, 1, 1)
+                assert placement_count(board, fam, k, model) == count
+                for limit in (1, 7, 40):
+                    assert placement_count(board, fam, k, model, limit) == min(count, limit)
     with pytest.raises(ValueError, match="weakly increasing"):
         placement_count(FerrersBoard((2, 1)), FIBONACCI, 1, "rook")
 

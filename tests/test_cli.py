@@ -127,18 +127,28 @@ def test_enumerate_refuses_more_placements_than_the_cap(capsys):
     [
         (900, str(fibonacci_number(900))),
         (5000, str(fibonacci_number(5000))),
-        # too many digits for str(int): the count is given by its size
-        (30000, "more than 2**20826"),
+        # too many digits for str(int): counting stops at a stated size
+        (30000, "more than 2**14000"),
+        (1_000_000, "more than 2**14000"),
+        (10**12, "more than 2**14000"),
     ],
 )
 def test_enumerate_refuses_a_tall_column_by_its_count(capsys, height, shown):
-    # the count is taken on integers, bottom up, so a column far taller
-    # than the interpreter's stack is counted at once
+    # the count is taken on integers, bottom up, and stops at its cap, so
+    # a column far taller than the interpreter's stack is counted at once
     start = time.perf_counter()
     code, out, err = run(capsys, "enumerate", f"F({height})", "--k", "1")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert f"F({height}) has {shown} file placements with k=1" in err
+
+
+def test_enumerate_more_tilings_than_columns_lists_none(capsys):
+    # no list or index array k long is built for a k past the column count
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "F(3)", "--k", str(10**12))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "total  0\n", "")
 
 
 def test_enumerate_force_lifts_the_placement_cap(capsys, monkeypatch):

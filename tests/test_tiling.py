@@ -88,6 +88,18 @@ def test_tall_columns_take_no_stack_depth():
     assert weight_poly(FIBONACCI, 600).eval_at(1, 1, 1) == fibonacci_number(600)
 
 
+def test_tiling_count_stops_at_its_limit():
+    for fam in (FIBONACCI, TRIBONACCI, TileFamily((1, 3))):
+        for n in range(12):
+            count = tiling_count(fam, n)
+            assert count == weight_poly(fam, n).eval_at(1, 1, 1)
+            for limit in (1, 5, 30):
+                assert tiling_count(fam, n, limit) == min(count, limit)
+    # the count never falls with height, so the loop ends where it reaches
+    # the limit, however tall the column
+    assert tiling_count(FIBONACCI, 10**15, 1 << 64) == 1 << 64
+
+
 WEIGHT_STRINGS = [
     (FIBONACCI, 1, "q"),
     (FIBONACCI, 2, "q^2"),
