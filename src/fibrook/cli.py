@@ -108,17 +108,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
     """Write `chunks`, which end the output with a newline, to the --out
-    path or to stdout as they are drawn, gathered into writes of about
-    `_WRITE_SIZE` characters."""
+    path or to stdout as they are drawn, gathered into writes of whole
+    `_WRITE_SIZE`-character blocks and a last partial one."""
     if cfg.out:
         _write_out(cfg.out, chunks)
     else:
         _write_all(sys.stdout, chunks)
 
 
-# chunks are gathered into writes of about this many characters: stdout may
-# be unbuffered (PYTHONUNBUFFERED), and one write per placement line then
-# costs a system call each
+# chunks are gathered into writes of whole blocks of this many characters:
+# stdout may be unbuffered (PYTHONUNBUFFERED), and one write per placement
+# line then costs a system call each
 _WRITE_SIZE = 1 << 16
 
 
@@ -129,9 +129,13 @@ def _write_all(handle, chunks: Iterable[str]) -> None:
         pending.append(chunk)
         size += len(chunk)
         if size >= _WRITE_SIZE:
-            handle.write("".join(pending))
-            pending, size = [], 0
-    if pending:
+            # whole blocks only, so that a reader draining a pipe in reads of
+            # the pipe's 64 KiB gets full reads, as from one large write
+            text = "".join(pending)
+            whole = size - size % _WRITE_SIZE
+            handle.write(text[:whole])
+            pending, size = [text[whole:]], size - whole
+    if size:
         handle.write("".join(pending))
 
 
