@@ -44,7 +44,6 @@ from fibrook.tiling import (
     enumerate_tilings,
     parse_tiling,
     tiling_count,
-    tiling_weight,
     tiling_weight_sum,
     weight_poly,
 )
@@ -82,11 +81,6 @@ class FerrersBoard:
     @property
     def is_ferrers(self) -> bool:
         return all(a <= b for a, b in zip(self.heights, self.heights[1:]))
-
-    def dropped_last(self) -> FerrersBoard:
-        if not self.heights:
-            raise ValueError("the empty board has no last column")
-        return FerrersBoard(self.heights[:-1])
 
     def __str__(self) -> str:
         return "F(" + ",".join(str(h) for h in self.heights) + ")"
@@ -463,25 +457,6 @@ def mixed_file_sum(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
     return PQRPoly(acc)
 
 
-def mixed_file_sum_row_explicit(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
-    """Same sum with the x rook rows enumerated one by one (oracle for small n)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    options = []
-    for h in board.heights:
-        column = [("rook", row) for row in range(1, x + 1)]
-        column += [("tiling", t) for t in enumerate_tilings(fam, h)]
-        options.append(column)
-    total = PQRPoly.zero()
-    for choice in product(*options):
-        w = PQRPoly.one()
-        for kind, payload in choice:
-            if kind == "tiling":
-                w = w * tiling_weight(payload)
-        total = total + w
-    return total
-
-
 def aug_mixed_sum(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
     """Signed sum over placements on the board augmented below the rook rows
     with a mirrored copy of itself.
@@ -512,28 +487,3 @@ def aug_mixed_sum(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
 
     walk(0, 0, (0, 0, 0), 1)
     return PQRPoly(acc)
-
-
-def aug_mixed_sum_row_explicit(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
-    """Augmented sum with rook rows and mirrored tilings enumerated one by one."""
-    _require_ferrers(board, "the augmented board")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    n = board.n
-    total = PQRPoly.zero()
-
-    def walk(i: int, tiled: int, w: PQRPoly, sign: int) -> None:
-        nonlocal total
-        if i == n:
-            total = total + (w if sign > 0 else -w)
-            return
-        for _row in range(1, x + 1):
-            walk(i + 1, tiled, w, sign)
-        height = board.heights[i - tiled]
-        for t in enumerate_tilings(fam, height):
-            tw = tiling_weight(t)
-            walk(i + 1, tiled + 1, w * tw, sign)
-            walk(i + 1, tiled, w * tw, -sign)
-
-    walk(0, 0, PQRPoly.one(), 1)
-    return total

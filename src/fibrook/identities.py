@@ -20,21 +20,14 @@ command line only validates a request, calls it and formats the reports.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
-from fibrook.board import (
-    FerrersBoard,
-    aug_mixed_sum,
-    aug_mixed_sum_row_explicit,
-    file_poly,
-    mixed_file_sum,
-    mixed_file_sum_row_explicit,
-    rook_poly,
-)
+from fibrook.board import FerrersBoard, aug_mixed_sum, file_poly, mixed_file_sum, rook_poly
 from fibrook.poly import PQRPoly, TSeries, XPoly, q_binomial, q_int, xpoly_product
 from fibrook.stirling import (
     build_triangle,
@@ -630,14 +623,12 @@ def check_log_concavity(
 SMALL_BOARD_MAX = 4  # the exhaustive board set: columns and heights up to this
 
 
-def _small_boards() -> list[FerrersBoard]:
-    """Every Ferrers board with 1..SMALL_BOARD_MAX columns and heights <=
-    SMALL_BOARD_MAX, 125 boards in lexicographic order."""
-    return [
-        FerrersBoard(heights)
-        for n in range(1, SMALL_BOARD_MAX + 1)
-        for heights in combinations_with_replacement(range(SMALL_BOARD_MAX + 1), n)
-    ]
+def all_ferrers_boards(max_n: int, max_height: int) -> Iterator[FerrersBoard]:
+    """Every Ferrers board with 1..max_n columns and heights <= max_height,
+    in lexicographic order."""
+    for n in range(1, max_n + 1):
+        for heights in combinations_with_replacement(range(max_height + 1), n):
+            yield FerrersBoard(heights)
 
 
 _BOARDS_RANGE = f"boards n<={SMALL_BOARD_MAX} heights<={SMALL_BOARD_MAX}"
@@ -646,7 +637,22 @@ _BOARDS_RANGE = f"boards n<={SMALL_BOARD_MAX} heights<={SMALL_BOARD_MAX}"
 def _small_boards_and_staircases(N: int) -> list[FerrersBoard]:
     """The small boards, then the staircases up to N that are not among
     them, each board once."""
-    return list(dict.fromkeys(_small_boards() + [FerrersBoard.staircase(n) for n in range(N + 1)]))
+    boards = [*all_ferrers_boards(SMALL_BOARD_MAX, SMALL_BOARD_MAX)]
+    return list(dict.fromkeys(boards + [FerrersBoard.staircase(n) for n in range(N + 1)]))
+
+
+def _recursion_vs_enumeration(board: FerrersBoard, fam: TileFamily) -> list[dict]:
+    bad = []
+    for k in range(board.n + 1):
+        for model, poly in (("file", file_poly), ("rook", rook_poly)):
+            rec_val = poly(board, fam, k)
+            enum_val = poly(board, fam, k, mode="enumeration")
+            if rec_val != enum_val:
+                bad.append({
+                    "board": str(board), "family": fam.label, "model": model,
+                    "k": k, "recursion": str(rec_val), "enumeration": str(enum_val),
+                })
+    return bad
 
 
 def check_recursion_vs_enumeration(N: int) -> dict:
@@ -656,15 +662,7 @@ def check_recursion_vs_enumeration(N: int) -> dict:
     bad = []
     for board in _small_boards_and_staircases(N):
         for fam in (FIBONACCI, TRIBONACCI):
-            for k in range(board.n + 1):
-                for model, poly in (("file", file_poly), ("rook", rook_poly)):
-                    rec_val = poly(board, fam, k)
-                    enum_val = poly(board, fam, k, mode="enumeration")
-                    if rec_val != enum_val:
-                        bad.append({
-                            "board": str(board), "family": fam.label, "model": model,
-                            "k": k, "recursion": str(rec_val), "enumeration": str(enum_val),
-                        })
+            bad.extend(_recursion_vs_enumeration(board, fam))
     return {
         "check": "recursion-vs-enumeration",
         "range": f"{_BOARDS_RANGE}, staircases n<={N}",
@@ -696,6 +694,24 @@ def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
     return bad
 
 
+def _placement_sums(board: FerrersBoard, fam: TileFamily) -> list[dict]:
+    """The mixed and augmented placement sums against their product forms, x <= 3."""
+    bad = []
+    for x in range(4):
+        mixed = mixed_file_sum(board, fam, x)
+        want = PQRPoly.one()
+        for h in board.heights:
+            want = want * (weight_poly(fam, h) + x)
+        if mixed != want:
+            bad.append({"board": str(board), "family": fam.label, "x": x,
+                        "identity": "mixed-product", "sum": str(mixed), "product": str(want)})
+        aug = aug_mixed_sum(board, fam, x)
+        if aug != PQRPoly.constant(x**board.n):
+            bad.append({"board": str(board), "family": fam.label, "x": x,
+                        "identity": "aug-power", "sum": str(aug)})
+    return bad
+
+
 def check_products(N: int) -> dict:
     """The file and rook product identities on the small boards, the
     staircases up to N and a few non-Ferrers boards; the mixed and
@@ -709,28 +725,9 @@ def check_products(N: int) -> dict:
         board = FerrersBoard(heights)
         for fam in (FIBONACCI, TRIBONACCI):
             bad.extend(_product_identities(board, fam))
-    # mixed and augmented sums against their product forms
-    for board in _small_boards():
+    for board in all_ferrers_boards(SMALL_BOARD_MAX, SMALL_BOARD_MAX):
         for fam in (FIBONACCI, TRIBONACCI):
-            for x in range(4):
-                mixed = mixed_file_sum(board, fam, x)
-                want = PQRPoly.one()
-                for h in board.heights:
-                    want = want * (weight_poly(fam, h) + x)
-                if mixed != want:
-                    bad.append({"board": str(board), "family": fam.label, "x": x,
-                                "identity": "mixed-product", "sum": str(mixed), "product": str(want)})
-                aug = aug_mixed_sum(board, fam, x)
-                if aug != PQRPoly.constant(x**board.n):
-                    bad.append({"board": str(board), "family": fam.label, "x": x,
-                                "identity": "aug-power", "sum": str(aug)})
-                if board.n <= 3:
-                    if mixed_file_sum_row_explicit(board, fam, x) != mixed:
-                        bad.append({"board": str(board), "family": fam.label, "x": x,
-                                    "identity": "mixed-row-explicit"})
-                    if aug_mixed_sum_row_explicit(board, fam, x) != aug:
-                        bad.append({"board": str(board), "family": fam.label, "x": x,
-                                    "identity": "aug-row-explicit"})
+            bad.extend(_placement_sums(board, fam))
     return {
         "check": "products",
         "range": f"{_BOARDS_RANGE}, staircases n<={N}, x<=3",

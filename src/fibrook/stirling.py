@@ -150,12 +150,6 @@ class TriangleImage:
         are drawn lazily, each row an iterator over its printed entries."""
         return (("kind", self.kind), ("N", self.N), ("entries", map(iter, self.text_rows())))
 
-    def to_json_dict(self) -> dict:
-        return {
-            name: [list(row) for row in value] if name == "entries" else value
-            for name, value in self.json_fields()
-        }
-
     def csv_rows(self) -> Iterator[tuple[int, int, str]]:
         for n, row in enumerate(self.text_rows()):
             for k, text in enumerate(row):

@@ -5,36 +5,23 @@ check is exact (integer polynomial identities, zero tolerance); the only
 non-failures by design are the recorded WARN notes.
 """
 
-import itertools
 import time
-from math import comb
 
-from fibrook.board import (
-    FerrersBoard,
-    aug_mixed_sum,
-    aug_mixed_sum_row_explicit,
-    enumerate_file_placements,
-    enumerate_rook_placements,
-    file_poly,
-    mixed_file_sum,
-    mixed_file_sum_row_explicit,
-    rook_poly,
-)
+import fibrook.identities as identities
+from fibrook.board import FerrersBoard
 from fibrook.identities import (
-    cf_col2_p_coefficient_at_q1,
+    all_ferrers_boards,
     cf_column_coefficient_formula,
+    check_cf_columns,
+    check_closed_forms,
+    check_fibonomials,
     check_log_concavity,
-    closed_form,
-    fibonomial,
-    fibonomial_quotient,
-    log_concave,
-    p_coefficient_sequence,
+    check_q1_specializations,
+    check_series_columns,
+    check_sf_p_coefficients,
     sequence_export,
-    sf_column_series,
-    sf_p_coefficient_formula,
-    sf_q1_coefficient,
 )
-from fibrook.poly import PQRPoly, Q, XPoly, q_int, xpoly_product
+from fibrook.poly import Q, q_int
 from fibrook.stirling import (
     build_triangle,
     involution_verify,
@@ -54,14 +41,14 @@ from fibrook.tiling import (
 )
 
 
-def _ferrers_boards(max_n: int, max_height: int):
-    for n in range(1, max_n + 1):
-        for heights in itertools.combinations_with_replacement(range(max_height + 1), n):
-            yield FerrersBoard(heights)
+def _boards() -> list[FerrersBoard]:
+    """Every Ferrers board up to 6 columns of height up to 6, plus the
+    staircases up to n = 9 (those up to n = 6 are among the former)."""
+    return [*all_ferrers_boards(6, 6), *(FerrersBoard.staircase(n) for n in (7, 8, 9))]
 
 
-def _staircases(max_n: int):
-    return [FerrersBoard.staircase(n) for n in range(1, max_n + 1)]
+def _assert_pass(report: dict) -> None:
+    assert report["status"] == "PASS", report["counterexamples"]
 
 
 def test_criterion_01_weight_polynomials():
@@ -78,47 +65,26 @@ def test_criterion_01_weight_polynomials():
 
 def test_criterion_02_placement_recursions():
     start = time.monotonic()
-    boards = list(_ferrers_boards(6, 6)) + _staircases(9)
+    boards = _boards()
     for board in boards:
         for fam in (FIBONACCI, TRIBONACCI):
-            for k in range(board.n + 1):
-                assert file_poly(board, fam, k) == file_poly(board, fam, k, mode="enumeration")
-                assert rook_poly(board, fam, k) == rook_poly(board, fam, k, mode="enumeration")
+            assert identities._recursion_vs_enumeration(board, fam) == []
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"criterion 02 PASS: file/rook recursion = enumeration on {len(boards)} boards ({elapsed:.2f}s)")
 
 
 def test_criterion_03_product_formulas():
-    boards = list(_ferrers_boards(6, 6)) + _staircases(9)
+    boards = _boards()
     for board in boards:
-        n = board.n
         for fam in (FIBONACCI, TRIBONACCI):
-            lhs = xpoly_product([(1, weight_poly(fam, h)) for h in board.heights])
-            rhs = XPoly.zero()
-            for k in range(n + 1):
-                rhs = rhs + XPoly.x_power(n - k) * file_poly(board, fam, k)
-            assert lhs == rhs
-            rhs = XPoly.zero()
-            for k in range(n + 1):
-                factors = [(-1, weight_poly(fam, board.heights[i])) for i in range(k)]
-                rhs = rhs + xpoly_product(factors) * rook_poly(board, fam, n - k)
-            assert rhs == XPoly.x_power(n)
-    checked = 0
-    for board in _ferrers_boards(4, 4):
+            assert identities._product_identities(board, fam) == []
+    small = list(all_ferrers_boards(4, 4))
+    for board in small:
         for fam in (FIBONACCI, TRIBONACCI):
-            for x in range(4):
-                mixed = mixed_file_sum(board, fam, x)
-                want = PQRPoly.one()
-                for h in board.heights:
-                    want = want * (weight_poly(fam, h) + x)
-                assert mixed == want
-                assert aug_mixed_sum(board, fam, x) == PQRPoly.constant(x**board.n)
-                if board.n <= 3:
-                    assert mixed_file_sum_row_explicit(board, fam, x) == mixed
-                    assert aug_mixed_sum_row_explicit(board, fam, x) == x**board.n
-                checked += 1
-    print(f"criterion 03 PASS: product identities on {len(boards)} boards, {checked} mixed/augmented sums")
+            assert identities._placement_sums(board, fam) == []
+    print(f"criterion 03 PASS: product identities on {len(boards)} boards, "
+          f"mixed/augmented sums on {len(small)} boards, x <= 3")
 
 
 def test_criterion_04_triangles_are_placement_counts():
@@ -161,62 +127,22 @@ def test_criterion_07_involution():
 
 
 def test_criterion_08_closed_forms_and_series():
-    Sf = build_triangle("Sf", 20)
-    cf = build_triangle("cf", 20)
-    for n in range(1, 21):
-        assert closed_form("Sf_n1", n) == Sf.entry(n, 1)
-        assert closed_form("cf_n1", n) == cf.entry(n, 1)
-        if n >= 2:
-            assert closed_form("Sf_n2", n) == Sf.entry(n, 2)
-            shared = closed_form("col_nm1", n)
-            assert cf.entry(n, n - 1) == shared
-            assert Sf.entry(n, n - 1) == shared
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            assert sf_p_coefficient_formula(n, k, 0) == Sf.entry(n, k).coefficient("p", 0)
-            if 3 <= k < n:
-                assert sf_p_coefficient_formula(n, k, 1) == Sf.entry(n, k).coefficient("p", 1)
-    for k in range(1, 7):
-        series = sf_column_series(k, 12)
-        for n in range(13):
-            assert series.coefficient(n) == Sf.entry(n, k)
+    _assert_pass(check_closed_forms(20))
+    _assert_pass(check_sf_p_coefficients(12))
+    _assert_pass(check_series_columns(12))
     print("criterion 08 PASS: closed forms n <= 20, p-coefficient formulas n <= 12, series k <= 6")
 
 
 def test_criterion_09_integer_coefficient_formulas():
-    Sf = build_triangle("Sf", 20)
-    for n in range(4, 15):
-        for k in range(3, n):
-            coeffs = p_coefficient_sequence(Sf.entry(n, k))
-            want = coeffs[1] if len(coeffs) > 1 else 0
-            assert sf_q1_coefficient(n, k, 1) == want
-    for n in range(3, 21):
-        coeffs3 = p_coefficient_sequence(Sf.entry(n, 3))
-        for s in range(len(coeffs3)):
-            assert sf_q1_coefficient(n, 3, s) == coeffs3[s]
-        if n >= 4:
-            coeffs4 = p_coefficient_sequence(Sf.entry(n, 4))
-            for s in range(len(coeffs4)):
-                assert sf_q1_coefficient(n, 4, s) == coeffs4[s]
-        if n >= 5:
-            coeffs5 = p_coefficient_sequence(Sf.entry(n, 5))
-            for s in range(min(len(coeffs5), 5)):
-                assert sf_q1_coefficient(n, 5, s) == coeffs5[s]
+    _assert_pass(check_q1_specializations(20))
     print("criterion 09 PASS: q = 1 coefficient formulas, columns 3..5 to n <= 20, all columns s = 1 to n <= 14")
 
 
 def test_criterion_10_cf_column_formulas():
-    cf = build_triangle("cf", 20)
-    for n in range(1, 21):
-        for s in range(4):
-            assert cf_column_coefficient_formula(n, 1, s) == cf.entry(n, 1).coefficient("p", s)
-        for s in range(2):
-            assert cf_column_coefficient_formula(n, 2, s) == cf.entry(n, 2).coefficient("p", s)
+    _assert_pass(check_cf_columns(20))
     assert cf_column_coefficient_formula(5, 1, 2) == 2 * Q**6
     assert cf_column_coefficient_formula(6, 1, 3) == 9 * Q**9
-    assert cf.entry(4, 2).coefficient("p", 1) == Q**2 + Q**3
-    for n in range(4, 21):
-        assert cf_col2_p_coefficient_at_q1(n) == cf.entry(n, 2).coefficient("p", 1).eval_at(1)
+    assert build_triangle("cf", 4).entry(4, 2).coefficient("p", 1) == Q**2 + Q**3
     print("criterion 10 PASS: cf column formulas n <= 20 and the three spot values")
 
 
@@ -234,13 +160,6 @@ def test_criterion_11_sequences():
 
 
 def test_criterion_12_log_concavity():
-    Sf = build_triangle("Sf", 25)
-    for n in range(1, 26):
-        for k in range(1, min(n, 4) + 1):
-            assert log_concave(p_coefficient_sequence(Sf.entry(n, k)))
-    cf = build_triangle("cf", 20)
-    for n in range(1, 21):
-        assert log_concave(p_coefficient_sequence(cf.entry(n, 1)))
     report = check_log_concavity()
     assert report["status"] in ("PASS", "WARN")
     assert report["counterexamples"] == []
@@ -258,9 +177,5 @@ def test_criterion_13_rank_statistic():
 
 
 def test_criterion_14_fibonomials():
-    for n in range(31):
-        for k in range(n + 1):
-            value = fibonomial(n, k)
-            assert value == fibonomial_quotient(n, k)  # integral by construction
-            assert value == fibonomial(n, n - k)
+    _assert_pass(check_fibonomials(30))
     print("criterion 14 PASS: fibonomials integral, symmetric, recursion = quotient, n <= 30")

@@ -13,12 +13,10 @@ from fibrook.board import (
     _cancellation_simulation,
     _entries_problem,
     aug_mixed_sum,
-    aug_mixed_sum_row_explicit,
     enumerate_file_placements,
     enumerate_rook_placements,
     file_poly,
     mixed_file_sum,
-    mixed_file_sum_row_explicit,
     parse_board,
     parse_placement,
     placement_count,
@@ -26,16 +24,11 @@ from fibrook.board import (
     rook_tiling_heights,
     uncanceled_heights,
 )
+from fibrook.identities import all_ferrers_boards
 from fibrook.poly import P, Q, PQRPoly, XPoly, xpoly_product
 from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, parse_tiling, weight_poly
 
 FAMILIES = [FIBONACCI, TRIBONACCI]
-
-
-def all_ferrers_boards(max_n: int, max_height: int):
-    for n in range(1, max_n + 1):
-        for heights in itertools.combinations_with_replacement(range(max_height + 1), n):
-            yield FerrersBoard(heights)
 
 
 # board basics ---------------------------------------------------------------
@@ -48,7 +41,6 @@ def test_board_construction_and_parse():
     assert b.is_ferrers
     assert str(b) == "F(0,1,2,3)"
     assert parse_board("F(0, 1, 2, 3)") == b
-    assert b.dropped_last() == FerrersBoard((0, 1, 2))
     assert not FerrersBoard((3, 1, 2)).is_ferrers
     with pytest.raises(ValueError):
         FerrersBoard((1, -2))
@@ -216,23 +208,6 @@ def test_specific_file_placement_weight_present():
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
-def test_modes_agree_on_small_boards(fam: TileFamily):
-    for board in all_ferrers_boards(5, 5):
-        for k in range(board.n + 1):
-            assert file_poly(board, fam, k) == file_poly(board, fam, k, mode="enumeration")
-            assert rook_poly(board, fam, k) == rook_poly(board, fam, k, mode="enumeration")
-
-
-@pytest.mark.parametrize("fam", FAMILIES)
-def test_modes_agree_on_staircases(fam: TileFamily):
-    for n in range(9):
-        board = FerrersBoard.staircase(n) if n else FerrersBoard((0,))
-        for k in range(board.n + 1):
-            assert file_poly(board, fam, k) == file_poly(board, fam, k, mode="enumeration")
-            assert rook_poly(board, fam, k) == rook_poly(board, fam, k, mode="enumeration")
-
-
-@pytest.mark.parametrize("fam", FAMILIES)
 def test_polys_match_placement_sums(fam: TileFamily):
     # the polynomial really is the weight sum over explicit placements
     boards = list(all_ferrers_boards(4, 4)) + [FerrersBoard.staircase(n) for n in (5, 6)]
@@ -300,33 +275,6 @@ def test_rook_product_identity(board: FerrersBoard, fam: TileFamily):
 
 
 # mixed and augmented placements -------------------------------------------------
-
-
-@pytest.mark.parametrize("fam", FAMILIES)
-@pytest.mark.parametrize("x", range(4))
-def test_mixed_sum_equals_product(fam: TileFamily, x: int):
-    for board in all_ferrers_boards(4, 4):
-        want = PQRPoly.one()
-        for h in board.heights:
-            want = want * (weight_poly(fam, h) + x)
-        assert mixed_file_sum(board, fam, x) == want
-
-
-@pytest.mark.parametrize("fam", FAMILIES)
-@pytest.mark.parametrize("x", range(4))
-def test_aug_sum_collapses_to_power(fam: TileFamily, x: int):
-    # the signed mirror tilings cancel everything except x^n
-    for board in all_ferrers_boards(4, 4):
-        assert aug_mixed_sum(board, fam, x) == PQRPoly.constant(x**board.n)
-
-
-@pytest.mark.parametrize("fam", FAMILIES)
-def test_row_explicit_oracles(fam: TileFamily):
-    # same sums built by walking per-column option lists one row at a time
-    for board in all_ferrers_boards(3, 3):
-        for x in range(4):
-            assert mixed_file_sum_row_explicit(board, fam, x) == mixed_file_sum(board, fam, x)
-            assert aug_mixed_sum_row_explicit(board, fam, x) == aug_mixed_sum(board, fam, x)
 
 
 def test_mixed_sum_single_column():

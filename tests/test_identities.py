@@ -16,11 +16,12 @@ from fibrook.identities import (
     check_closed_forms,
     check_fibonomials,
     check_log_concavity,
+    check_q1_specializations,
     check_sequences,
     check_series_columns,
+    check_sf_p_coefficients,
     closed_form,
     fibonomial,
-    fibonomial_quotient,
     log_concave,
     p_coefficient_sequence,
     sequence_export,
@@ -38,14 +39,6 @@ from fibrook.tiling import FIBONACCI, weight_poly
 # generating series -----------------------------------------------------------
 
 
-def test_series_matches_triangle_columns():
-    tri = build_triangle("Sf", 10)
-    for k in range(1, 6):
-        series = sf_column_series(k, 10)
-        for n in range(11):
-            assert series.coefficient(n) == tri.entry(n, k)
-
-
 def test_series_frozen_coefficient():
     assert str(sf_column_series(2, 4).coefficient(3)) == "q + q^2"
     with pytest.raises(ValueError):
@@ -58,6 +51,7 @@ def test_series_frozen_coefficient():
 
 
 def test_closed_form_frozen_values():
+    assert set(CLOSED_FORM_KINDS) == {"Sf_n1", "Sf_n2", "cf_n1", "col_nm1"}
     assert closed_form("Sf_n1", 5) == Q**4
     assert closed_form("Sf_n2", 4) == Q**2 + Q**3 + Q**4
     assert closed_form("cf_n1", 4) == P * Q**4 + Q**6
@@ -68,31 +62,7 @@ def test_closed_form_frozen_values():
         closed_form("nope", 5)
 
 
-def test_closed_forms_match_triangles():
-    assert set(CLOSED_FORM_KINDS) == {"Sf_n1", "Sf_n2", "cf_n1", "col_nm1"}
-    Sf = build_triangle("Sf", 14)
-    cf = build_triangle("cf", 14)
-    for n in range(1, 15):
-        assert closed_form("Sf_n1", n) == Sf.entry(n, 1)
-        assert closed_form("cf_n1", n) == cf.entry(n, 1)
-        if n >= 2:
-            assert closed_form("Sf_n2", n) == Sf.entry(n, 2)
-            # both triangles agree one step below the diagonal
-            shared = closed_form("col_nm1", n)
-            assert cf.entry(n, n - 1) == shared
-            assert Sf.entry(n, n - 1) == shared
-
-
 # p-coefficients of Sf ------------------------------------------------------------
-
-
-def test_sf_p_formula_matches_triangle():
-    tri = build_triangle("Sf", 12)
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            assert sf_p_coefficient_formula(n, k, 0) == tri.entry(n, k).coefficient("p", 0)
-            if 3 <= k < n:
-                assert sf_p_coefficient_formula(n, k, 1) == tri.entry(n, k).coefficient("p", 1)
 
 
 def test_sf_p_formula_frozen_and_domain():
@@ -104,24 +74,11 @@ def test_sf_p_formula_frozen_and_domain():
 
 
 def test_sf_q1_values_match_triangle():
+    # the all-column s = 0 formula; sf-q1-specializations checks s = 0 in columns 3..5 only
     tri = build_triangle("Sf", 14)
     for n in range(3, 15):
-        for k in range(3, min(n, 6)):
-            coeffs = p_coefficient_sequence(tri.entry(n, k))
-            if k == 3:
-                stated = range(len(coeffs))
-            elif k == 4:
-                stated = range(len(coeffs))
-            else:
-                stated = range(min(len(coeffs), 5))
-            for s in stated:
-                assert sf_q1_coefficient(n, k, s) == coeffs[s]
-        # the two all-column formulas
         for k in range(1, n + 1):
-            coeffs = p_coefficient_sequence(tri.entry(n, k))
-            assert sf_q1_coefficient(n, k, 0) == coeffs[0]
-            if 3 <= k < n and len(coeffs) > 1:
-                assert sf_q1_coefficient(n, k, 1) == coeffs[1]
+            assert sf_q1_coefficient(n, k, 0) == p_coefficient_sequence(tri.entry(n, k))[0]
 
 
 def test_sf_q1_frozen_spot_values():
@@ -135,17 +92,6 @@ def test_sf_q1_frozen_spot_values():
 # cf columns -----------------------------------------------------------------------
 
 
-def test_cf_column_formulas_match_triangle():
-    tri = build_triangle("cf", 14)
-    for n in range(1, 15):
-        entry1 = tri.entry(n, 1)
-        for s in range(4):
-            assert cf_column_coefficient_formula(n, 1, s) == entry1.coefficient("p", s)
-        entry2 = tri.entry(n, 2)
-        for s in range(2):
-            assert cf_column_coefficient_formula(n, 2, s) == entry2.coefficient("p", s)
-
-
 def test_cf_column_frozen_values():
     assert cf_column_coefficient_formula(5, 1, 2) == 2 * Q**6
     assert cf_column_coefficient_formula(6, 1, 3) == 9 * Q**9
@@ -156,10 +102,6 @@ def test_cf_column_frozen_values():
 
 
 def test_cf_col2_count_at_q1():
-    cf = build_triangle("cf", 10)
-    for n in range(4, 11):
-        want = cf.entry(n, 2).coefficient("p", 1).eval_at(1)
-        assert cf_col2_p_coefficient_at_q1(n) == want
     assert cf_col2_p_coefficient_at_q1(4) == 2
     assert cf_col2_p_coefficient_at_q1(7) == 50
     with pytest.raises(ValueError):
@@ -179,15 +121,6 @@ def test_fibonomial_rows():
         [1, 3, 6, 3, 1],
         [1, 5, 15, 15, 5, 1],
     ]
-
-
-def test_fibonomial_matches_quotient_and_symmetry():
-    for n in range(21):
-        for k in range(n + 1):
-            value = fibonomial(n, k)
-            assert value == fibonomial_quotient(n, k)
-            assert value == fibonomial(n, n - k)
-            assert isinstance(value, int) and value >= 1
     with pytest.raises(ValueError):
         fibonomial(3, 4)
 
@@ -331,11 +264,67 @@ def test_cf_columns_catch_a_wrong_entry(monkeypatch):
     ]
 
 
+# the five checks below run at the sizes of acceptance criteria 08, 09 and 14, and
+# each perturbed entry sits at the top of that range, so a shrunken loop misses it
+
+
+def test_closed_forms_catch_a_wrong_entry(monkeypatch):
+    _perturb_entry(monkeypatch, "Sf", 20, 1, Q)
+    report = check_closed_forms(20)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"form": "Sf_n1", "n": 20, "triangle": "q + q^19", "formula": "q^19"}
+    ]
+
+
+def test_sf_p_coefficients_catch_a_wrong_entry(monkeypatch):
+    want = sf_p_coefficient_formula(12, 11, 1)
+    _perturb_entry(monkeypatch, "Sf", 12, 11, P)
+    report = check_sf_p_coefficients(12)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"n": 12, "k": 11, "s": 1, "formula": str(want), "triangle": str(want + 1)}
+    ]
+
+
+def test_series_columns_catch_a_wrong_entry(monkeypatch):
+    want = build_triangle("Sf", 12).entry(12, 6)
+    _perturb_entry(monkeypatch, "Sf", 12, 6, Q)
+    report = check_series_columns(12)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"n": 12, "k": 6, "series": str(want), "triangle": str(want + Q)}
+    ]
+
+
+def test_q1_specializations_catch_a_wrong_entry(monkeypatch):
+    # 25 C(19, 6) + C(19, 5) = 689928 at q = 1
+    _perturb_entry(monkeypatch, "Sf", 20, 5, P**2)
+    report = check_q1_specializations(20)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"n": 20, "k": 5, "s": 2, "formula": 689928, "triangle": 689929}
+    ]
+
+
+def test_fibonomials_catch_a_wrong_quotient(monkeypatch):
+    real = identities.fibonomial_quotient
+
+    def perturbed(n: int, k: int) -> int:
+        return real(n, k) + 1 if (n, k) == (30, 30) else real(n, k)
+
+    monkeypatch.setattr(identities, "fibonomial_quotient", perturbed)
+    report = check_fibonomials(30)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [{"n": 30, "k": 30, "recursion": 1, "quotient": 2}]
+
+
 # board-level checks and the suite registry ---------------------------------------------
 
 
 def test_small_boards_are_every_weakly_increasing_profile():
-    boards = identities._small_boards()
+    top = identities.SMALL_BOARD_MAX
+    boards = list(identities.all_ferrers_boards(top, top))
     assert len(boards) == 5 + 15 + 35 + 70
     assert [str(b) for b in boards[:6]] == ["F(0)", "F(1)", "F(2)", "F(3)", "F(4)", "F(0,0)"]
     assert str(boards[-1]) == "F(4,4,4,4)"
@@ -418,10 +407,6 @@ def _perturb_placement_sum(monkeypatch, name: str, board: str, x: int) -> None:
         return value + Q if (str(board_), fam, x_) == (board, FIBONACCI, x) else value
 
     monkeypatch.setattr(identities, name, perturbed)
-
-
-# the row-explicit cross-checks run only up to 3 columns, so a 4-column
-# board leaves the product identity as the one check that sees the fault
 
 
 def test_products_catch_a_wrong_mixed_sum(monkeypatch):
