@@ -10,7 +10,8 @@ Subcommands:
     series K              dump the generating series for an Sf column
     sequences [NAME]      regenerate bundled integer sequences
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Warn-level
+Exit codes: 0 success, 1 verification failure, 2 usage error, which
+includes a request past the packed-exponent limit. Warn-level
 findings exit 0 unless --strict. Output is deterministic for a fixed
 command line; no timings are printed. Triangles are capped at N <= 40 and
 enumeration-backed commands at n <= 9: `enumerate` takes --force, and the
@@ -30,7 +31,6 @@ import os
 import stat
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from fibrook.board import (
     Placement,
@@ -64,53 +64,12 @@ _COUNT_BITS = 14_000
 _COUNT_LIMIT = (1 << _COUNT_BITS) + 1
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, assembled from argv and environment."""
-
-    command: str
-    N: int | None = None
-    n: int | None = None
-    k: int | None = None
-    kind: str | None = None
-    board: str | None = None
-    name: str | None = None
-    show_all: bool = False
-    order: int | None = None
-    family: str = "fib"
-    model: str = "file"
-    fmt: str = "text"
-    out: str | None = None
-    strict: bool = False
-    force: bool = False
-    triangle_max: int = DEFAULT_TRIANGLE_MAX
-    enum_max: int = DEFAULT_ENUM_MAX
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    cap = os.environ.get("FIBROOK_MAX_N")
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError:
-            cap_n = 0
-        if cap_n <= 0:
-            raise SystemExit(f"FIBROOK_MAX_N must be a positive integer, got {cap!r}")
-        cfg.triangle_max = cap_n
-        cfg.enum_max = cap_n
-    return cfg
-
-
-def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write `chunks`, which end the output with a newline, to the --out
     path or to stdout as they are drawn, gathered into writes of whole
     `_WRITE_SIZE`-character blocks and a last partial one."""
-    if cfg.out:
-        _write_out(cfg.out, chunks)
+    if args.out:
+        _write_out(args.out, chunks)
     else:
         _write_all(sys.stdout, chunks)
 
@@ -214,22 +173,22 @@ def _usage_error(message: str) -> int:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    if cfg.kind not in TRIANGLE_KINDS:
-        return _usage_error(f"unknown kind {cfg.kind!r}; choose from {', '.join(TRIANGLE_KINDS)}")
-    if cfg.N is None or cfg.N < 0:
+def cmd_table(args: argparse.Namespace) -> int:
+    if args.kind not in TRIANGLE_KINDS:
+        return _usage_error(f"unknown kind {args.kind!r}; choose from {', '.join(TRIANGLE_KINDS)}")
+    if args.N is None or args.N < 0:
         return _usage_error("table needs a row count N >= 0")
-    if cfg.N > cfg.triangle_max and not cfg.force:
+    if args.N > args.triangle_max and not args.force:
         return _usage_error(
-            f"N={cfg.N} exceeds the triangle cap {cfg.triangle_max}; pass --force to override"
+            f"N={args.N} exceeds the triangle cap {args.triangle_max}; pass --force to override"
         )
-    tri = triangle_image(cfg.kind, cfg.N)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_chunks(tri.json_fields()))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv_chunks(tri))
+    tri = triangle_image(args.kind, args.N)
+    if args.fmt == "json":
+        _emit(args, _json_chunks(tri.json_fields()))
+    elif args.fmt == "csv":
+        _emit(args, _csv_chunks(tri))
     else:
-        _emit(cfg, _text_chunks(tri))
+        _emit(args, _text_chunks(tri))
     return 0
 
 
@@ -257,23 +216,23 @@ def _csv_chunks(tri: TriangleImage) -> Iterator[str]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def _verify_refusal(cfg: RunConfig) -> str | None:
-    """Why `cfg` is not a runnable verify request (a usage error), or None."""
-    suite = cfg.name
+def _verify_refusal(args: argparse.Namespace) -> str | None:
+    """Why `args` is not a runnable verify request (a usage error), or None."""
+    suite = args.name
     if suite not in SUITES:
         return f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
-    if cfg.N is not None and cfg.N < 0:
+    if args.N is not None and args.N < 0:
         return "N must be >= 0"
     if suite in ("involution", "all"):
-        if (cfg.n is None) != (cfg.k is None):
+        if (args.n is None) != (args.k is None):
             return "involution needs both --n and --k (or neither)"
-        top = involution_top(cfg.N, cfg.n)
-        if top > cfg.enum_max:
+        top = involution_top(args.N, args.n)
+        if top > args.enum_max:
             return (
-                f"involution n={top} exceeds the enumeration cap {cfg.enum_max}; "
+                f"involution n={top} exceeds the enumeration cap {args.enum_max}; "
                 "set FIBROOK_MAX_N to change the cap"
             )
-    elif cfg.n is not None or cfg.k is not None:
+    elif args.n is not None or args.k is not None:
         return f"--n and --k select an involution domain; suite {suite} takes neither"
     return None
 
@@ -293,22 +252,22 @@ def _summary(reports: list[dict], failed: int, warned: int) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    refusal = _verify_refusal(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    refusal = _verify_refusal(args)
     if refusal:
         return _usage_error(refusal)
-    reports = run_suite(cfg.name, cfg.N, cfg.n, cfg.k)
+    reports = run_suite(args.name, args.N, args.n, args.k)
     if not reports:
-        return _usage_error(f"suite {cfg.name} has nothing to check at N={cfg.N}")
+        return _usage_error(f"suite {args.name} has nothing to check at N={args.N}")
     failed = sum(r["status"] == "FAIL" for r in reports)
     warned = sum(r["status"] == "WARN" for r in reports)
-    if cfg.fmt == "summary":
-        _emit(cfg, [_summary(reports, failed, warned), "\n"])
+    if args.fmt == "summary":
+        _emit(args, [_summary(reports, failed, warned), "\n"])
     else:
         overall = "FAIL" if failed else ("WARN" if warned else "PASS")
-        report = {"suite": cfg.name, "status": overall, "reports": reports}
-        _emit(cfg, [json.dumps(report, indent=2), "\n"])
-    return 1 if failed or (warned and cfg.strict) else 0
+        report = {"suite": args.name, "status": overall, "reports": reports}
+        _emit(args, [json.dumps(report, indent=2), "\n"])
+    return 1 if failed or (warned and args.strict) else 0
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -316,39 +275,39 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
-        board = parse_board(cfg.board or "")
+        board = parse_board(args.board or "")
     except ValueError as exc:
         return _usage_error(str(exc))
-    fam = _FAMILIES[cfg.family]
-    k = cfg.k if cfg.k is not None else 0
+    fam = _FAMILIES[args.family]
+    k = args.k if args.k is not None else 0
     if k < 0:
         return _usage_error("k must be >= 0")
-    if board.n > cfg.enum_max and not cfg.force:
+    if board.n > args.enum_max and not args.force:
         return _usage_error(
-            f"board has {board.n} columns, over the enumeration cap {cfg.enum_max}; "
+            f"board has {board.n} columns, over the enumeration cap {args.enum_max}; "
             "pass --force to override"
         )
-    if cfg.model == "rook" and not board.is_ferrers:
+    if args.model == "rook" and not board.is_ferrers:
         return _usage_error(f"{board} is not a Ferrers board; the rook model needs weakly increasing heights")
-    rook = cfg.model == "rook"
-    count = placement_count(board, fam, k, cfg.model, _COUNT_LIMIT)
-    if count > PLACEMENT_MAX and not cfg.force:
+    rook = args.model == "rook"
+    count = placement_count(board, fam, k, args.model, _COUNT_LIMIT)
+    if count > PLACEMENT_MAX and not args.force:
         shown = str(count) if count < _COUNT_LIMIT else f"more than 2**{_COUNT_BITS}"
         return _usage_error(
-            f"{board} has {shown} {cfg.model} placements with k={k}, over the "
+            f"{board} has {shown} {args.model} placements with k={k}, over the "
             f"placement cap {PLACEMENT_MAX}; pass --force to override"
         )
     if rook:
         placements = enumerate_rook_placements(board, fam, k)
     else:
         placements = enumerate_file_placements(board, fam, k)
-    if cfg.fmt == "json":
-        head = {"board": str(board), "family": fam.label, "model": cfg.model, "k": k}
-        _emit(cfg, _json_chunks(_placement_fields(head, placements)))
+    if args.fmt == "json":
+        head = {"board": str(board), "family": fam.label, "model": args.model, "k": k}
+        _emit(args, _json_chunks(_placement_fields(head, placements)))
     else:
-        _emit(cfg, _placement_lines(placements))
+        _emit(args, _placement_lines(placements))
     return 0
 
 
@@ -385,39 +344,39 @@ def _placement_fields(head: dict, placements: list[Placement]) -> Iterator[tuple
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def cmd_series(cfg: RunConfig) -> int:
-    k = cfg.k if cfg.k is not None else 1
-    order = cfg.order if cfg.order is not None else max(k, 12)
+def cmd_series(args: argparse.Namespace) -> int:
+    k = args.k if args.k is not None else 1
+    order = args.order if args.order is not None else max(k, 12)
     if k < 1:
         return _usage_error("the series column k must be >= 1")
     if order < k:
         return _usage_error("order must be >= k")
-    if order > cfg.triangle_max and not cfg.force:
+    if order > args.triangle_max and not args.force:
         return _usage_error(
-            f"order {order} exceeds the cap {cfg.triangle_max}; pass --force to override"
+            f"order {order} exceeds the cap {args.triangle_max}; pass --force to override"
         )
     series = sf_column_series(k, order)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "k": k,
             "order": order,
             "coefficients": [str(series.coefficient(n)) for n in range(order + 1)],
         }
-        _emit(cfg, [json.dumps(payload, indent=2), "\n"])
+        _emit(args, [json.dumps(payload, indent=2), "\n"])
     else:
-        _emit(cfg, [f"t^{n}  {series.coefficient(n)}\n" for n in range(order + 1)])
+        _emit(args, [f"t^{n}  {series.coefficient(n)}\n" for n in range(order + 1)])
     return 0
 
 
-def cmd_sequences(cfg: RunConfig) -> int:
-    if cfg.show_all:
+def cmd_sequences(args: argparse.Namespace) -> int:
+    if args.show_all:
         names = SEQUENCE_NAMES
-    elif cfg.name:
-        if cfg.name not in SEQUENCE_NAMES:
+    elif args.name:
+        if args.name not in SEQUENCE_NAMES:
             return _usage_error(
-                f"unknown sequence {cfg.name!r}; known: {', '.join(SEQUENCE_NAMES)}"
+                f"unknown sequence {args.name!r}; known: {', '.join(SEQUENCE_NAMES)}"
             )
-        names = (cfg.name,)
+        names = (args.name,)
     else:
         return _usage_error("pass a sequence name or --all")
     lines = []
@@ -425,13 +384,13 @@ def cmd_sequences(cfg: RunConfig) -> int:
     for name in names:
         report = sequence_export(name)
         values = ",".join(str(v) for v in report.generated)
-        prefix = f"{name}: " if cfg.show_all else ""
+        prefix = f"{name}: " if args.show_all else ""
         lines.append(f"{prefix}{values} {report.status}")
         if report.warn:
             lines.append(f"{prefix}WARN: {report.warn}")
         if report.status != "MATCH":
             failed = True
-    _emit(cfg, ["\n".join(lines), "\n"])
+    _emit(args, ["\n".join(lines), "\n"])
     return 1 if failed else 0
 
 
@@ -505,17 +464,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2
+    args.triangle_max, args.enum_max = DEFAULT_TRIANGLE_MAX, DEFAULT_ENUM_MAX
+    cap = os.environ.get("FIBROOK_MAX_N")
+    if cap is not None:
+        try:
+            cap_n = int(cap)
+        except ValueError:
+            cap_n = 0
+        if cap_n <= 0:
+            return _usage_error(f"FIBROOK_MAX_N must be a positive integer, got {cap!r}")
+        args.triangle_max = args.enum_max = cap_n
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
-    except SystemExit as exc:
-        message = str(exc)
-        if message:
-            print(f"error: {message}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command](args)
+    except (ValueError, KeyError, OverflowError) as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
-"""Every verification check, and the registry that runs them as suites.
+"""The identity checks, and the registry that runs every check as suites.
 
-The board-level checks compare the two independent modes of the placement
+The matrix-inverse, basis-expansion and involution checks
+(`matrix_inverse_check`, `verify_basis_expansions`, `involution_verify`)
+live in `fibrook.stirling`, beside the triangles and the involution. The
+board-level checks compare the two independent modes of the placement
 polynomials (recursion and enumeration) and the product identities they
 satisfy. Everything else is a prediction about the triangles of
 `fibrook.stirling`: the triangle recursion is the source of truth, and the
@@ -28,7 +31,7 @@ from math import comb
 from pathlib import Path
 
 from fibrook.board import FerrersBoard, aug_mixed_sum, file_poly, mixed_file_sum, rook_poly
-from fibrook.poly import PQRPoly, TSeries, XPoly, q_binomial, q_int, xpoly_product
+from fibrook.poly import PQRPoly, TSeries, XPoly, horner_step, q_binomial, q_int, xpoly_product
 from fibrook.stirling import (
     build_triangle,
     involution_verify,
@@ -676,18 +679,17 @@ def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
     n = board.n
     # file side: prod_i (x + W_{b_i}) = sum_k fT_k x^(n-k), any heights
     lhs = xpoly_product([(1, weight_poly(fam, h)) for h in board.heights])
-    rhs = XPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + XPoly.x_power(n - k) * file_poly(board, fam, k)
+    rhs = XPoly([file_poly(board, fam, n - i) for i in range(n + 1)])
     if lhs != rhs:
         bad.append({"board": str(board), "family": fam.label, "identity": "file-product",
                     "lhs": str(lhs), "rhs": str(rhs)})
-    # rook side: x^n = sum_k rT_{n-k} prod_{i<=k} (x - W_{b_i}), Ferrers only
+    # rook side: x^n = sum_k rT_{n-k} prod_{i<k} (x - W_{b_i}), Ferrers only,
+    # summed in Horner form over the nodes W_{b_i}
     if board.is_ferrers:
-        rhs = XPoly.zero()
-        for k in range(n + 1):
-            factors = [(-1, weight_poly(fam, board.heights[i])) for i in range(k)]
-            rhs = rhs + xpoly_product(factors) * rook_poly(board, fam, n - k)
+        rhs = XPoly([rook_poly(board, fam, 0)])
+        for k in range(n - 1, -1, -1):
+            node = weight_poly(fam, board.heights[k])
+            rhs = horner_step(rhs, -node, rook_poly(board, fam, n - k))
         if XPoly.x_power(n) != rhs:
             bad.append({"board": str(board), "family": fam.label, "identity": "rook-product",
                         "rhs": str(rhs)})

@@ -617,6 +617,22 @@ class XPoly:
         return f"XPoly({self})"
 
 
+def horner_step(poly: XPoly, c: PQRPoly, const: PQRPoly) -> XPoly:
+    """const + (x + c) * poly: one step of a Newton-form evaluation.
+
+    Each product is c times one coefficient of `poly`, so a Newton basis
+    polynomial or a sum over one is built a linear factor at a time,
+    never by multiplying two polynomials in x.
+    """
+    coeffs = poly.coeffs
+    if not coeffs:
+        return XPoly((const,))
+    out = [const + c * coeffs[0]]
+    out += [coeffs[i - 1] + c * coeffs[i] for i in range(1, len(coeffs))]
+    out.append(coeffs[-1])
+    return XPoly(out)
+
+
 def xpoly_product(factors: Sequence[tuple[int, PQRPoly]]) -> XPoly:
     """Product of linear factors (x + sign * c) for (sign, c) in `factors`.
 
@@ -626,7 +642,7 @@ def xpoly_product(factors: Sequence[tuple[int, PQRPoly]]) -> XPoly:
     for sign, c in factors:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        out = out * XPoly([c if sign == 1 else -c, _ONE])
+        out = horner_step(out, c if sign == 1 else -c, _ZERO)
     return out
 
 

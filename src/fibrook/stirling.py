@@ -61,6 +61,7 @@ from fibrook.poly import (
     PQRPoly,
     XPoly,
     check_degree,
+    horner_step,
     q_image_row,
     q_image_text,
     xpoly_product,
@@ -362,17 +363,6 @@ def rising_factorial_basis(fam: TileFamily, k: int) -> XPoly:
     return xpoly_product(factors)
 
 
-def _horner_step(poly: XPoly, c: PQRPoly, const: PQRPoly) -> XPoly:
-    """const + (x + c) * poly: one step of a Newton-form evaluation."""
-    coeffs = poly.coeffs
-    if not coeffs:
-        return XPoly((const,))
-    out = [const + c * coeffs[0]]
-    out += [coeffs[i - 1] + c * coeffs[i] for i in range(1, len(coeffs))]
-    out.append(coeffs[-1])
-    return XPoly(out)
-
-
 def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
     """Check every basis-expansion identity for the family up to row N.
 
@@ -418,10 +408,10 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
         lhs = XPoly.one()
         for n in range(N + 1):
             if n:
-                lhs = _horner_step(lhs, lhs_shift[n - 1], zero)
+                lhs = horner_step(lhs, lhs_shift[n - 1], zero)
             rhs = XPoly.zero()
             for k in range(n, -1, -1):
-                rhs = _horner_step(rhs, rhs_shift[k], tri.entry(n, k))
+                rhs = horner_step(rhs, rhs_shift[k], tri.entry(n, k))
             if lhs != rhs:
                 counterexamples.append(
                     {"identity": name, "n": n, "lhs": str(lhs), "rhs": str(rhs)}

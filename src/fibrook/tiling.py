@@ -143,12 +143,6 @@ def enumerate_tilings(fam: TileFamily, n: int) -> list[Tiling]:
     return list(_tilings(fam.heights, n))
 
 
-def tiling_weight(t: Tiling) -> PQRPoly:
-    """q^(#height-1) p^(#height-2) r^(#height-3) as a one-term polynomial."""
-    ones, twos, threes = t.height_counts()
-    return PQRPoly.term(1, e_q=ones, e_p=twos, e_r=threes)
-
-
 _TILE_WEIGHT = {
     1: PQRPoly.variable("q"),
     2: PQRPoly.variable("p"),

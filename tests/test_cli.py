@@ -75,6 +75,16 @@ def test_table_size_cap(capsys, monkeypatch):
         assert "FIBROOK_MAX_N must be a positive integer" in err
 
 
+def test_table_past_the_exponent_limit_is_usage_error(capsys, tmp_path):
+    # cf[363][1] has total degree 65,703 >= 2**16; the integer pass refuses
+    # the row before any output is drawn, so no --out file is started
+    code, out, err = run(capsys, "table", "cf", "363", "--force", "--out", str(tmp_path / "cf.txt"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: total degree 65703 reaches the packed-exponent limit 2**16\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # enumerate ----------------------------------------------------------------------
 
 

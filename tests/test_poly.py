@@ -12,6 +12,7 @@ from fibrook.poly import (
     PQRPoly,
     TSeries,
     XPoly,
+    horner_step,
     q_binomial,
     q_factorial,
     q_image_row,
@@ -490,6 +491,22 @@ def test_xpoly_ops_match_integer_evaluation(f: XPoly, g: XPoly, x0: int, point):
     assert ev(f * g) == ev(f) * ev(g)
     assert ev(f * 3) == 3 * ev(f)
     assert ev(f * Q) == q0 * ev(f)
+
+
+# the generic XPoly product is the reference for the Horner step
+
+
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), polys), max_size=4))
+def test_xpoly_product_matches_the_ring_product(factors: list[tuple[int, PQRPoly]]):
+    want = XPoly.one()
+    for sign, c in factors:
+        want = want * XPoly([sign * c, 1])
+    assert xpoly_product(factors) == want
+
+
+@given(xpolys, polys, polys)
+def test_horner_step_is_const_plus_linear_factor_times_poly(f: XPoly, c: PQRPoly, d: PQRPoly):
+    assert horner_step(f, c, d) == XPoly([d]) + XPoly([c, 1]) * f
 
 
 # TSeries ---------------------------------------------------------------------
