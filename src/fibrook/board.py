@@ -326,27 +326,21 @@ def enumerate_rook_placements(
 
 
 @lru_cache(maxsize=None)
-def _placement_rec(
-    heights: tuple[int, ...], fam_heights: tuple[int, ...], k: int, lag: int
-) -> PQRPoly:
+def _placement_rec(heights: tuple[int, ...], fam: TileFamily, k: int, lag: int) -> PQRPoly:
     if k < 0 or k > len(heights):
         return PQRPoly.zero()
     if k == 0:
         return PQRPoly.one()
-    fam = TileFamily(fam_heights)
     body = heights[:-1]
-    keep = _placement_rec(body, fam_heights, k, lag)
+    keep = _placement_rec(body, fam, k, lag)
     # tiled, the last column is the k-th tiled one
     last = len(heights) - 1 - lag * (k - 1)
-    use = weight_poly(fam, heights[last]) * _placement_rec(body, fam_heights, k - 1, lag)
+    use = weight_poly(fam, heights[last]) * _placement_rec(body, fam, k - 1, lag)
     return keep + use
 
 
 @lru_cache(maxsize=None)
-def _enum_sums(
-    heights: tuple[int, ...], fam_heights: tuple[int, ...], lag: int
-) -> tuple[PQRPoly, ...]:
-    fam = TileFamily(fam_heights)
+def _enum_sums(heights: tuple[int, ...], fam: TileFamily, lag: int) -> tuple[PQRPoly, ...]:
     n = len(heights)
     sums = [PQRPoly.zero() for _ in range(n + 1)]
     col_weight = [tiling_weight_sum(fam, h) for h in heights]
@@ -366,11 +360,11 @@ def _placement_poly(
     board: FerrersBoard, fam: TileFamily, k: int, mode: str, lag: int
 ) -> PQRPoly:
     if mode == "recursion":
-        return _placement_rec(board.heights, fam.heights, k, lag)
+        return _placement_rec(board.heights, fam, k, lag)
     if mode == "enumeration":
         if k < 0 or k > board.n:
             return PQRPoly.zero()
-        return _enum_sums(board.heights, fam.heights, lag)[k]
+        return _enum_sums(board.heights, fam, lag)[k]
     raise ValueError(f"unknown mode {mode!r}")
 
 

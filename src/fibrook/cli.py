@@ -11,7 +11,8 @@ Subcommands:
     sequences [NAME]      regenerate bundled integer sequences
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, which
-includes a request past the packed-exponent limit. Warn-level
+includes a request past the packed-exponent limit and an --out path that
+cannot be written. Warn-level
 findings exit 0 unless --strict. Output is deterministic for a fixed
 command line; no timings are printed. Triangles are capped at N <= 40 and
 enumeration-backed commands at n <= 9: `enumerate` takes --force, and the
@@ -478,6 +479,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OverflowError) as exc:
         return _usage_error(str(exc))
+    except OSError as exc:
+        if not args.out:
+            raise
+        return _usage_error(f"cannot write --out {args.out}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

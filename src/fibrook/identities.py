@@ -31,7 +31,7 @@ from math import comb
 from pathlib import Path
 
 from fibrook.board import FerrersBoard, aug_mixed_sum, file_poly, mixed_file_sum, rook_poly
-from fibrook.poly import PQRPoly, TSeries, XPoly, horner_step, q_binomial, q_int, xpoly_product
+from fibrook.poly import PQRPoly, XPoly, horner_step, q_binomial, q_int, xpoly_product
 from fibrook.stirling import (
     build_triangle,
     involution_verify,
@@ -48,17 +48,31 @@ _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def sf_column_series(k: int, order: int) -> TSeries:
-    """Sum over n of Sf[n][k] t^n as a truncated series:
-    t^k / ((1 - W_1 t)(1 - W_2 t) ... (1 - W_k t))."""
+def sf_column_series(k: int, order: int) -> XPoly:
+    """Sum over n <= order of Sf[n][k] t^n, as a polynomial in t: the
+    expansion of t^k / ((1 - W_1 t)(1 - W_2 t) ... (1 - W_k t)) cut at t^order.
+
+    The quotient is the Cauchy product of the geometric series
+    1 + W_i t + W_i^2 t^2 + ..., each cut at t^(order - k) before the
+    shift by t^k, so it is computed independently of the triangle's
+    column recursion.
+    """
     if k < 1:
         raise ValueError("column index k must be >= 1")
     if order < k:
         raise ValueError("order must be >= k")
-    series = TSeries.one(order)
+    cut = order - k
+    series = [PQRPoly.one()] + [PQRPoly.zero()] * cut
     for i in range(1, k + 1):
-        series = series * TSeries.geometric(weight_poly(FIBONACCI, i), order)
-    return series.shifted(k)
+        w = weight_poly(FIBONACCI, i)
+        powers = [PQRPoly.one()]
+        for _ in range(cut):
+            powers.append(powers[-1] * w)
+        series = [
+            sum((series[j] * powers[n - j] for j in range(n + 1)), PQRPoly.zero())
+            for n in range(cut + 1)
+        ]
+    return XPoly([0] * k + series)
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -474,23 +488,23 @@ def check_sf_p_coefficients(N: int = SF_P_MAX_N) -> dict:
     }
 
 
-def check_q1_specializations(N: int = 20, N_single: int | None = None) -> dict:
+def check_q1_specializations(N: int = 20) -> dict:
     """Binomial formulas for Sf columns 3..5 at q = 1, plus the single-p
-    product formula for every column up to N_single (default min(N, 14))."""
-    if N_single is None:
-        N_single = min(N, 14)
-    tri = build_triangle("Sf", max(N, N_single))
+    product formula for every column of the rows up to min(N, 14)."""
+    n_single = min(N, 14)
+    columns = build_triangle("Sf", N, width=5)
+    tri = build_triangle("Sf", n_single)
     bad = []
     for k in (3, 4, 5):
         for n in range(k, N + 1):
-            coeffs = p_coefficient_sequence(tri.entry(n, k))
+            coeffs = p_coefficient_sequence(columns.entry(n, k))
             smax = (n - 1) if k != 5 else 4
             for s in range(0, smax + 1):
                 got = sf_q1_coefficient(n, k, s)
                 have = coeffs[s] if s < len(coeffs) else 0
                 if got != have:
                     bad.append({"n": n, "k": k, "s": s, "formula": got, "triangle": have})
-    for n in range(3, N_single + 1):
+    for n in range(3, n_single + 1):
         for k in range(3, n):
             coeffs = p_coefficient_sequence(tri.entry(n, k))
             have = coeffs[1] if len(coeffs) > 1 else 0
@@ -499,7 +513,7 @@ def check_q1_specializations(N: int = 20, N_single: int | None = None) -> dict:
                 bad.append({"n": n, "k": k, "s": 1, "formula": got, "triangle": have})
     return {
         "check": "sf-q1-specializations",
-        "range": f"k in 3..5, n<={N}; single-p product for 3<=k<n<={N_single}",
+        "range": f"k in 3..5, n<={N}; single-p product for 3<=k<n<={n_single}",
         "status": "PASS" if not bad else "FAIL",
         "counterexamples": bad,
     }

@@ -24,11 +24,11 @@ private: the constructor, `term` and `.terms` speak exponent triples
 
 On top of the ring this module provides the q-analogues ([n]_q with the
 convention [0]_q = 1, q-factorials, q-binomials built by the Pascal-type
-recursion so no division is ever performed), polynomials in a formal
-variable x with PQRPoly coefficients (XPoly), and truncated power series
-in t (TSeries) used for column generating functions. There is
-deliberately no division or rational-function support: 1/(1 - c*t)
-exists only as a truncated geometric series.
+recursion so no division is ever performed), polynomials in one formal
+variable with PQRPoly coefficients (XPoly), which also hold the column
+generating functions in t cut at a given order. There is deliberately no
+division or rational-function support: 1/(1 - c*t) exists only as a
+geometric series cut at some power of t.
 """
 
 from __future__ import annotations
@@ -644,94 +644,3 @@ def xpoly_product(factors: Sequence[tuple[int, PQRPoly]]) -> XPoly:
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         out = horner_step(out, c if sign == 1 else -c, _ZERO)
     return out
-
-
-# ──────────────────────────────────────────────────────────────────────────
-# truncated power series in t over Z[q, p, r]
-# ──────────────────────────────────────────────────────────────────────────
-
-
-class TSeries:
-    """Power series in t truncated at a fixed order, coefficients in Z[q,p,r]."""
-
-    __slots__ = ("_order", "_coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[PQRPoly | int] = ()):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        lifted = [c if isinstance(c, PQRPoly) else PQRPoly.constant(c) for c in coeffs]
-        if len(lifted) > order + 1:
-            raise ValueError("more coefficients than the truncation order allows")
-        lifted += [_ZERO] * (order + 1 - len(lifted))
-        self._order = order
-        self._coeffs = tuple(lifted)
-
-    @classmethod
-    def one(cls, order: int) -> TSeries:
-        return cls(order, (_ONE,))
-
-    @classmethod
-    def geometric(cls, c: PQRPoly, order: int) -> TSeries:
-        """1 + c t + c^2 t^2 + ... truncated: the expansion of 1/(1 - c t)."""
-        coeffs = [_ONE]
-        for _ in range(order):
-            coeffs.append(coeffs[-1] * c)
-        return cls(order, coeffs)
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    def coefficient(self, n: int) -> PQRPoly:
-        if n < 0:
-            return _ZERO
-        if n > self._order:
-            raise ValueError(f"coefficient t^{n} is beyond truncation order {self._order}")
-        return self._coeffs[n]
-
-    def __add__(self, other: TSeries) -> TSeries:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        return TSeries(
-            order,
-            [self._coeffs[i] + other._coeffs[i] for i in range(order + 1)],
-        )
-
-    def __mul__(self, other: TSeries) -> TSeries:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        out = [_ZERO] * (order + 1)
-        for i in range(order + 1):
-            a = self._coeffs[i]
-            if a.is_zero:
-                continue
-            for j in range(order + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TSeries(order, out)
-
-    def shifted(self, k: int) -> TSeries:
-        """Multiply by t^k, dropping terms pushed past the truncation order."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        kept = self._coeffs[: self._order + 1 - k]
-        return TSeries(self._order, [_ZERO] * k + list(kept))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
-
-    def __str__(self) -> str:
-        chunks = [f"({c})*t^{n}" for n, c in enumerate(self._coeffs) if not c.is_zero]
-        body = " + ".join(chunks) if chunks else "0"
-        return f"{body} + O(t^{self._order + 1})"
-
-    def __repr__(self) -> str:
-        return f"TSeries({self})"

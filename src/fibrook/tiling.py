@@ -176,14 +176,6 @@ def weight_poly(fam: TileFamily, n: int) -> PQRPoly:
 
 
 @lru_cache(maxsize=None)
-def _weight_sum_enumerated(heights: tuple[int, ...], n: int) -> PQRPoly:
-    total: dict[tuple[int, int, int], int] = {}
-    for t in enumerate_tilings(TileFamily(heights), n):
-        key = t.height_counts()
-        total[key] = total.get(key, 0) + 1
-    return PQRPoly(total)
-
-
 def tiling_weight_sum(fam: TileFamily, n: int) -> PQRPoly:
     """Total weight of all height-n tilings, by exhaustive enumeration.
 
@@ -191,7 +183,11 @@ def tiling_weight_sum(fam: TileFamily, n: int) -> PQRPoly:
     board enumeration uses this one so the two placement-polynomial modes
     stay genuinely independent.
     """
-    return _weight_sum_enumerated(fam.heights, n)
+    total: dict[tuple[int, int, int], int] = {}
+    for t in enumerate_tilings(fam, n):
+        key = t.height_counts()
+        total[key] = total.get(key, 0) + 1
+    return PQRPoly(total)
 
 
 # the tiles' weights at q = p = r = 1

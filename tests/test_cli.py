@@ -455,10 +455,29 @@ def test_out_is_atomic_when_a_write_fails(tmp_path, capsys, monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(cli, "open", DiskFull, raising=False)
-    with pytest.raises(OSError):
-        main(["table", "cf", "5", "--out", str(target)])
+    code, out, err = run(capsys, "table", "cf", "5", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: No space left on device\n"
     assert target.read_text(encoding="utf-8") == "previous run\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize(
+    "argv, where, reason",
+    [
+        (("table", "Sf", "3"), "missing/x.txt", "No such file or directory"),
+        (("verify", "inverse", "--N", "4"), "missing/r.json", "No such file or directory"),
+        (("table", "Sf", "3"), "reports", "Is a directory"),
+    ],
+)
+def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, argv, where, reason):
+    (tmp_path / "reports").mkdir()
+    target = tmp_path / where
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: {reason}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "reports"]
+    assert list((tmp_path / "reports").iterdir()) == []
 
 
 def test_out_to_a_device_writes_in_place(capsys):

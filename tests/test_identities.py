@@ -47,6 +47,19 @@ def test_series_frozen_coefficient():
         sf_column_series(3, 2)
 
 
+def test_series_times_its_denominator_is_t_to_the_k():
+    # t^k / prod (1 - W_i t) pinned without the triangle: the generic
+    # XPoly product is the reference for the cut Cauchy product
+    for k in range(1, 7):
+        denominator = XPoly.one()
+        for i in range(1, k + 1):
+            denominator = denominator * XPoly([1, -weight_poly(FIBONACCI, i)])
+        for order in range(k, 13):
+            series = sf_column_series(k, order)
+            assert series.degree == order
+            assert XPoly((series * denominator).coeffs[: order + 1]) == XPoly.x_power(k)
+
+
 # closed forms ------------------------------------------------------------------
 
 
@@ -219,13 +232,14 @@ def test_check_log_concavity_small():
 
 
 def _perturb_entry(monkeypatch, kind: str, n: int, k: int, delta: PQRPoly) -> None:
-    """Make the checks in `identities` see `kind`[n][k] + delta; an entry
-    beyond the width the check asks for makes the build raise."""
+    """Make the checks in `identities` see `kind`[n][k] + delta in every
+    build that reaches row n; an entry beyond the width the check asks for
+    makes the build raise."""
     real = identities.build_triangle
 
     def perturbed(kind_: str, N: int, width: int | None = None) -> CoeffTriangle:
         tri = real(kind_, N, width)
-        if kind_ != kind:
+        if kind_ != kind or n > N:
             return tri
         rows = [list(row) for row in tri.rows]
         rows[n][k] = rows[n][k] + delta

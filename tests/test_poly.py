@@ -1,4 +1,4 @@
-"""Ring arithmetic, canonical printing, q-analogues, XPoly and TSeries."""
+"""Ring arithmetic, canonical printing, q-analogues and XPoly."""
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,6 @@ from fibrook.poly import (
     Q,
     R,
     PQRPoly,
-    TSeries,
     XPoly,
     horner_step,
     q_binomial,
@@ -507,30 +506,3 @@ def test_xpoly_product_matches_the_ring_product(factors: list[tuple[int, PQRPoly
 @given(xpolys, polys, polys)
 def test_horner_step_is_const_plus_linear_factor_times_poly(f: XPoly, c: PQRPoly, d: PQRPoly):
     assert horner_step(f, c, d) == XPoly([d]) + XPoly([c, 1]) * f
-
-
-# TSeries ---------------------------------------------------------------------
-
-
-def test_geometric_series_coefficients():
-    s = TSeries.geometric(Q, 3)
-    assert [s.coefficient(n) for n in range(4)] == [1, Q, Q**2, Q**3]
-    with pytest.raises(ValueError):
-        s.coefficient(4)
-
-
-@given(polys, st.integers(1, 6))
-def test_geometric_series_inverts_its_linear_factor(c: PQRPoly, order: int):
-    one_minus_ct = TSeries(order, [PQRPoly.one(), -c])
-    assert TSeries.geometric(c, order) * one_minus_ct == TSeries.one(order)
-
-
-def test_series_shift_and_truncation():
-    s = TSeries.geometric(Q, 5).shifted(2)
-    assert s.coefficient(1) == 0
-    assert s.coefficient(2) == 1
-    assert s.coefficient(4) == Q**2
-    # multiplication truncates at the smaller order
-    prod = TSeries.geometric(Q, 5) * TSeries.geometric(Q, 3)
-    assert prod.order == 3
-    assert prod.coefficient(3) == 4 * Q**3
