@@ -27,6 +27,10 @@ the rook model), while "enumeration" walks every subset of columns and
 multiplies per-column weight sums obtained by exhaustively listing
 tilings. Mixed and augmented placement sums re-derive the product formulas
 column by column.
+
+The enumerators return a `PlacementView`, not a list: its `len()` is the
+exact `placement_count`, and each pass over it draws the placements
+afresh, so a walk over every placement of a board holds one at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from fibrook.poly import PQRPoly
 from fibrook.tiling import (
@@ -287,37 +291,54 @@ def parse_placement(board: FerrersBoard, text: str, model: str = "file"):
     return _MODELS[model](board, tuple(entries))
 
 
-def _enumerate_placements(cls, board: FerrersBoard, fam: TileFamily, k: int) -> list:
-    # every tiling comes from the pool of the height the rule gives its
-    # column, so the entries hold by construction and skip validation;
-    # `combinations` would allocate k indices before finding none
-    if k < 0 or k > board.n:
-        return []
-    out = []
-    build = cls._trusted
-    for combo in combinations(range(1, board.n + 1), k):
-        hts = _rule_heights(board.heights, combo, cls.lag)
-        if 0 in hts:
-            continue
-        pools = [enumerate_tilings(fam, h) for h in hts]
-        out.extend(build(board, tuple(zip(combo, choice))) for choice in product(*pools))
-    return out
+class PlacementView:
+    """The k-column placements of one model on a board, drawn lazily.
+
+    `len()` is the exact `placement_count`, found on integers without
+    drawing a placement. Each pass draws the placements afresh, in a fixed
+    order (column subsets in ascending order, tilings lexicographic), so a
+    caller that does not keep them holds one at a time; `list(view)` holds
+    them all.
+    """
+
+    __slots__ = ("board", "fam", "k", "model")
+
+    def __init__(self, board: FerrersBoard, fam: TileFamily, k: int, model: str):
+        self.board = board
+        self.fam = fam
+        self.k = k
+        self.model = model
+
+    def __len__(self) -> int:
+        return placement_count(self.board, self.fam, self.k, self.model)
+
+    def __iter__(self) -> Iterator[Placement]:
+        # every tiling comes from the pool of the height the rule gives its
+        # column, so the entries hold by construction and skip validation;
+        # `combinations` would allocate k indices before finding none
+        board, fam, k = self.board, self.fam, self.k
+        if k < 0 or k > board.n:
+            return
+        cls = _MODELS[self.model]
+        build = cls._trusted
+        for combo in combinations(range(1, board.n + 1), k):
+            hts = _rule_heights(board.heights, combo, cls.lag)
+            if 0 in hts:
+                continue
+            pools = [enumerate_tilings(fam, h) for h in hts]
+            for choice in product(*pools):
+                yield build(board, tuple(zip(combo, choice)))
 
 
-def enumerate_file_placements(
-    board: FerrersBoard, fam: TileFamily, k: int
-) -> list[FilePlacement]:
-    """Every file placement with k tiled columns, in a fixed order
-    (column subsets in ascending order, tilings lexicographic)."""
-    return _enumerate_placements(FilePlacement, board, fam, k)
+def enumerate_file_placements(board: FerrersBoard, fam: TileFamily, k: int) -> PlacementView:
+    """Every file placement with k tiled columns, as a `PlacementView`."""
+    return PlacementView(board, fam, k, "file")
 
 
-def enumerate_rook_placements(
-    board: FerrersBoard, fam: TileFamily, k: int
-) -> list[RookPlacement]:
-    """Every rook-style placement with k tiled columns, fixed order as above."""
+def enumerate_rook_placements(board: FerrersBoard, fam: TileFamily, k: int) -> PlacementView:
+    """Every rook-style placement with k tiled columns, as a `PlacementView`."""
     _require_ferrers(board, "a rook-style placement")
-    return _enumerate_placements(RookPlacement, board, fam, k)
+    return PlacementView(board, fam, k, "rook")
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -11,8 +11,8 @@ Subcommands:
     sequences [NAME]      regenerate bundled integer sequences
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, which
-includes a request past the packed-exponent limit and an --out path that
-cannot be written. Warn-level
+includes a request past the packed-exponent limit, an --out path that
+cannot be written and a failed write to stdout. Warn-level
 findings exit 0 unless --strict. Output is deterministic for a fixed
 command line; no timings are printed. Triangles are capped at N <= 40 and
 enumeration-backed commands at n <= 9: `enumerate` takes --force, and the
@@ -21,17 +21,19 @@ FIBROOK_MAX_N replaces both caps. `enumerate` also refuses a request of
 more than PLACEMENT_MAX placements, counted exactly before listing any;
 --force lifts that cap too. `verify` accepts --n/--k only for the
 involution and all suites. `table` and `enumerate` write their output
-row by row, as it is rendered, to stdout or to the --out file.
+row by row, as it is rendered, to stdout or to the --out file. Only
+`verify`, `series` and `sequences` import `fibrook.identities`, and only
+JSON output imports `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
 from fibrook.board import (
     Placement,
@@ -39,14 +41,6 @@ from fibrook.board import (
     enumerate_rook_placements,
     parse_board,
     placement_count,
-)
-from fibrook.identities import (
-    SEQUENCE_NAMES,
-    SUITES,
-    involution_top,
-    run_suite,
-    sequence_export,
-    sf_column_series,
 )
 from fibrook.poly import PQRPoly
 from fibrook.stirling import TRIANGLE_KINDS, TriangleImage, triangle_image
@@ -69,10 +63,8 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write `chunks`, which end the output with a newline, to the --out
     path or to stdout as they are drawn, gathered into writes of whole
     `_WRITE_SIZE`-character blocks and a last partial one."""
-    if args.out:
-        _write_out(args.out, chunks)
-    else:
-        _write_all(sys.stdout, chunks)
+    with _output(args) as handle:
+        _write_all(handle, chunks)
 
 
 # chunks are gathered into writes of whole blocks of this many characters:
@@ -98,18 +90,25 @@ def _write_all(handle, chunks: Iterable[str]) -> None:
         handle.write("".join(pending))
 
 
-def _write_out(path: str, chunks: Iterable[str]) -> None:
-    """Write `chunks` to `path`, replacing a plain file atomically.
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator:
+    """The handle a command writes its output to: stdout, flushed at the
+    end so that a failed write shows before `main` returns, or the --out
+    path, opened before the command computes anything.
 
-    A new file, or a regular file with one link, is written beside itself
-    and renamed over once the last chunk is in, so a failed run, in
-    drawing the chunks or in writing them, never leaves it truncated;
+    A new --out file, or a regular file with one link, is written beside
+    itself and renamed over once the command is done, so a failed run, in
+    computing the output or in writing it, never leaves it truncated;
     symlinks are followed and stay in place, and the file keeps its mode.
     Devices, FIFOs, hard-linked files and files in read-only directories
     are written in place, as `open` would, so a failed run leaves them
     part-written.
     """
-    path = os.path.realpath(path)
+    if not args.out:
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    path = os.path.realpath(args.out)
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -123,7 +122,7 @@ def _write_out(path: str, chunks: Iterable[str]) -> None:
         else:
             try:
                 with handle:
-                    _write_all(handle, chunks)
+                    yield handle
                 if st is not None:
                     os.chmod(tmp, stat.S_IMODE(st.st_mode))
                 os.replace(tmp, path)
@@ -132,36 +131,57 @@ def _write_out(path: str, chunks: Iterable[str]) -> None:
                 raise
             return
     with open(path, "w", encoding="utf-8") as handle:
-        _write_all(handle, chunks)
+        yield handle
+
+
+def _silence_stdout() -> None:
+    """Point the stdout descriptor at the null device, so that the flush at
+    exit has no failed write left to repeat."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
 
 
 def _json_chunks(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
     """`json.dumps(dict(fields), indent=2)` and a newline, piece by piece.
 
     `fields` is drawn lazily, so a field after a streamed list may be
-    computed from what the list's items left behind.
+    computed from what the list's items left behind. An iterator is written
+    as a list, one item at a time. The framing of dicts (with str keys),
+    lists and tuples is written here, and only scalars go through
+    `json.dumps`, which runs CPython's C encoder only without `indent`; the
+    bytes are those of the indented dump.
     """
-    sep = "{"
-    for name, value in fields:
-        yield f"{sep}\n  {json.dumps(name)}: "
-        sep = ","
-        yield from _json_value(value, "\n  ")
-    yield "{}\n" if sep == "{" else "\n}\n"
+    import json
 
+    dumps = json.dumps
 
-def _json_value(value: object, newline: str) -> Iterator[str]:
-    """`json.dumps(value, indent=2)` nested at the indent of `newline`; an
-    iterator is written as a list, one item at a time."""
-    if not isinstance(value, Iterator):
-        yield json.dumps(value, indent=2).replace("\n", newline)
-        return
-    inner = newline + "  "
-    sep = "["
-    for item in value:
-        yield sep + inner
-        yield from _json_value(item, inner)
-        sep = ","
-    yield "[]" if sep == "[" else newline + "]"
+    def text(item: object, newline: str) -> str:
+        # a value held whole, nested at the indent of `newline`
+        inner = newline + "  "
+        if isinstance(item, dict):
+            parts = [f"{inner}{dumps(key)}: {text(v, inner)}" for key, v in item.items()]
+            return "{" + ",".join(parts) + newline + "}" if parts else "{}"
+        if isinstance(item, (list, tuple)):
+            parts = [inner + text(v, inner) for v in item]
+            return "[" + ",".join(parts) + newline + "]" if parts else "[]"
+        return dumps(item)
+
+    def members(pairs: Iterable[tuple[str, object]], brackets: str, newline: str) -> Iterator[str]:
+        # each member after its prefix (its key in a dict, nothing in a list)
+        inner = newline + "  "
+        sep = brackets[0]
+        for prefix, item in pairs:
+            if isinstance(item, Iterator):
+                yield sep + inner + prefix
+                yield from members((("", v) for v in item), "[]", inner)
+            else:
+                yield sep + inner + prefix + text(item, inner)
+            sep = ","
+        yield brackets if sep == brackets[0] else newline + brackets[1]
+
+    yield from members(((dumps(name) + ": ", item) for name, item in fields), "{}", "\n")
+    yield "\n"
 
 
 def _usage_error(message: str) -> int:
@@ -219,6 +239,8 @@ def _csv_chunks(tri: TriangleImage) -> Iterator[str]:
 
 def _verify_refusal(args: argparse.Namespace) -> str | None:
     """Why `args` is not a runnable verify request (a usage error), or None."""
+    from fibrook.identities import SUITES, involution_top
+
     suite = args.name
     if suite not in SUITES:
         return f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
@@ -254,20 +276,25 @@ def _summary(reports: list[dict], failed: int, warned: int) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from fibrook.identities import run_suite
+
     refusal = _verify_refusal(args)
     if refusal:
         return _usage_error(refusal)
-    reports = run_suite(args.name, args.N, args.n, args.k)
-    if not reports:
-        return _usage_error(f"suite {args.name} has nothing to check at N={args.N}")
-    failed = sum(r["status"] == "FAIL" for r in reports)
-    warned = sum(r["status"] == "WARN" for r in reports)
-    if args.fmt == "summary":
-        _emit(args, [_summary(reports, failed, warned), "\n"])
-    else:
-        overall = "FAIL" if failed else ("WARN" if warned else "PASS")
-        report = {"suite": args.name, "status": overall, "reports": reports}
-        _emit(args, [json.dumps(report, indent=2), "\n"])
+    # the --out file is opened before any check runs, so that an unwritable
+    # path is refused at once; a usage error raised inside removes it
+    with _output(args) as handle:
+        reports = run_suite(args.name, args.N, args.n, args.k)
+        if not reports:
+            raise ValueError(f"suite {args.name} has nothing to check at N={args.N}")
+        failed = sum(r["status"] == "FAIL" for r in reports)
+        warned = sum(r["status"] == "WARN" for r in reports)
+        if args.fmt == "summary":
+            _write_all(handle, [_summary(reports, failed, warned), "\n"])
+        else:
+            overall = "FAIL" if failed else ("WARN" if warned else "PASS")
+            report = {"suite": args.name, "status": overall, "reports": reports}
+            _write_all(handle, _json_chunks(report.items()))
     return 1 if failed or (warned and args.strict) else 0
 
 
@@ -325,14 +352,14 @@ def _weighed(placements: Iterable[Placement], counts: dict) -> Iterator[tuple[st
         yield str(pl), weight
 
 
-def _placement_lines(placements: list[Placement]) -> Iterator[str]:
+def _placement_lines(placements: Iterable[Placement]) -> Iterator[str]:
     counts: dict[tuple[int, int, int], int] = {}
     for text, weight in _weighed(placements, counts):
         yield f"{text or '(empty)'}  {weight}\n"
     yield f"total  {PQRPoly(counts)}\n"
 
 
-def _placement_fields(head: dict, placements: list[Placement]) -> Iterator[tuple[str, object]]:
+def _placement_fields(head: dict, placements: Iterable[Placement]) -> Iterator[tuple[str, object]]:
     counts: dict[tuple[int, int, int], int] = {}
     yield from head.items()
     listed = _weighed(placements, counts)
@@ -346,6 +373,8 @@ def _placement_fields(head: dict, placements: list[Placement]) -> Iterator[tuple
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from fibrook.identities import sf_column_series
+
     k = args.k if args.k is not None else 1
     order = args.order if args.order is not None else max(k, 12)
     if k < 1:
@@ -363,13 +392,15 @@ def cmd_series(args: argparse.Namespace) -> int:
             "order": order,
             "coefficients": [str(series.coefficient(n)) for n in range(order + 1)],
         }
-        _emit(args, [json.dumps(payload, indent=2), "\n"])
+        _emit(args, _json_chunks(payload.items()))
     else:
         _emit(args, [f"t^{n}  {series.coefficient(n)}\n" for n in range(order + 1)])
     return 0
 
 
 def cmd_sequences(args: argparse.Namespace) -> int:
+    from fibrook.identities import SEQUENCE_NAMES, sequence_export
+
     if args.show_all:
         names = SEQUENCE_NAMES
     elif args.name:
@@ -416,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--force", action="store_true", help="ignore the size cap")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("name", metavar="suite", choices=SUITES)
+    p_verify.add_argument("name", metavar="suite", help="a verification suite, or all")
     p_verify.add_argument("--N", type=int, help="main size bound of the suite")
     p_verify.add_argument("--n", type=int, help="involution: staircase size")
     p_verify.add_argument("--k", type=int, help="involution: target column")
@@ -480,9 +511,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OverflowError) as exc:
         return _usage_error(str(exc))
     except OSError as exc:
-        if not args.out:
-            raise
-        return _usage_error(f"cannot write --out {args.out}: {exc.strerror or exc}")
+        if args.out:
+            return _usage_error(f"cannot write --out {args.out}: {exc.strerror or exc}")
+        _silence_stdout()
+        return _usage_error(f"cannot write stdout: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

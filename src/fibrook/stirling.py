@@ -510,12 +510,19 @@ class PlacementPair:
 
 
 def involution_domain(n: int, k: int) -> Iterator[PlacementPair]:
-    """All pairs behind the (n, k) entry of the product Sf * sf."""
+    """All pairs behind the (n, k) entry of the product Sf * sf, rook-major.
+
+    The placements are drawn lazily; a j with more than one rook placement
+    holds its file placements as a list, and one with a single rook (j = n)
+    holds none.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     for j in range(k, n + 1):
         rooks = enumerate_rook_placements(FerrersBoard.staircase(n), FIBONACCI, n - j)
         files = enumerate_file_placements(FerrersBoard.staircase(j), FIBONACCI, j - k)
+        if len(rooks) > 1:
+            files = list(files)  # drawn once, walked once per rook
         for rp in rooks:
             for fp in files:
                 yield PlacementPair(j, rp, fp)

@@ -149,7 +149,7 @@ def _check_enumerator_contract(cls, enumerate_placements, count, boards, fam) ->
             got = enumerate_placements(board, fam, k)
             assert len(got) == count(board, fam, k).eval_at(1, 1, 1)
             assert all(_entries_problem(board, pl.entries, cls.lag) is None for pl in got)
-            assert got == [cls(board, pl.entries) for pl in got]
+            assert list(got) == [cls(board, pl.entries) for pl in got]
             listed += len(got)
     return listed
 
@@ -180,7 +180,7 @@ def test_file_enumeration_counts():
     assert len(enumerate_file_placements(board, FIBONACCI, 2)) == 5
     assert len(enumerate_file_placements(board, FIBONACCI, 3)) == 2
     assert len(enumerate_file_placements(board, FIBONACCI, 0)) == 1
-    assert enumerate_file_placements(board, FIBONACCI, 4) == []
+    assert list(enumerate_file_placements(board, FIBONACCI, 4)) == []
     # zero-height columns can never be tiled
     b3 = FerrersBoard.staircase(3)
     assert all(
@@ -188,6 +188,22 @@ def test_file_enumeration_counts():
         for k in range(4)
         for pl in enumerate_file_placements(b3, FIBONACCI, k)
     )
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
+@pytest.mark.parametrize("model,enumerate_placements", [
+    ("file", enumerate_file_placements),
+    ("rook", enumerate_rook_placements),
+])
+def test_placement_view_is_sized_and_drawn_afresh(model, enumerate_placements, fam):
+    # the view is counted without drawing a placement, and each pass draws
+    # the same placements again
+    for board in all_ferrers_boards(4, 4):
+        for k in range(-1, board.n + 2):
+            view = enumerate_placements(board, fam, k)
+            first = list(view)
+            assert len(view) == len(first) == placement_count(board, fam, k, model)
+            assert list(view) == first
 
 
 def test_rook_enumeration_on_small_staircase():

@@ -5,10 +5,14 @@ import itertools
 import json
 import os
 import stat
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fibrook.cli as cli
 import fibrook.identities as identities
@@ -21,6 +25,15 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a fresh interpreter's environment, with this source tree on its path
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
+def cli_process(*argv: str, **kwargs) -> subprocess.Popen:
+    """`python -m fibrook.cli ARGV` in a fresh interpreter."""
+    return subprocess.Popen([sys.executable, "-m", "fibrook.cli", *argv], env=SRC_ENV, **kwargs)
 
 
 # table -------------------------------------------------------------------------
@@ -206,9 +219,9 @@ def test_sequences_usage(capsys):
 
 
 def test_sequences_mismatch_exits_one(capsys, monkeypatch):
-    real = cli.sequence_export("A086602")
+    real = identities.sequence_export("A086602")
     broken = type(real)(real.fixture, real.generated, "MISMATCH", None)
-    monkeypatch.setattr(cli, "sequence_export", lambda name: broken)
+    monkeypatch.setattr(identities, "sequence_export", lambda name: broken)
     code, out, _ = run(capsys, "sequences", "A086602")
     assert code == 1
     assert "MISMATCH" in out
@@ -267,7 +280,7 @@ def test_verify_inverse_at_n_zero_sizes_every_check(capsys):
     ]
 
 
-@pytest.mark.parametrize("suite", cli.SUITES)
+@pytest.mark.parametrize("suite", identities.SUITES)
 def test_verify_rejects_a_negative_n(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--N", "-1")
     assert code == 2
@@ -371,7 +384,7 @@ def _report(check: str, status: str, bad: int = 0, warnings: int | None = None) 
     ],
 )
 def test_verify_summary_lines_and_exit_codes(capsys, monkeypatch, reports, strict, code, lines):
-    monkeypatch.setattr(cli, "run_suite", lambda name, N, n, k: reports)
+    monkeypatch.setattr(identities, "run_suite", lambda name, N, n, k: reports)
     argv = ["verify", "products", "--format", "summary"] + (["--strict"] if strict else [])
     got_code, out, err = run(capsys, *argv)
     assert (got_code, err) == (code, "")
@@ -388,7 +401,7 @@ def test_verify_summary_of_a_real_suite(capsys):
     )
 
 
-@pytest.mark.parametrize("suite", [s for s in cli.SUITES if s not in ("involution", "all")])
+@pytest.mark.parametrize("suite", [s for s in identities.SUITES if s not in ("involution", "all")])
 @pytest.mark.parametrize("flags", [("--n", "5"), ("--k", "2")])
 def test_verify_n_and_k_outside_the_involution_are_usage_errors(capsys, suite, flags):
     code, out, err = run(capsys, "verify", suite, *flags)
@@ -411,6 +424,22 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 # plumbing ------------------------------------------------------------------------------
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=4))
+def test_json_chunks_are_the_indented_dump(document):
+    text = json.dumps(document, indent=2) + "\n"
+    assert "".join(cli._json_chunks(document.items())) == text
+    # a list drawn from an iterator is written the same way
+    lazy = ((name, iter(v) if isinstance(v, list) else v) for name, v in document.items())
+    assert "".join(cli._json_chunks(lazy)) == text
 
 
 def test_no_command_is_usage_error(capsys):
@@ -480,6 +509,50 @@ def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, argv, 
     assert list((tmp_path / "reports").iterdir()) == []
 
 
+def test_out_is_opened_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(identities, "run_suite", lambda *args: ran.append(args) or [])
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "verify", "all", "--out", str(target))
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: cannot write --out {target}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [("table", "Sf", "3"), ("table", "Sf", "16")])
+def test_full_stdout_is_a_usage_error_without_a_traceback(argv):
+    # Sf 3 fits in the stdout buffer and fails only when it is flushed
+    with open("/dev/full", "w") as full:
+        child = cli_process(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (2, "error: cannot write stdout: No space left on device\n")
+
+
+def test_closed_pipe_on_stdout_is_a_usage_error_without_a_traceback():
+    # the table is over twice the pipe's 64 KiB, so writes go on after the close
+    with cli_process("table", "Sf", "16", stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(20)) == 20
+        child.stdout.close()
+        err = child.stderr.read().decode()
+    assert (child.returncode, err) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "Sf", "3", "--format", "json"),
+    ("enumerate", "F(1,2,3)", "--k", "2", "--format", "json"),
+])
+def test_table_and_enumerate_do_not_import_the_identities(argv):
+    probe = (
+        "import sys; from fibrook.cli import main; "
+        f"code = main({list(argv)!r} + ['--out', {os.devnull!r}]); "
+        "print(code, 'fibrook.identities' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "0 False\n"
+
+
 def test_out_to_a_device_writes_in_place(capsys):
     code, out, _ = run(capsys, "table", "cf", "3", "--out", os.devnull)
     assert code == 0
@@ -537,6 +610,9 @@ class _Writes:
 
     def write(self, text):
         self.chunks.append(text)
+
+    def flush(self):
+        pass
 
 
 @pytest.mark.parametrize(
