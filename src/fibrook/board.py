@@ -158,17 +158,6 @@ def uncanceled_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
     return _cancellation_simulation(board, cols)[1]
 
 
-def rook_tiling_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
-    """Uncanceled height of each chosen column at the moment it is tiled.
-
-    Closed form of the cancellation rule: the s-th chosen column i_s (1-based
-    s) keeps b_{i_s - (s-1)} cells.
-    """
-    _require_ferrers(board, "cancellation")
-    cols = _check_columns(board, chosen)
-    return _rule_heights(board.heights, cols, RookPlacement.lag)
-
-
 def _rule_heights(heights: tuple[int, ...], cols, lag: int) -> tuple[int, ...]:
     """Cells of each chosen column (1-based, ascending) under the rule `lag`."""
     return tuple(heights[col - 1 - lag * s] for s, col in enumerate(cols))
@@ -191,14 +180,15 @@ def _entries_problem(
     knows or checks once.
     """
     b = board.heights
+    n = len(b)
     prev = 0
     for s, (col, t) in enumerate(entries):
-        if not 1 <= col <= len(b):
+        if not 1 <= col <= n:
             return f"placement columns out of range for {board}"
         if col <= prev:
             return "placement columns must be strictly increasing"
         want = b[col - 1 - lag * s]
-        if t.height != want:
+        if t._height != want:
             return f"column {col} has {want} uncanceled cells, tiling covers {t.height}"
         prev = col
     return None
@@ -212,10 +202,12 @@ class Placement:
     Built directly (or by `parse_placement`), a placement validates its
     entries with `_entries_problem` and raises on a bad one. The
     enumerators and the involution build theirs through `_trusted`, which
-    skips that check: the enumerator picks every tiling from the pool of
-    the height the rule gives, and `stirling.involution_verify` checks
-    every involution image with its domain predicate, which runs the same
-    validator.
+    skips that check. Enumerated placements are trusted: the enumerator
+    picks every tiling from the pool of the height the rule gives, and the
+    contract tests pin it. So `stirling.involution_verify` does not check
+    the pairs it draws; it runs its domain predicate, which runs the same
+    validator, once per pair, on the involution image. `exponents()` and
+    `str()` read the counts and text that each shared `Tiling` caches.
     """
 
     board: FerrersBoard
@@ -247,7 +239,7 @@ class Placement:
         """(e_q, e_p, e_r) of the weight: the tiles of each height, summed."""
         ones = twos = threes = 0
         for _, t in self.entries:
-            a, b, c = t.height_counts()
+            a, b, c = t._counts
             ones += a
             twos += b
             threes += c
@@ -257,7 +249,7 @@ class Placement:
         return PQRPoly.term(1, *self.exponents())
 
     def __str__(self) -> str:
-        return ";".join([f"{c}:{t}" for c, t in self.entries])
+        return ";".join([f"{c}:{t._text}" for c, t in self.entries])
 
 
 class FilePlacement(Placement):

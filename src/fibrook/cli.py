@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, which
 includes a request past the packed-exponent limit, an --out path that
-cannot be written and a failed write to stdout. Warn-level
+cannot be written, a failed write to stdout and a stdout closed at
+start. Warn-level
 findings exit 0 unless --strict. Output is deterministic for a fixed
 command line; no timings are printed. Triangles are capped at N <= 40 and
 enumeration-backed commands at n <= 9: `enumerate` takes --force, and the
@@ -29,6 +30,7 @@ JSON output imports `json`.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import stat
 import sys
@@ -105,6 +107,8 @@ def _output(args: argparse.Namespace) -> Iterator:
     part-written.
     """
     if not args.out:
+        if sys.stdout is None:  # descriptor 1 was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         yield sys.stdout
         sys.stdout.flush()
         return
@@ -136,7 +140,10 @@ def _output(args: argparse.Namespace) -> Iterator:
 
 def _silence_stdout() -> None:
     """Point the stdout descriptor at the null device, so that the flush at
-    exit has no failed write left to repeat."""
+    exit has no failed write left to repeat; a stdout closed at start has
+    nothing to flush."""
+    if sys.stdout is None:
+        return
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, sys.stdout.fileno())
     os.close(null)

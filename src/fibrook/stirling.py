@@ -64,7 +64,6 @@ from fibrook.poly import (
     horner_step,
     q_image_row,
     q_image_text,
-    xpoly_product,
 )
 from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
 
@@ -337,30 +336,8 @@ def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:
 
 
 # ──────────────────────────────────────────────────────────────────────────
-# factorial bases and expansions
+# basis expansions
 # ──────────────────────────────────────────────────────────────────────────
-
-
-def falling_factorial_basis(fam: TileFamily, k: int) -> XPoly:
-    """x (x - W_1) ... (x - W_{k-1}); the empty product 1 for k = 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return XPoly.one()
-    factors = [(1, PQRPoly.zero())]
-    factors += [(-1, weight_poly(fam, i)) for i in range(1, k)]
-    return xpoly_product(factors)
-
-
-def rising_factorial_basis(fam: TileFamily, k: int) -> XPoly:
-    """x (x + W_1) ... (x + W_{k-1}); the empty product 1 for k = 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return XPoly.one()
-    factors = [(1, PQRPoly.zero())]
-    factors += [(1, weight_poly(fam, i)) for i in range(1, k)]
-    return xpoly_product(factors)
 
 
 def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
@@ -487,7 +464,7 @@ def _max_degree(tri: CoeffTriangle) -> int:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementPair:
     """A term of sum_j Sf[n][j] sf[j][k]: a rook-style placement of n-j
     tilings on the n-staircase and a file placement of j-k tilings on the
@@ -575,14 +552,24 @@ def involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
     file column j+1-d, and otherwise case 2 moves the file's last tiling to
     rook column n-d. d < k because a file placement of j-1 tilings on the
     j-staircase (the k = 1 shape) cannot avoid its last column: only j-2
-    earlier columns are nonempty. Raises on pairs outside the domain. The
-    image is built without validation; `_domain_problem` checks it.
+    earlier columns are nonempty. Raises on pairs outside the domain, then
+    applies `_involution_step`, the map itself. `involution_verify` calls
+    that step directly: its pairs come from `involution_domain`, whose
+    enumerators are trusted, and it runs `_domain_problem` once per pair,
+    on the image.
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
     problem = _domain_problem(n, k, pair)
     if problem is not None:
         raise ValueError(problem)
+    return _involution_step(n, k, pair)
+
+
+def _involution_step(n: int, k: int, pair: PlacementPair) -> PlacementPair:
+    """`involution` on a pair known to be in the (n, k) domain, without
+    testing membership. The image is built without validation;
+    `_domain_problem` checks it."""
     j = pair.j
     rook_entries = pair.rook.entries
     file_entries = pair.file.entries
@@ -609,10 +596,11 @@ def involution_verify(n: int, k: int) -> dict:
 
     Confirms: the map stays inside the domain, is a fixed-point-free
     involution, flips the sign, preserves the weight, and therefore the
-    signed weight sum over the domain vanishes. The domain is streamed, and
-    the map is applied again only to an image inside the domain. Weights
-    are compared as exponent triples, and the signed sum is kept as a
-    signed count per triple until the end.
+    signed weight sum over the domain vanishes. The domain is streamed and
+    its pairs are trusted, so the domain predicate runs once per pair, on
+    the image, and the map is applied again only to an image inside the
+    domain. Weights are compared as exponent triples, and the signed sum
+    is kept as a signed count per triple until the end.
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
@@ -622,19 +610,20 @@ def involution_verify(n: int, k: int) -> dict:
     for pair in involution_domain(n, k):
         per_j[pair.j] = per_j.get(pair.j, 0) + 1
         weight = pair.exponents()
-        signed[weight] = signed.get(weight, 0) + pair.sign()
-        image = involution(n, k, pair)
+        sign = pair.sign()
+        signed[weight] = signed.get(weight, 0) + sign
+        image = _involution_step(n, k, pair)
         inside = _domain_problem(n, k, image) is None
         problems = []
         if not inside:
             problems.append("image outside domain")
         if image == pair:
             problems.append("fixed point")
-        if image.sign() != -pair.sign():
+        if image.sign() != -sign:
             problems.append("sign not flipped")
         if image.exponents() != weight:
             problems.append("weight changed")
-        if inside and involution(n, k, image) != pair:
+        if inside and _involution_step(n, k, image) != pair:
             problems.append("not an involution")
         if problems:
             counterexamples.append({"pair": f"j={pair.j} {pair.rook};{pair.file}",

@@ -13,6 +13,7 @@ from fibrook.board import (
     RookPlacement,
     _cancellation_simulation,
     _entries_problem,
+    _rule_heights,
     aug_mixed_sum,
     enumerate_file_placements,
     enumerate_rook_placements,
@@ -22,7 +23,6 @@ from fibrook.board import (
     parse_placement,
     placement_count,
     rook_poly,
-    rook_tiling_heights,
     uncanceled_heights,
 )
 from fibrook.identities import all_ferrers_boards
@@ -52,6 +52,15 @@ def test_board_construction_and_parse():
 
 
 # cancellation ----------------------------------------------------------------
+
+
+def rook_tiling_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
+    """Uncanceled height of each chosen column at the moment it is tiled.
+
+    The closed rule that the enumerator draws rook tilings by: the s-th
+    chosen column i_s (1-based s) keeps b_{i_s - (s-1)} cells.
+    """
+    return _rule_heights(board.heights, tuple(chosen), RookPlacement.lag)
 
 
 def test_simulation_matches_closed_rule_exhaustively():
@@ -146,10 +155,11 @@ def _check_enumerator_contract(cls, enumerate_placements, count, boards, fam) ->
     listed = 0
     for board in boards:
         for k in range(board.n + 2):
-            got = enumerate_placements(board, fam, k)
-            assert len(got) == count(board, fam, k).eval_at(1, 1, 1)
+            view = enumerate_placements(board, fam, k)
+            got = list(view)  # each pass over the view draws the placements again
+            assert len(view) == len(got) == count(board, fam, k).eval_at(1, 1, 1)
             assert all(_entries_problem(board, pl.entries, cls.lag) is None for pl in got)
-            assert list(got) == [cls(board, pl.entries) for pl in got]
+            assert got == [cls(board, pl.entries) for pl in got]
             listed += len(got)
     return listed
 

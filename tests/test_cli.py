@@ -248,7 +248,7 @@ def test_verify_involution_single_pair(capsys):
 
 
 def test_verify_involution_failure_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(stirling, "involution", lambda n, k, pair: pair)
+    monkeypatch.setattr(stirling, "_involution_step", lambda n, k, pair: pair)
     code, out, _ = run(capsys, "verify", "involution", "--n", "4", "--k", "2")
     assert code == 1
     report = json.loads(out)["reports"][0]
@@ -536,6 +536,14 @@ def test_closed_pipe_on_stdout_is_a_usage_error_without_a_traceback():
         child.stdout.close()
         err = child.stderr.read().decode()
     assert (child.returncode, err) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [("sequences", "--all"), ("table", "Sf", "3")])
+def test_closed_stdout_is_a_usage_error_without_a_traceback(argv):
+    # with descriptor 1 closed when the interpreter starts, sys.stdout is None
+    done = subprocess.run(["sh", "-c", 'exec "$0" -m fibrook.cli "$@" >&-', sys.executable, *argv],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: Bad file descriptor\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,23 +7,21 @@ import pytest
 import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, parse_placement
 from fibrook.cli import main
-from fibrook.poly import P, Q, R, PQRPoly, XPoly
+from fibrook.poly import P, Q, R, PQRPoly, XPoly, xpoly_product
 from fibrook.stirling import (
     TRIANGLE_KINDS,
     PlacementPair,
     build_triangle,
     family_for_kind,
-    falling_factorial_basis,
     involution,
     involution_domain,
     involution_verify,
     matrix_inverse_check,
-    rising_factorial_basis,
     triangle_from_boards,
     triangle_image,
     verify_basis_expansions,
 )
-from fibrook.tiling import FIBONACCI, TRIBONACCI, weight_poly
+from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
 
 
 # triangles --------------------------------------------------------------------
@@ -198,6 +196,32 @@ def test_json_and_csv_views():
 # basis expansions ----------------------------------------------------------------
 
 
+def falling_factorial_basis(fam: TileFamily, k: int) -> XPoly:
+    """x (x - W_1) ... (x - W_{k-1}); the empty product 1 for k = 0.
+
+    A reference for the triangle rows: the basis check itself works on
+    Newton nodes and never builds a basis polynomial.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return XPoly.one()
+    factors = [(1, PQRPoly.zero())]
+    factors += [(-1, weight_poly(fam, i)) for i in range(1, k)]
+    return xpoly_product(factors)
+
+
+def rising_factorial_basis(fam: TileFamily, k: int) -> XPoly:
+    """x (x + W_1) ... (x + W_{k-1}); the empty product 1 for k = 0."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return XPoly.one()
+    factors = [(1, PQRPoly.zero())]
+    factors += [(1, weight_poly(fam, i)) for i in range(1, k)]
+    return xpoly_product(factors)
+
+
 def test_factorial_bases():
     up3 = rising_factorial_basis(FIBONACCI, 3)
     assert up3.coefficient(2) == Q + Q**2
@@ -370,13 +394,32 @@ def _recursive_involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
 
 
 def test_closed_form_matches_the_recursion_on_every_small_domain():
+    # the unchecked step that involution_verify applies is the public map
     checked = 0
     for n in range(2, 8):
         for k in range(1, n):
             for pair in involution_domain(n, k):
-                assert involution(n, k, pair) == _recursive_involution(n, k, pair)
+                image = involution(n, k, pair)
+                assert image == _recursive_involution(n, k, pair)
+                assert stirling._involution_step(n, k, pair) == image
                 checked += 1
     assert checked == 16062
+
+
+def test_involution_verify_tests_membership_once_per_pair(monkeypatch):
+    # the enumerated pairs are trusted; only each image is tested
+    real = stirling._domain_problem
+    calls = []
+
+    def counted(n: int, k: int, pair: PlacementPair) -> str | None:
+        calls.append(pair)
+        return real(n, k, pair)
+
+    monkeypatch.setattr(stirling, "_domain_problem", counted)
+    report = involution_verify(6, 2)
+    assert report["status"] == "PASS"
+    assert len(calls) == report["domain_size"] == 512
+    assert calls == [stirling._involution_step(6, 2, pair) for pair in involution_domain(6, 2)]
 
 
 def test_involution_base_case_swaps_the_two_pairs():
@@ -452,7 +495,7 @@ def _counterexamples(report: dict) -> dict[str, list[str]]:
 
 
 def test_involution_check_fails_on_the_identity(monkeypatch):
-    monkeypatch.setattr(stirling, "involution", lambda n, k, pair: pair)
+    monkeypatch.setattr(stirling, "_involution_step", lambda n, k, pair: pair)
     found = _counterexamples(involution_verify(4, 2))
     assert len(found) == 16
     assert all(problems == ["fixed point", "sign not flipped"] for problems in found.values())
@@ -462,10 +505,10 @@ def test_involution_check_fails_on_the_identity(monkeypatch):
 def test_involution_check_fails_on_a_map_that_does_not_map_back(monkeypatch):
     # a and b have the same sign and weight; exchanging their images keeps
     # every image in the domain, sign-flipped and weight-preserving
-    real = stirling.involution
+    real = stirling._involution_step
     a, b = _pair(4, 2, "2:1;4:1,1", ""), _pair(4, 4, "", "2:1;3:1,1")
     swap = {a: real(4, 2, b), b: real(4, 2, a)}
-    monkeypatch.setattr(stirling, "involution", lambda n, k, pair: swap.get(pair) or real(n, k, pair))
+    monkeypatch.setattr(stirling, "_involution_step", lambda n, k, pair: swap.get(pair) or real(n, k, pair))
     found = _counterexamples(involution_verify(4, 2))
     assert found == {
         "j=2 2:1;4:1,1;": ["not an involution"],
@@ -478,13 +521,13 @@ def test_involution_check_fails_on_a_map_that_does_not_map_back(monkeypatch):
 def test_involution_check_fails_on_an_image_outside_the_domain(monkeypatch):
     # images at j = n are sent to j = n + 1; the check reports them instead
     # of applying the map to a pair it is not defined on
-    real = stirling.involution
+    real = stirling._involution_step
 
     def leaky(n: int, k: int, pair: PlacementPair) -> PlacementPair:
         image = real(n, k, pair)
         return PlacementPair(n + 1, image.rook, image.file) if image.j == n else image
 
-    monkeypatch.setattr(stirling, "involution", leaky)
+    monkeypatch.setattr(stirling, "_involution_step", leaky)
     found = _counterexamples(involution_verify(4, 2))
     outside = {pair for pair, problems in found.items() if problems == ["image outside domain"]}
     assert outside == {
@@ -502,7 +545,7 @@ def test_involution_check_fails_on_an_image_outside_the_domain(monkeypatch):
 def test_involution_check_fails_on_a_mis_sized_image(monkeypatch, capsys):
     # each image's last file tiling moves one column right, built as the
     # involution builds its images: reported, not raised while being built
-    real = stirling.involution
+    real = stirling._involution_step
 
     def shifted(n: int, k: int, pair: PlacementPair) -> PlacementPair:
         image = real(n, k, pair)
@@ -512,7 +555,7 @@ def test_involution_check_fails_on_a_mis_sized_image(monkeypatch, capsys):
         moved = FilePlacement._trusted(image.file.board, (*kept, (col + 1, tiling)))
         return PlacementPair(image.j, image.rook, moved)
 
-    monkeypatch.setattr(stirling, "involution", shifted)
+    monkeypatch.setattr(stirling, "_involution_step", shifted)
     found = _counterexamples(involution_verify(5, 2))
     expected = {}
     for pair in involution_domain(5, 2):
