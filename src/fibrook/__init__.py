@@ -4,7 +4,7 @@ Everything is computed over Z[q, p, r] with arbitrary-precision integers;
 there is no floating point anywhere. The submodules build on each other:
 
     poly       sparse exact polynomials, q-analogues, polynomials in x or t
-    tiling     height-1/2/3 column tilings, weight polynomials, tree ranks
+    tiling     height-1/2/3 column tilings, weight polynomials, the Record base
     board      Ferrers boards, file and rook placements, product formulas
     stirling   connection-coefficient triangles, basis expansions, involution
     identities closed forms, coefficient formulas, sequences, log-concavity,

@@ -36,13 +36,13 @@ afresh, so a walk over every placement of a board holds one at a time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import ClassVar, Iterator
 
 from fibrook.poly import PQRPoly
 from fibrook.tiling import (
+    Record,
     TileFamily,
     Tiling,
     enumerate_tilings,
@@ -57,18 +57,17 @@ from fibrook.tiling import (
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class FerrersBoard:
+class FerrersBoard(Record):
     """Column heights, left to right. Non-Ferrers profiles are allowed but
     flagged; the rook model requires weakly increasing heights."""
 
-    heights: tuple[int, ...]
+    __slots__ = ("heights",)
 
-    def __post_init__(self) -> None:
-        hts = tuple(int(h) for h in self.heights)
+    def __init__(self, heights: tuple[int, ...]) -> None:
+        hts = tuple(int(h) for h in heights)
         if any(h < 0 for h in hts):
             raise ValueError("column heights must be nonnegative")
-        object.__setattr__(self, "heights", hts)
+        self._set(hts)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -194,8 +193,7 @@ def _entries_problem(
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class Placement:
+class Placement(Record):
     """k chosen columns, the s-th (s = 0, 1, ...) at column c tiled to the
     b_{c - lag*s} cells the cancellation rule leaves it.
 
@@ -210,25 +208,25 @@ class Placement:
     `str()` read the counts and text that each shared `Tiling` caches.
     """
 
-    board: FerrersBoard
-    entries: tuple[tuple[int, Tiling], ...]
+    __slots__ = ("board", "entries")
     lag: ClassVar[int]
 
-    def __post_init__(self) -> None:
+    def __init__(self, board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...]) -> None:
         if self.lag:
-            _require_ferrers(self.board, "a rook-style placement")
-        pairs = tuple((int(c), t) for c, t in self.entries)
-        problem = _entries_problem(self.board, pairs, self.lag)
+            _require_ferrers(board, "a rook-style placement")
+        pairs = tuple((int(c), t) for c, t in entries)
+        problem = _entries_problem(board, pairs, self.lag)
         if problem is not None:
             raise ValueError(problem)
-        object.__setattr__(self, "entries", pairs)
+        self._set(board, pairs)
 
     @classmethod
     def _trusted(cls, board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...]):
         """A placement from entries known to satisfy the rule; no checks."""
         pl = object.__new__(cls)
-        object.__setattr__(pl, "board", board)
-        object.__setattr__(pl, "entries", entries)
+        set_board, set_entries = cls._setters
+        set_board(pl, board)
+        set_entries(pl, entries)
         return pl
 
     @property

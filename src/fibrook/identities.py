@@ -24,7 +24,6 @@ command line only validates a request, calls it and formats the reports.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -38,7 +37,7 @@ from fibrook.stirling import (
     matrix_inverse_check,
     verify_basis_expansions,
 )
-from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, fibonacci_number, weight_poly
+from fibrook.tiling import FIBONACCI, TRIBONACCI, Record, TileFamily, fibonacci_number, weight_poly
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -333,20 +332,21 @@ def p_coefficient_sequence(entry: PQRPoly) -> list[int]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class SequenceFixture:
-    name: str
-    values: tuple[int, ...]
-    start_n: int
-    source: str
+class SequenceFixture(Record):
+    __slots__ = ("name", "values", "start_n", "source")
+
+    def __init__(self, name: str, values: tuple[int, ...], start_n: int, source: str) -> None:
+        self._set(name, values, start_n, source)
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    fixture: SequenceFixture
-    generated: tuple[int, ...]
-    status: str  # MATCH or MISMATCH
-    warn: str | None = None
+class SequenceReport(Record):
+    __slots__ = ("fixture", "generated", "status", "warn")
+
+    def __init__(
+        self, fixture: SequenceFixture, generated: tuple[int, ...], status: str,
+        warn: str | None = None,
+    ) -> None:
+        self._set(fixture, generated, status, warn)  # status is MATCH or MISMATCH
 
 
 def _read_fixture(filename: str) -> tuple[int, ...]:

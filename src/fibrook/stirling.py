@@ -44,7 +44,6 @@ boards, while both last columns are empty, unrolls to a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from fibrook.board import (
@@ -65,7 +64,7 @@ from fibrook.poly import (
     q_image_row,
     q_image_text,
 )
-from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
+from fibrook.tiling import FIBONACCI, TRIBONACCI, Record, TileFamily, weight_poly
 
 TRIANGLE_KINDS = ("cf", "sf", "Sf", "Lf", "cp", "sp", "Sp")
 
@@ -92,15 +91,16 @@ def family_for_kind(kind: str) -> TileFamily:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class CoeffTriangle:
+class CoeffTriangle(Record):
     """Rows 0..N of one coefficient family; row n holds entries k = 0..n,
     or k = 0..min(n, width) when the triangle was built to a column bound."""
 
-    kind: str
-    N: int
-    rows: tuple[tuple[PQRPoly, ...], ...]
-    width: int | None = None
+    __slots__ = ("kind", "N", "rows", "width")
+
+    def __init__(
+        self, kind: str, N: int, rows: tuple[tuple[PQRPoly, ...], ...], width: int | None = None
+    ) -> None:
+        self._set(kind, N, rows, width)
 
     def entry(self, n: int, k: int) -> PQRPoly:
         if n < 0 or n > self.N:
@@ -121,8 +121,7 @@ class TriangleImage:
     `{q_image_row(e_p, e_r): sum coeff * 2**(slot * e_q)}` of the unsigned
     entry (the cf/cp entry for sf/sp), which gets its sign back when it is
     printed. Every coefficient lies in [0, 2**slot), so an entry reads back
-    digit by digit. A plain class, not a dataclass: the CLI imports it on
-    every run, and a dataclass compiles its methods then.
+    digit by digit. A plain class, but not a `Record`: it is never compared.
     """
 
     def __init__(
@@ -464,15 +463,18 @@ def _max_degree(tri: CoeffTriangle) -> int:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True, slots=True)
-class PlacementPair:
+class PlacementPair(Record):
     """A term of sum_j Sf[n][j] sf[j][k]: a rook-style placement of n-j
     tilings on the n-staircase and a file placement of j-k tilings on the
     j-staircase, signed by (-1)^(j-k)."""
 
-    j: int
-    rook: RookPlacement
-    file: FilePlacement
+    __slots__ = ("j", "rook", "file")
+
+    def __init__(self, j: int, rook: RookPlacement, file: FilePlacement) -> None:
+        set_j, set_rook, set_file = self._setters  # unrolled: built up to 3 times per pair
+        set_j(self, j)
+        set_rook(self, rook)
+        set_file(self, file)
 
     def sign(self) -> int:
         return -1 if len(self.file.entries) % 2 else 1

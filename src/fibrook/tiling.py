@@ -7,17 +7,13 @@ height n are counted by the Fibonacci number F_n, and the weight sum
 satisfies W_n = q W_{n-1} + p W_{n-2}; allowing height 3 as well gives
 tribonacci counts and the three-term analogue of the recursion.
 
-Reading the height-{1,2} tilings of a fixed height as root-to-leaf paths of
-a plane binary tree (top tile first; height 1 = left branch, height 2 =
-right branch) orders them left to right; `tree_rank` computes a tiling's
-position in that order without building the tree, and the rank generating
-function is the q-analogue [F_n]_q.
+`Record` is the immutable base of every record class in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from fibrook.poly import PQRPoly
 
@@ -45,21 +41,67 @@ def fibonacci_number(n: int) -> int:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class TileFamily:
+class Record:
+    """An immutable record, compared and hashed by its fields: the public
+    names of its `__slots__`, in order (underscored slots hold derived values).
+    Like a frozen dataclass, it equals only a record of its class with equal
+    fields, prints as `Name(field=value, ...)` and refuses assignment and
+    deletion. Unlike one, it imports no `inspect` and compiles no methods per
+    class, which every command would pay; its key is one C-level `attrgetter`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _setters: tuple = ()  # each slot's own `__set__`, faster than object.__setattr__
+
+    def __init_subclass__(cls) -> None:
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(name for name in slots if name[0] != "_")
+        cls._setters += tuple(cls.__dict__[name].__set__ for name in slots)
+        cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values) -> None:  # every slot, in order; for __init__ only
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # a copy is rebuilt by __init__, with its checks and caches
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class TileFamily(Record):
     """The set of tile heights a tiling may use; must contain height 1."""
 
-    heights: tuple[int, ...]
+    __slots__ = ("heights",)
 
-    def __post_init__(self) -> None:
-        hts = tuple(self.heights)
+    def __init__(self, heights: tuple[int, ...]) -> None:
+        hts = tuple(heights)
         if hts != tuple(sorted(set(hts))):
             raise ValueError("tile heights must be strictly increasing and distinct")
         if 1 not in hts:
             raise ValueError("a tile family must contain height 1")
         if any(h not in _ALLOWED_HEIGHTS for h in hts):
             raise ValueError("tile heights must be drawn from {1, 2, 3}")
-        object.__setattr__(self, "heights", hts)
+        self._set(hts)
 
     @property
     def label(self) -> str:
@@ -70,28 +112,22 @@ FIBONACCI = TileFamily((1, 2))
 TRIBONACCI = TileFamily((1, 2, 3))
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(Record):
     """A stack of tiles listed bottom to top; the bottom tile has height 1."""
 
-    tiles: tuple[int, ...]
+    # tilings are shared cached objects, so each is counted, summed and joined once
+    __slots__ = ("tiles", "_counts", "_height", "_text")
 
-    def __post_init__(self) -> None:
-        tiles = tuple(self.tiles)
+    def __init__(self, tiles: tuple[int, ...]) -> None:
+        tiles = tuple(tiles)
         if not tiles:
             raise ValueError("a tiling has at least one tile")
         if tiles[0] != 1:
             raise ValueError("the bottom tile must have height 1")
         if any(h not in _ALLOWED_HEIGHTS for h in tiles):
             raise ValueError("tile heights must be drawn from {1, 2, 3}")
-        object.__setattr__(self, "tiles", tiles)
-        # not fields, so equality and hashing still see the tiles only;
-        # tilings are shared cached objects, so each is summed and joined once
-        object.__setattr__(
-            self, "_counts", (tiles.count(1), tiles.count(2), tiles.count(3))
-        )
-        object.__setattr__(self, "_height", sum(tiles))
-        object.__setattr__(self, "_text", ",".join(str(h) for h in tiles))
+        counts = (tiles.count(1), tiles.count(2), tiles.count(3))
+        self._set(tiles, counts, sum(tiles), ",".join(str(h) for h in tiles))
 
     @property
     def height(self) -> int:
@@ -214,40 +250,3 @@ def tiling_count(fam: TileFamily, n: int, limit: int | None = None) -> int:
         del window[0]
     count = window[-1] if n else 0
     return count if limit is None else min(count, limit)
-
-
-# ──────────────────────────────────────────────────────────────────────────
-# tree ranks for the {1, 2} family
-# ──────────────────────────────────────────────────────────────────────────
-
-
-def tree_rank(t: Tiling) -> int:
-    """Position of a {1,2}-tiling among all tilings of its height.
-
-    The tilings of height n are the leaves of a plane tree: follow the tiles
-    top to bottom, branching left on a height-1 tile and right on a height-2
-    tile. Every right branch at remaining height m skips the whole left
-    subtree, which holds F_{m-1} leaves (the completions starting with a
-    height-1 tile), so the leaf index is the sum of F_{m-1} over the
-    height-2 tiles.
-    """
-    if any(h == 3 for h in t.tiles):
-        raise ValueError("tree_rank is defined for height-{1,2} tilings only")
-    rank = 0
-    remaining = t.height
-    for h in reversed(t.tiles):  # top to bottom
-        if h == 2:
-            rank += fibonacci_number(remaining - 1)
-        remaining -= h
-    return rank
-
-
-def rank_generating_poly(n: int) -> PQRPoly:
-    """Sum of q^rank over all {1,2}-tilings of height n; equals [F_n]_q."""
-    if n < 1:
-        return PQRPoly.zero()
-    out: dict[tuple[int, int, int], int] = {}
-    for t in enumerate_tilings(FIBONACCI, n):
-        key = (tree_rank(t), 0, 0)
-        out[key] = out.get(key, 0) + 1
-    return PQRPoly(out)

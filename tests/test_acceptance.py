@@ -34,11 +34,10 @@ from fibrook.tiling import (
     TRIBONACCI,
     enumerate_tilings,
     fibonacci_number,
-    rank_generating_poly,
     tiling_weight_sum,
-    tree_rank,
     weight_poly,
 )
+from test_tiling import rank_generating_poly, tree_rank
 
 
 def _boards() -> list[FerrersBoard]:

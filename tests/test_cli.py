@@ -561,6 +561,25 @@ def test_table_and_enumerate_do_not_import_the_identities(argv):
     assert done.stdout == "0 False\n"
 
 
+@pytest.mark.parametrize("argv", [
+    (),
+    ("table", "Sf", "3"),
+    ("enumerate", "F(1,2,3)", "--k", "2"),
+    ("verify", "all", "--N", "3"),
+])
+def test_startup_and_commands_do_not_import_dataclasses(argv):
+    # every command compiles the package in a fresh interpreter; `dataclasses`
+    # would import `inspect` (and `ast`, `dis`, `tokenize`) on each start
+    run_it = f"main({list(argv)!r} + ['--out', {os.devnull!r}])" if argv else "0"
+    probe = (
+        f"import sys; from fibrook.cli import main; code = {run_it}; "
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "0 []\n"
+
+
 def test_out_to_a_device_writes_in_place(capsys):
     code, out, _ = run(capsys, "table", "cf", "3", "--out", os.devnull)
     assert code == 0

@@ -225,6 +225,20 @@ def test_check_sequences_warns_but_passes():
     assert len(report["warnings"]) == 1
 
 
+def test_check_sequences_catches_a_wrong_generator(monkeypatch):
+    # A086602 is 2, 12, 39, 95, ... from n = 5; the generator is made one off at n = 7
+    fn, *rest = identities._SEQUENCES["A086602"]
+    monkeypatch.setitem(identities._SEQUENCES, "A086602",
+                        (lambda n: fn(n) + (n == 7), *rest))
+    report = check_sequences()
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"name": "A086602", "generated": [2, 12, 40, 95, 195, 357, 602, 954],
+         "fixture": [2, 12, 39, 95, 195, 357, 602, 954]}
+    ]
+    assert [w["name"] for w in report["warnings"]] == ["A006002"]
+
+
 def test_check_log_concavity_small():
     report = check_log_concavity(sf_N=12, sf_kmax=4, empirical_N=10, empirical_kmax=6, cf_N=10)
     assert report["status"] in ("PASS", "WARN")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fibrook.poly import Q, q_int
+from fibrook.poly import PQRPoly, Q, q_int
 from fibrook.tiling import (
     FIBONACCI,
     TRIBONACCI,
@@ -11,10 +11,8 @@ from fibrook.tiling import (
     enumerate_tilings,
     fibonacci_number,
     parse_tiling,
-    rank_generating_poly,
     tiling_count,
     tiling_weight_sum,
-    tree_rank,
     weight_poly,
 )
 
@@ -144,6 +142,45 @@ def test_all_height_one_tiling_contributes_q_to_the_n(fam: TileFamily):
 
 
 # tree ranks ------------------------------------------------------------------
+#
+# Reading the height-{1,2} tilings of a fixed height as root-to-leaf paths of a
+# plane binary tree (top tile first; height 1 = left branch, height 2 = right
+# branch) orders them left to right. `tree_rank` computes a tiling's position in
+# that order without building the tree, and the rank generating function is the
+# q-analogue [F_n]_q (acceptance criterion 13). The library has no caller for
+# either, so they live here, checked against the lexicographic oracle below.
+
+
+def tree_rank(t: Tiling) -> int:
+    """Position of a {1,2}-tiling among all tilings of its height.
+
+    The tilings of height n are the leaves of a plane tree: follow the tiles
+    top to bottom, branching left on a height-1 tile and right on a height-2
+    tile. Every right branch at remaining height m skips the whole left
+    subtree, which holds F_{m-1} leaves (the completions starting with a
+    height-1 tile), so the leaf index is the sum of F_{m-1} over the
+    height-2 tiles.
+    """
+    if any(h == 3 for h in t.tiles):
+        raise ValueError("tree_rank is defined for height-{1,2} tilings only")
+    rank = 0
+    remaining = t.height
+    for h in reversed(t.tiles):  # top to bottom
+        if h == 2:
+            rank += fibonacci_number(remaining - 1)
+        remaining -= h
+    return rank
+
+
+def rank_generating_poly(n: int) -> PQRPoly:
+    """Sum of q^rank over all {1,2}-tilings of height n; equals [F_n]_q."""
+    if n < 1:
+        return PQRPoly.zero()
+    out: dict[tuple[int, int, int], int] = {}
+    for t in enumerate_tilings(FIBONACCI, n):
+        key = (tree_rank(t), 0, 0)
+        out[key] = out.get(key, 0) + 1
+    return PQRPoly(out)
 
 
 def _rank_oracle(n: int) -> dict[Tiling, int]:

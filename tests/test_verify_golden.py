@@ -1,0 +1,26 @@
+"""Golden digests of `fibrook verify` reports.
+
+The digests pin stdout byte for byte: every report's check name, range,
+status, counts, signed sums and warnings, in registry order. They cover
+every suite at N = 5, the identity suite at its default sizes and the
+inverse check at N = 13. All three run in about a second.
+"""
+
+import hashlib
+
+import pytest
+
+from fibrook.cli import main
+
+GOLDEN = [
+    (("all", "--N", "5"), 4813, "0e880dec5d2e81f66c7859780af90e0c9fed02614d45e75f853779d184922df8"),
+    (("identities",), 1459, "c0e863c0ad817a56ff1b06e5c5e501693bd4988d2c571dcf6598e5058fa6b096"),
+    (("inverse", "--N", "13"), 610, "b0475516b4eff311c56e418dc616bf4139a2b75d115ace17d7155eb958215b4d"),
+]
+
+
+@pytest.mark.parametrize("args,nbytes,sha256", GOLDEN)
+def test_verify_output_is_pinned(capsys, args, nbytes, sha256):
+    assert main(["verify", *args]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (nbytes, sha256)
