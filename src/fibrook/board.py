@@ -11,9 +11,9 @@ right the top b_{j-(s-1)} - b_{j-s} cells (original heights, 1-based), so
 each tiling it meets later is shorter. The bookkeeping has a closed form
 on Ferrers boards: the s-th tiled column i_s has exactly b_{i_s-(s-1)}
 uncanceled cells, and the untiled columns keep the k smallest heights
-b_1, ..., b_{n-k} in left-to-right order. `uncanceled_heights` runs the
-literal per-cell simulation; the closed rule feeds everything else, and
-the tests assert they agree.
+b_1, ..., b_{n-k} in left-to-right order. The closed rule feeds
+everything here; the tests run the literal per-cell simulation and
+assert that the two agree.
 
 Both models are one placement model whose parameter is the cancellation
 rule `lag`: the s-th tiled column (s = 0, 1, ...) at column c gets
@@ -117,46 +117,6 @@ def _require_ferrers(board: FerrersBoard, what: str) -> None:
         raise ValueError(f"{what} needs weakly increasing heights, got {board}")
 
 
-def _check_columns(board: FerrersBoard, chosen) -> tuple[int, ...]:
-    cols = tuple(chosen)
-    if list(cols) != sorted(set(cols)):
-        raise ValueError("chosen columns must be strictly increasing")
-    if cols and (cols[0] < 1 or cols[-1] > board.n):
-        raise ValueError(f"chosen columns out of range for {board}")
-    return cols
-
-
-def _cancellation_simulation(
-    board: FerrersBoard, cols: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # literal per-cell bookkeeping; returns (tiling heights, untiled heights)
-    b = board.heights
-    n = board.n
-    remaining = list(b)
-    tiled_heights = []
-    for s, col in enumerate(cols):  # s tilings already placed to the left
-        tiled_heights.append(remaining[col - 1])
-        for j in range(col + 1, n + 1):
-            cut = b[j - s - 1] - b[j - s - 2]
-            remaining[j - 1] -= cut
-            if remaining[j - 1] < 0:
-                raise AssertionError("cancellation removed more cells than a column has")
-    chosen_set = set(cols)
-    untiled = tuple(remaining[c - 1] for c in range(1, n + 1) if c not in chosen_set)
-    return tuple(tiled_heights), untiled
-
-
-def uncanceled_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
-    """Heights left in the untiled columns once every tiling has canceled.
-
-    Runs the per-cell simulation. On a Ferrers board the result is always
-    the |chosen| smallest board heights, in left-to-right order.
-    """
-    _require_ferrers(board, "cancellation")
-    cols = _check_columns(board, chosen)
-    return _cancellation_simulation(board, cols)[1]
-
-
 def _rule_heights(heights: tuple[int, ...], cols, lag: int) -> tuple[int, ...]:
     """Cells of each chosen column (1-based, ascending) under the rule `lag`."""
     return tuple(heights[col - 1 - lag * s] for s, col in enumerate(cols))
@@ -204,11 +164,17 @@ class Placement(Record):
     picks every tiling from the pool of the height the rule gives, and the
     contract tests pin it. So `stirling.involution_verify` does not check
     the pairs it draws; it runs its domain predicate, which runs the same
-    validator, once per pair, on the involution image. `exponents()` and
-    `str()` read the counts and text that each shared `Tiling` caches.
+    validator, once per pair, on the involution image.
+
+    `_text` and `_exps`, derived like `Tiling`'s underscored slots and
+    outside equality, hashing and `repr`, hold the text and weight
+    exponents that a `PlacementView` folds column by column; `str()` and
+    `exponents()` return them. A placement built any other way has None
+    there, and both derive their value from the entries and the counts and
+    text that each shared `Tiling` caches.
     """
 
-    __slots__ = ("board", "entries")
+    __slots__ = ("board", "entries", "_text", "_exps")
     lag: ClassVar[int]
 
     def __init__(self, board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...]) -> None:
@@ -218,15 +184,25 @@ class Placement(Record):
         problem = _entries_problem(board, pairs, self.lag)
         if problem is not None:
             raise ValueError(problem)
-        self._set(board, pairs)
+        self._set(board, pairs, None, None)
 
     @classmethod
-    def _trusted(cls, board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...]):
-        """A placement from entries known to satisfy the rule; no checks."""
+    def _trusted(
+        cls,
+        board: FerrersBoard,
+        entries: tuple[tuple[int, Tiling], ...],
+        text: str | None = None,
+        exps: tuple[int, int, int] | None = None,
+    ):
+        """A placement from entries known to satisfy the rule; no checks.
+        `text` and `exps`, when given, must be what `str()` and
+        `exponents()` would derive from the entries."""
         pl = object.__new__(cls)
-        set_board, set_entries = cls._setters
+        set_board, set_entries, set_text, set_exps = cls._setters
         set_board(pl, board)
         set_entries(pl, entries)
+        set_text(pl, text)
+        set_exps(pl, exps)
         return pl
 
     @property
@@ -235,6 +211,8 @@ class Placement(Record):
 
     def exponents(self) -> tuple[int, int, int]:
         """(e_q, e_p, e_r) of the weight: the tiles of each height, summed."""
+        if self._exps is not None:
+            return self._exps
         ones = twos = threes = 0
         for _, t in self.entries:
             a, b, c = t._counts
@@ -247,6 +225,8 @@ class Placement(Record):
         return PQRPoly.term(1, *self.exponents())
 
     def __str__(self) -> str:
+        if self._text is not None:
+            return self._text
         return ";".join([f"{c}:{t._text}" for c, t in self.entries])
 
 
@@ -289,6 +269,13 @@ class PlacementView:
     order (column subsets in ascending order, tilings lexicographic), so a
     caller that does not keep them holds one at a time; `list(view)` holds
     them all.
+
+    The placements of one column subset share all but their last column,
+    so each subset is folded once: each chosen column's tilings become
+    (entry, text, counts) fragments, and each head (one tiling per leading
+    column, drawn lazily, so one is held at a time) is joined into an
+    entries prefix, a text prefix and an exponent sum. Each placement adds
+    its last fragment to these and keeps the text and sum in its slots.
     """
 
     __slots__ = ("board", "fam", "k", "model")
@@ -311,13 +298,25 @@ class PlacementView:
             return
         cls = _MODELS[self.model]
         build = cls._trusted
+        if k == 0:
+            yield build(board, (), "", (0, 0, 0))
+            return
         for combo in combinations(range(1, board.n + 1), k):
             hts = _rule_heights(board.heights, combo, cls.lag)
             if 0 in hts:
                 continue
-            pools = [enumerate_tilings(fam, h) for h in hts]
-            for choice in product(*pools):
-                yield build(board, tuple(zip(combo, choice)))
+            *heads, last = [
+                [((col, t), f"{col}:{t._text}", t._counts) for t in enumerate_tilings(fam, h)]
+                for col, h in zip(combo, hts)
+            ]
+            for head in product(*heads):
+                entries = tuple([entry for entry, _, _ in head])
+                text = "".join([piece + ";" for _, piece, _ in head])
+                ones, twos, threes = map(sum, zip((0, 0, 0), *[cts for _, _, cts in head]))
+                for entry, piece, (a, b, c) in last:
+                    yield build(
+                        board, entries + (entry,), text + piece, (ones + a, twos + b, threes + c)
+                    )
 
 
 def enumerate_file_placements(board: FerrersBoard, fam: TileFamily, k: int) -> PlacementView:

@@ -1,6 +1,8 @@
 """Boards, cancellation, placements, and the placement polynomials."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -10,9 +12,10 @@ import fibrook.identities as identities
 from fibrook.board import (
     FerrersBoard,
     FilePlacement,
+    PlacementView,
     RookPlacement,
-    _cancellation_simulation,
     _entries_problem,
+    _require_ferrers,
     _rule_heights,
     aug_mixed_sum,
     enumerate_file_placements,
@@ -23,7 +26,6 @@ from fibrook.board import (
     parse_placement,
     placement_count,
     rook_poly,
-    uncanceled_heights,
 )
 from fibrook.identities import all_ferrers_boards
 from fibrook.poly import P, Q, PQRPoly
@@ -52,6 +54,47 @@ def test_board_construction_and_parse():
 
 
 # cancellation ----------------------------------------------------------------
+
+
+def _check_columns(board: FerrersBoard, chosen) -> tuple[int, ...]:
+    cols = tuple(chosen)
+    if list(cols) != sorted(set(cols)):
+        raise ValueError("chosen columns must be strictly increasing")
+    if cols and (cols[0] < 1 or cols[-1] > board.n):
+        raise ValueError(f"chosen columns out of range for {board}")
+    return cols
+
+
+def _cancellation_simulation(
+    board: FerrersBoard, cols: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # literal per-cell bookkeeping; returns (tiling heights, untiled heights)
+    b = board.heights
+    n = board.n
+    remaining = list(b)
+    tiled_heights = []
+    for s, col in enumerate(cols):  # s tilings already placed to the left
+        tiled_heights.append(remaining[col - 1])
+        for j in range(col + 1, n + 1):
+            cut = b[j - s - 1] - b[j - s - 2]
+            remaining[j - 1] -= cut
+            if remaining[j - 1] < 0:
+                raise AssertionError("cancellation removed more cells than a column has")
+    chosen_set = set(cols)
+    untiled = tuple(remaining[c - 1] for c in range(1, n + 1) if c not in chosen_set)
+    return tuple(tiled_heights), untiled
+
+
+def uncanceled_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
+    """Heights left in the untiled columns once every tiling has canceled.
+
+    The literal per-cell simulation, the reference that the closed rule of
+    `fibrook.board` is checked against. On a Ferrers board the result is
+    always the n - |chosen| smallest board heights, in left-to-right order.
+    """
+    _require_ferrers(board, "cancellation")
+    cols = _check_columns(board, chosen)
+    return _cancellation_simulation(board, cols)[1]
 
 
 def rook_tiling_heights(board: FerrersBoard, chosen) -> tuple[int, ...]:
@@ -214,6 +257,28 @@ def test_placement_view_is_sized_and_drawn_afresh(model, enumerate_placements, f
             first = list(view)
             assert len(view) == len(first) == placement_count(board, fam, k, model)
             assert list(view) == first
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
+@pytest.mark.parametrize("model", ["file", "rook"])
+def test_folded_text_and_exponents_match_the_derived_ones(model, fam):
+    # the view folds each placement's text and exponents column by column;
+    # a parsed placement is validated and derives both from its entries
+    boards = list(all_ferrers_boards(4, 4))
+    if model == "file":
+        boards += [FerrersBoard((3, 1, 2)), FerrersBoard((2, 0, 5, 1))]
+    for board in boards:
+        for k in range(board.n + 2):
+            for pl in PlacementView(board, fam, k, model):
+                assert pl._text is not None and pl._exps is not None
+                text = str(pl)
+                parsed = parse_placement(board, text, model)
+                assert parsed._text is None and parsed._exps is None
+                assert text == str(parsed)
+                assert pl.exponents() == parsed.exponents()
+                assert pl == parsed and hash(pl) == hash(parsed)
+                for twin in (copy.copy(pl), pickle.loads(pickle.dumps(pl))):
+                    assert twin == pl and str(twin) == text
 
 
 def test_rook_enumeration_on_small_staircase():

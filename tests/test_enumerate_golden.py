@@ -2,8 +2,10 @@
 
 The digests pin stdout byte for byte: the placements, their order, their
 weights and the total. The boards cover a zero-height column, a staircase,
-a non-Ferrers file board and the tribonacci family; the k = 0 and
-k > columns rows pin the one empty placement and the empty list.
+a non-Ferrers file board and the tribonacci family; the rows with k of
+3 to 5 have two or more leading columns before the last one, including a
+board whose every column is tiled; the k = 0 and k > columns rows pin
+the one empty placement and the empty list.
 """
 
 import hashlib
@@ -25,6 +27,12 @@ GOLDEN = [
     ("F(3,1,2)", 2, "fib", "file", "json", 489, "b3046cf9bb948ddc3e7e79c918f3504b49c232ac43f3a345ff8d87bcc6d916e6"),
     ("F(1,2,3,4)", 2, "trib", "file", "text", 544, "1b4d6b25396f460675af3d8f03ee69dca1e3065b75bcb0e10d3f85a4d8ce1859"),
     ("F(1,2,3,4)", 2, "trib", "rook", "text", 274, "0dd62266d16d6f45c38586154566931f1582c508f87e9366782c2c558f5ee288"),
+    # k >= 3: placements whose leading columns hold two or more tilings
+    ("F(1,2,3,4,5,6,7)", 4, "fib", "rook", "text", 16861, "36a7459aa12969c225adee5217adab512d817c10678641d9fb438920d076b195"),
+    ("F(1,2,3,4,5,6,7)", 4, "fib", "rook", "json", 38968, "712f28b34b50ede0a71e9a54f50623e2954c819837c242332e24e5b23dc7a0a7"),
+    ("F(0,1,2,3,4,5,6)", 3, "trib", "rook", "text", 6475, "4dc79f678dcd1785c18b7e7e1e4ad407b4559b4e2b18794ce141ec87a400e6ce"),
+    ("F(2,3,3,4,5)", 5, "trib", "file", "text", 5517, "dc3ae1c000c02eeb6a7f058c14b95adc148d9ffc7f13622ffaca468c6e3c660e"),
+    ("F(3,1,4,2,5)", 3, "fib", "file", "text", 3419, "75b2d9babd5ddc5fa890894ae6f20407326b65ce81e2a5cd5713020fceefdd01"),
     # k = 0: the one empty placement, total 1
     ("F(0,2,2,3)", 0, "fib", "file", "text", 20, "243642a7267084490f036c6b2c817b350e1ff185a394dc2c584c83e0e6cf9076"),
     ("F(0,2,2,3)", 0, "fib", "file", "json", 170, "0f9c31d8f78f4d8b1017f2c01f2c794615fb80460728a99a1badb5bf9bfee4da"),
