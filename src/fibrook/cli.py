@@ -12,19 +12,20 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, which
 includes a request past the packed-exponent limit, an --out path that
-cannot be written, a failed write to stdout and a stdout closed at
-start. Warn-level
-findings exit 0 unless --strict. Output is deterministic for a fixed
-command line; no timings are printed. Triangles are capped at N <= 40 and
-enumeration-backed commands at n <= 9: `enumerate` takes --force, and the
-involution suite refuses a larger --n (or --N) outright. The env var
-FIBROOK_MAX_N replaces both caps. `enumerate` also refuses a request of
-more than PLACEMENT_MAX placements, counted exactly before listing any;
---force lifts that cap too. `verify` accepts --n/--k only for the
-involution and all suites. `table` and `enumerate` write their output
-row by row, as it is rendered, to stdout or to the --out file. Only
-`verify`, `series` and `sequences` import `fibrook.identities`, and only
-JSON output imports `json`.
+cannot be written, a failed write to stdout and a stdout closed at start.
+Warn-level findings exit 0 unless --strict. Output is deterministic for a
+fixed command line; no timings are printed. Triangles are capped at
+N <= 40 and enumeration-backed commands at n <= 9; `table`, `series` and
+`enumerate` take --force. `verify` refuses outright a suite past its cap:
+recursion-vs-enumeration, products and involution (--N or --n) past the
+enumeration cap, inverse and identities past the triangle cap, and all
+past either. The env var FIBROOK_MAX_N replaces both caps. `enumerate`
+also refuses a request of more than PLACEMENT_MAX placements, counted
+exactly before listing any; --force lifts that cap too. `verify` accepts
+--n/--k only for the involution and all suites. `table` and `enumerate`
+write their output row by row, as it is rendered, to stdout or to the
+--out file. Only `verify`, `series` and `sequences` import
+`fibrook.identities`, and only JSON output imports `json`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fibrook.board import (
     placement_count,
 )
 from fibrook.poly import PQRPoly
-from fibrook.stirling import TRIANGLE_KINDS, TriangleImage, triangle_image
+from fibrook.stirling import TRIANGLE_KINDS, TriangleImage, triangle_image, verdict
 from fibrook.tiling import FIBONACCI, TRIBONACCI
 
 _FAMILIES = {"fib": FIBONACCI, "trib": TRIBONACCI}
@@ -246,24 +247,32 @@ def _csv_chunks(tri: TriangleImage) -> Iterator[str]:
 
 def _verify_refusal(args: argparse.Namespace) -> str | None:
     """Why `args` is not a runnable verify request (a usage error), or None."""
-    from fibrook.identities import SUITES, involution_top
+    from fibrook.identities import SUITE_SIZES, SUITES
 
     suite = args.name
     if suite not in SUITES:
         return f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
     if args.N is not None and args.N < 0:
         return "N must be >= 0"
-    if suite in ("involution", "all"):
+    runs = tuple(SUITE_SIZES) if suite == "all" else (suite,)
+    if "involution" in runs:
         if (args.n is None) != (args.k is None):
             return "involution needs both --n and --k (or neither)"
-        top = involution_top(args.N, args.n)
-        if top > args.enum_max:
-            return (
-                f"involution n={top} exceeds the enumeration cap {args.enum_max}; "
-                "set FIBROOK_MAX_N to change the cap"
-            )
     elif args.n is not None or args.k is not None:
         return f"--n and --k select an involution domain; suite {suite} takes neither"
+    caps = {"enumeration": args.enum_max, "triangle": args.triangle_max}
+    # the involution first: past the enumeration cap it is the costliest suite
+    for name in sorted(runs, key=lambda s: s != "involution"):
+        top, cap = SUITE_SIZES[name]
+        if args.N is not None:
+            top = args.N
+        if name == "involution" and args.n is not None:
+            top = args.n
+        if top is not None and top > caps[cap]:
+            return (
+                f"{name} n={top} exceeds the {cap} cap {caps[cap]}; "
+                "set FIBROOK_MAX_N to change the cap"
+            )
     return None
 
 
@@ -299,9 +308,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.fmt == "summary":
             _write_all(handle, [_summary(reports, failed, warned), "\n"])
         else:
-            overall = "FAIL" if failed else ("WARN" if warned else "PASS")
-            report = {"suite": args.name, "status": overall, "reports": reports}
-            _write_all(handle, _json_chunks(report.items()))
+            suite = {"suite": args.name, "status": verdict(failed, warned), "reports": reports}
+            _write_all(handle, _json_chunks(suite.items()))
     return 1 if failed or (warned and args.strict) else 0
 
 

@@ -8,7 +8,7 @@ polynomials (recursion and enumeration) and the product identities they
 satisfy. Everything else is a prediction about the triangles of
 `fibrook.stirling`: the triangle recursion is the source of truth, and the
 formulas are evaluated independently and compared entrywise. Every check
-returns a JSON-ready report dict {check, range, status, counterexamples}.
+returns a JSON-ready report dict built by `fibrook.stirling.report`.
 
 Covered: the generating function for a fixed column of the Sf triangle,
 the small-column closed forms, the p^0 and p^1 coefficient extractions,
@@ -35,6 +35,7 @@ from fibrook.stirling import (
     build_triangle,
     involution_verify,
     matrix_inverse_check,
+    report,
     verify_basis_expansions,
 )
 from fibrook.tiling import FIBONACCI, TRIBONACCI, Record, TileFamily, fibonacci_number, weight_poly
@@ -426,12 +427,7 @@ def check_series_columns(N: int = 12, kmax: int | None = None) -> dict:
             got = series.coefficient(n)
             if got != want:
                 bad.append({"n": n, "k": k, "series": str(got), "triangle": str(want)})
-    return {
-        "check": "sf-column-series",
-        "range": f"k<={kmax}, order {N}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    return report("sf-column-series", f"k<={kmax}, order {N}", bad)
 
 
 def check_closed_forms(N: int = 20) -> dict:
@@ -451,12 +447,7 @@ def check_closed_forms(N: int = 20) -> dict:
         for label, got, want in cases:
             if got != want:
                 bad.append({"form": label, "n": n, "triangle": str(got), "formula": str(want)})
-    return {
-        "check": "closed-forms",
-        "range": f"n<={N}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    return report("closed-forms", f"n<={N}", bad)
 
 
 # the sf-p check runs at most at this size, and fibonomials at least at this one
@@ -480,12 +471,7 @@ def check_sf_p_coefficients(N: int = SF_P_MAX_N) -> dict:
             got = sf_p_coefficient_formula(n, k, 1)
             if got != want:
                 bad.append({"n": n, "k": k, "s": 1, "formula": str(got), "triangle": str(want)})
-    return {
-        "check": "sf-p-coefficients",
-        "range": f"s=0: k<=n<={N}; s=1: 3<=k<n<={N}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    return report("sf-p-coefficients", f"s=0: k<=n<={N}; s=1: 3<=k<n<={N}", bad)
 
 
 def check_q1_specializations(N: int = 20) -> dict:
@@ -511,12 +497,8 @@ def check_q1_specializations(N: int = 20) -> dict:
             got = sf_q1_coefficient(n, k, 1)
             if got != have:
                 bad.append({"n": n, "k": k, "s": 1, "formula": got, "triangle": have})
-    return {
-        "check": "sf-q1-specializations",
-        "range": f"k in 3..5, n<={N}; single-p product for 3<=k<n<={n_single}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    scope = f"k in 3..5, n<={N}; single-p product for 3<=k<n<={n_single}"
+    return report("sf-q1-specializations", scope, bad)
 
 
 def check_cf_columns(N: int = 20) -> dict:
@@ -541,12 +523,7 @@ def check_cf_columns(N: int = 20) -> dict:
             if got_int != want_int:
                 bad.append({"col": 2, "n": n, "s": 1, "at_q1": True,
                             "formula": got_int, "triangle": want_int})
-    return {
-        "check": "cf-column-coefficients",
-        "range": f"n<={N}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    return report("cf-column-coefficients", f"n<={N}", bad)
 
 
 def check_fibonomials(N: int = FIBONOMIAL_MIN_N) -> dict:
@@ -562,12 +539,7 @@ def check_fibonomials(N: int = FIBONOMIAL_MIN_N) -> dict:
                 bad.append({"n": n, "k": k, "value": value, "problem": "not positive"})
             if value != fibonomial(n, n - k):
                 bad.append({"n": n, "k": k, "problem": "not symmetric"})
-    return {
-        "check": "fibonomials",
-        "range": f"n<={N}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    return report("fibonomials", f"n<={N}", bad)
 
 
 def check_sequences() -> dict:
@@ -576,20 +548,13 @@ def check_sequences() -> dict:
     bad = []
     warnings = []
     for name in SEQUENCE_NAMES:
-        report = sequence_export(name)
-        if report.status != "MATCH":
-            bad.append({"name": name, "generated": list(report.generated),
-                        "fixture": list(report.fixture.values)})
-        if report.warn:
-            warnings.append({"name": name, "note": report.warn})
-    status = "FAIL" if bad else ("WARN" if warnings else "PASS")
-    return {
-        "check": "sequences",
-        "range": ", ".join(SEQUENCE_NAMES),
-        "status": status,
-        "counterexamples": bad,
-        "warnings": warnings,
-    }
+        exported = sequence_export(name)
+        if exported.status != "MATCH":
+            bad.append({"name": name, "generated": list(exported.generated),
+                        "fixture": list(exported.fixture.values)})
+        if exported.warn:
+            warnings.append({"name": name, "note": exported.warn})
+    return report("sequences", ", ".join(SEQUENCE_NAMES), bad, warnings)
 
 
 def check_log_concavity(
@@ -620,17 +585,9 @@ def check_log_concavity(
         seq = p_coefficient_sequence(cf_tri.entry(n, 1))
         if not log_concave(seq):
             bad.append({"kind": "cf", "n": n, "k": 1, "sequence": seq})
-    status = "FAIL" if bad else ("WARN" if warnings else "PASS")
-    return {
-        "check": "log-concavity",
-        "range": (
-            f"Sf k<={sf_kmax} n<={sf_N} and cf col 1 n<={cf_N} asserted; "
-            f"Sf k={sf_kmax + 1}..{empirical_kmax} n<={empirical_N} empirical"
-        ),
-        "status": status,
-        "counterexamples": bad,
-        "warnings": warnings,
-    }
+    scope = (f"Sf k<={sf_kmax} n<={sf_N} and cf col 1 n<={cf_N} asserted; "
+             f"Sf k={sf_kmax + 1}..{empirical_kmax} n<={empirical_N} empirical")
+    return report("log-concavity", scope, bad, warnings)
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -680,12 +637,7 @@ def check_recursion_vs_enumeration(N: int) -> dict:
     for board in _small_boards_and_staircases(N):
         for fam in (FIBONACCI, TRIBONACCI):
             bad.extend(_recursion_vs_enumeration(board, fam))
-    return {
-        "check": "recursion-vs-enumeration",
-        "range": f"{_BOARDS_RANGE}, staircases n<={N}",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    return report("recursion-vs-enumeration", f"{_BOARDS_RANGE}, staircases n<={N}", bad)
 
 
 def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
@@ -744,35 +696,25 @@ def check_products(N: int) -> dict:
     for board in all_ferrers_boards(SMALL_BOARD_MAX, SMALL_BOARD_MAX):
         for fam in (FIBONACCI, TRIBONACCI):
             bad.extend(_placement_sums(board, fam))
-    return {
-        "check": "products",
-        "range": f"{_BOARDS_RANGE}, staircases n<={N}, x<=3",
-        "status": "PASS" if not bad else "FAIL",
-        "counterexamples": bad,
-    }
+    return report("products", f"{_BOARDS_RANGE}, staircases n<={N}, x<=3", bad)
 
 
 # ──────────────────────────────────────────────────────────────────────────
 # the suite registry
 # ──────────────────────────────────────────────────────────────────────────
 
-# each suite, in report order, with its default size N; the identities
-# suite runs every check at that check's own default size unless N is given
-SUITE_DEFAULT_N = {
-    "recursion-vs-enumeration": 8,
-    "products": 6,
-    "inverse": 12,
-    "involution": 6,
-    "identities": None,
+# each suite, in report order, with its default size N and the cap on N:
+# the enumeration cap for the suites on staircase boards of up to N
+# columns, the triangle cap for those that build triangles to row N; the
+# identities suite runs every check at its own default size unless N is given
+SUITE_SIZES = {
+    "recursion-vs-enumeration": (8, "enumeration"),
+    "products": (6, "enumeration"),
+    "inverse": (12, "triangle"),
+    "involution": (6, "enumeration"),
+    "identities": (None, "triangle"),
 }
-SUITES = (*SUITE_DEFAULT_N, "all")
-
-
-def involution_top(N: int | None = None, n: int | None = None) -> int:
-    """The largest staircase the involution suite enumerates."""
-    if n is not None:
-        return n
-    return SUITE_DEFAULT_N["involution"] if N is None else N
+SUITES = (*SUITE_SIZES, "all")
 
 
 def run_suite(
@@ -785,11 +727,11 @@ def run_suite(
     are called by their module-level names, so a patched check takes effect.
     """
     if name == "all":
-        return [report for suite in SUITE_DEFAULT_N for report in run_suite(suite, N, n, k)]
-    if name not in SUITE_DEFAULT_N:
+        return [found for suite in SUITE_SIZES for found in run_suite(suite, N, n, k)]
+    if name not in SUITE_SIZES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if N is None:
-        N = SUITE_DEFAULT_N[name]
+        N = SUITE_SIZES[name][0]
     if name == "recursion-vs-enumeration":
         return [check_recursion_vs_enumeration(N)]
     if name == "products":
@@ -804,22 +746,15 @@ def run_suite(
         if n is not None:
             return [involution_verify(n, k)]
         return [involution_verify(m, j) for m in range(2, N + 1) for j in range(1, m)]
-    if N is None:
-        triangle_checks = [
-            check_series_columns(),
-            check_closed_forms(),
-            check_sf_p_coefficients(),
-            check_q1_specializations(),
-            check_cf_columns(),
-            check_fibonomials(),
-        ]
-    else:
-        triangle_checks = [
-            check_series_columns(N),
-            check_closed_forms(N),
-            check_sf_p_coefficients(min(N, SF_P_MAX_N)),
-            check_q1_specializations(N),
-            check_cf_columns(N),
-            check_fibonomials(max(N, FIBONOMIAL_MIN_N)),
-        ]
-    return triangle_checks + [check_sequences(), check_log_concavity()]
+    # each identity check at its own default size (None), or at N kept in its bounds
+    sized = [
+        (check_series_columns, N),
+        (check_closed_forms, N),
+        (check_sf_p_coefficients, None if N is None else min(N, SF_P_MAX_N)),
+        (check_q1_specializations, N),
+        (check_cf_columns, N),
+        (check_fibonomials, None if N is None else max(N, FIBONOMIAL_MIN_N)),
+        (check_sequences, None),
+        (check_log_concavity, None),
+    ]
+    return [check() if size is None else check(size) for check, size in sized]

@@ -20,7 +20,9 @@ Lowercase kinds use the {1,2} family, the trailing-p kinds use {1,2,3}.
 The same numbers fall out of staircase-board placements: cf[n][k] counts
 file placements of n-k tilings on the staircase with n columns, Sf[n][k]
 counts the rook-style placements, and `triangle_from_boards` rebuilds the
-triangles that way.
+triangles that way. The table `_RULES` states these facts once per kind
+(family, factor, sign, staircase model and basis expansion), and every
+step that depends on the kind reads them there.
 
 The recursions run on integers, in the image of q -> 2**w (Kronecker
 substitution): an entry is one int per (p, r) monomial whose base-2**w
@@ -66,24 +68,68 @@ from fibrook.poly import (
 )
 from fibrook.tiling import FIBONACCI, TRIBONACCI, Record, TileFamily, weight_poly
 
-TRIANGLE_KINDS = ("cf", "sf", "Sf", "Lf", "cp", "sp", "Sp")
 
-_FAMILY_FOR_KIND = {
-    "cf": FIBONACCI,
-    "sf": FIBONACCI,
-    "Sf": FIBONACCI,
-    "Lf": FIBONACCI,
-    "cp": TRIBONACCI,
-    "sp": TRIBONACCI,
-    "Sp": TRIBONACCI,
+class _Rule(Record):
+    """How one kind of triangle arises: its tile family; the factor m(n, k)
+    in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k], W_n ("n"), W_k ("k") or
+    W_k + W_n ("k+n"); whether its entries take the sign (-1)^(n-k); the
+    staircase placements that count them ("file", "rook" or None); and its
+    basis expansion "A-in-B", basis A's n-th member = sum_k T[n][k] B_k."""
+
+    __slots__ = ("family", "factor", "signed", "model", "basis")
+
+    def __init__(
+        self, family: TileFamily, factor: str, signed: bool, model: str | None, basis: str
+    ) -> None:
+        self._set(family, factor, signed, model, basis)
+
+
+_RULES = {
+    "cf": _Rule(FIBONACCI, "n", False, "file", "rising-in-powers"),
+    "sf": _Rule(FIBONACCI, "n", True, None, "falling-in-powers"),
+    "Sf": _Rule(FIBONACCI, "k", False, "rook", "power-in-falling"),
+    "Lf": _Rule(FIBONACCI, "k+n", False, None, "rising-in-falling"),
+    "cp": _Rule(TRIBONACCI, "n", False, "file", "rising-in-powers"),
+    "sp": _Rule(TRIBONACCI, "n", True, None, "falling-in-powers"),
+    "Sp": _Rule(TRIBONACCI, "k", False, "rook", "power-in-falling"),
 }
+TRIANGLE_KINDS = tuple(_RULES)
 
 
 def family_for_kind(kind: str) -> TileFamily:
     try:
-        return _FAMILY_FOR_KIND[kind]
+        return _RULES[kind].family
     except KeyError:
         raise ValueError(f"unknown triangle kind {kind!r}") from None
+
+
+def _kinds_by_basis(fam: TileFamily) -> dict[str, str]:
+    """The family's kinds, in table order, keyed by their basis expansion."""
+    kinds = {rule.basis: kind for kind, rule in _RULES.items() if rule.family == fam}
+    if not kinds:
+        raise ValueError(f"no triangles are defined for family {fam}")
+    return kinds
+
+
+# ──────────────────────────────────────────────────────────────────────────
+# reports
+# ──────────────────────────────────────────────────────────────────────────
+
+
+def verdict(failed: bool, warned: bool) -> str:
+    """A check's or a suite's status: FAIL on any failure, else WARN on any warning, else PASS."""
+    return "FAIL" if failed else ("WARN" if warned else "PASS")
+
+
+def report(
+    check: str, scope: str, bad: list, warnings: list | None = None, *, holds: bool = True, **fields
+) -> dict:
+    """A check's JSON-ready report {check, range, status, *fields,
+    counterexamples[, warnings]}: it fails on a counterexample in `bad` or
+    when `holds` is false, else warns on a warning, else passes."""
+    status = verdict(bool(bad) or not holds, bool(warnings))
+    out = {"check": check, "range": scope, "status": status, **fields, "counterexamples": bad}
+    return out if warnings is None else {**out, "warnings": warnings}
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -156,12 +202,8 @@ class TriangleImage:
             del row  # free this row's text before the next row is drawn
 
 
-# signed kind -> the unsigned kind whose entries it negates at odd n - k
-_SIGNED = {"sf": "cf", "sp": "cp"}
-
-
 def _entry_sign(kind: str, n: int, k: int) -> int:
-    return -1 if kind in _SIGNED and (n - k) % 2 else 1
+    return -1 if _RULES[kind].signed and (n - k) % 2 else 1
 
 
 def _slot_width(bound: int) -> int:
@@ -176,19 +218,18 @@ def _multipliers(kind: str, N: int) -> Callable[[int, int], tuple[list, int, int
     terms as (row key, e_q, coeff) triples; W_0 = 0 has no terms, value 0
     and degree -1.
     """
-    fam = family_for_kind(kind)
+    fam, factor = family_for_kind(kind), _RULES[kind].factor
     parts = []
     for j in range(N + 1):
         weight = weight_poly(fam, j)
         terms = [(q_image_row(e_p, e_r), e_q, c) for (e_q, e_p, e_r), c in weight.terms.items()]
         parts.append((terms, weight.eval_at(1, 1, 1), weight.total_degree()))
-    unsigned = _SIGNED.get(kind, kind)
-    if unsigned in ("cf", "cp"):
+    if factor == "n":
         return lambda n, k: parts[n]
-    if unsigned in ("Sf", "Sp"):
+    if factor == "k":
         return lambda n, k: parts[k]
 
-    def sum_of_weights(n: int, k: int) -> tuple[list, int, int]:  # Lf: W_k + W_n
+    def sum_of_weights(n: int, k: int) -> tuple[list, int, int]:  # "k+n": W_k + W_n
         (ta, va, da), (tb, vb, db) = parts[k], parts[n]
         return ta + tb, va + vb, max(da, db)
 
@@ -217,12 +258,11 @@ def _image_rows(
     and an oversized degree raises before any image is built; the second
     runs on the images as the rows are drawn.
     """
-    family_for_kind(kind)
+    factor = _multipliers(kind, N)
     if N < 0:
         raise ValueError("N must be >= 0")
     if width is not None and width < 0:
         raise ValueError("width must be >= 0")
-    factor = _multipliers(kind, N)
 
     # The unsigned triangle at q = p = r = 1, and the total degree of every
     # entry; with nonnegative coefficients nothing cancels, so degrees add
@@ -321,10 +361,10 @@ def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:
     Sf/Sp, both computed in enumeration mode so the result is independent
     of every recursion in this module.
     """
-    if kind not in ("cf", "cp", "Sf", "Sp"):
+    fam, model = family_for_kind(kind), _RULES[kind].model
+    if model is None:
         raise ValueError(f"kind {kind!r} has no placement interpretation here")
-    fam = family_for_kind(kind)
-    counted = file_poly if kind in ("cf", "cp") else rook_poly
+    counted = file_poly if model == "file" else rook_poly
     rows = []
     for n in range(N + 1):
         board = FerrersBoard.staircase(n)
@@ -340,11 +380,12 @@ def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:
 
 
 def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
-    """Check every basis-expansion identity for the family up to row N.
+    """Check the basis expansion of every triangle of the family up to row N.
 
-    For {1,2}: down_n = sum_k sf[n][k] x^k, x^n = sum_k Sf[n][k] down_k,
-    up_n = sum_k Lf[n][k] down_k and up_n = sum_k cf[n][k] x^k.
-    For {1,2,3}: up_n = sum_k cp[n][k] x^k and x^n = sum_k Sp[n][k] down_k.
+    For {1,2}: up_n = sum_k cf[n][k] x^k, down_n = sum_k sf[n][k] x^k,
+    x^n = sum_k Sf[n][k] down_k and up_n = sum_k Lf[n][k] down_k.
+    For {1,2,3}: up_n = sum_k cp[n][k] x^k, down_n = sum_k sp[n][k] x^k and
+    x^n = sum_k Sp[n][k] down_k.
 
     All three bases are Newton bases, basis_k = (x - a_0) ... (x - a_{k-1}),
     with nodes a_k = W_k (falling), -W_k (rising) or 0 (power); a_0 = 0 in
@@ -354,21 +395,6 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
     k = n-1, ..., 0. Every product is a node (one W_k) times a coefficient
     of P, never a basis polynomial times a triangle entry.
     """
-    if fam == FIBONACCI:
-        cases = [
-            ("falling-in-powers", "sf", "falling", "power"),
-            ("power-in-falling", "Sf", "power", "falling"),
-            ("rising-in-falling", "Lf", "rising", "falling"),
-            ("rising-in-powers", "cf", "rising", "power"),
-        ]
-    elif fam == TRIBONACCI:
-        cases = [
-            ("rising-in-powers", "cp", "rising", "power"),
-            ("power-in-falling", "Sp", "power", "falling"),
-        ]
-    else:
-        raise ValueError(f"no triangles are defined for family {fam}")
-
     zero = PQRPoly.zero()
     weights = [weight_poly(fam, k) for k in range(N + 1)]
     # c_k = -a_k, so that each factor x - a_k reads x + c_k
@@ -378,9 +404,10 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
         "rising": weights,
     }
     counterexamples = []
-    for name, kind, lhs_label, rhs_label in cases:
+    for name, kind in _kinds_by_basis(fam).items():
         tri = build_triangle(kind, N)
-        lhs_shift, rhs_shift = shifts[lhs_label], shifts[rhs_label]
+        # "A-in-B" puts basis A on the left, B on the right ("powers" is "power")
+        lhs_shift, rhs_shift = (shifts[side.rstrip("s")] for side in name.split("-in-"))
         lhs = XPoly.one()
         for n in range(N + 1):
             if n:
@@ -392,12 +419,7 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
                 counterexamples.append(
                     {"identity": name, "n": n, "lhs": str(lhs), "rhs": str(rhs)}
                 )
-    return {
-        "check": "basis-expansions",
-        "range": f"family={fam.label}, n<={N}",
-        "status": "PASS" if not counterexamples else "FAIL",
-        "counterexamples": counterexamples,
-    }
+    return report("basis-expansions", f"family={fam.label}, n<={N}", counterexamples)
 
 
 def matrix_inverse_check(N: int, fam: TileFamily) -> dict:
@@ -415,7 +437,8 @@ def matrix_inverse_check(N: int, fam: TileFamily) -> dict:
     exactly when the polynomials are. Only a failing entry is recomputed
     as a polynomial, for the text of its counterexample.
     """
-    big, small = ("Sf", "sf") if fam == FIBONACCI else ("Sp", "sp")
+    kinds = _kinds_by_basis(fam)
+    big, small = kinds["power-in-falling"], kinds["falling-in-powers"]
     tri_big = build_triangle(big, N)
     tri_small = build_triangle(small, N)
     check_degree(_max_degree(tri_big) + _max_degree(tri_small))
@@ -446,12 +469,7 @@ def matrix_inverse_check(N: int, fam: TileFamily) -> dict:
                 for j in range(k, n + 1):
                     total = total + tri_big.entry(n, j) * tri_small.entry(j, k)
                 counterexamples.append({"n": n, "k": k, "value": str(total)})
-    return {
-        "check": "matrix-inverse",
-        "range": f"family={fam.label}, n,k<={N}",
-        "status": "PASS" if not counterexamples else "FAIL",
-        "counterexamples": counterexamples,
-    }
+    return report("matrix-inverse", f"family={fam.label}, n,k<={N}", counterexamples)
 
 
 def _max_degree(tri: CoeffTriangle) -> int:
@@ -631,13 +649,9 @@ def involution_verify(n: int, k: int) -> dict:
             counterexamples.append({"pair": f"j={pair.j} {pair.rook};{pair.file}",
                                     "problems": problems})
     signed_total = PQRPoly(signed)
-    ok = not counterexamples and signed_total.is_zero
-    return {
-        "check": "involution",
-        "range": f"n={n}, k={k}",
-        "status": "PASS" if ok else "FAIL",
-        "domain_size": sum(per_j.values()),
-        "pairs_per_j": {str(j): per_j[j] for j in sorted(per_j)},
-        "signed_sum": str(signed_total),
-        "counterexamples": counterexamples,
-    }
+    return report(
+        "involution", f"n={n}, k={k}", counterexamples, holds=signed_total.is_zero,
+        domain_size=sum(per_j.values()),
+        pairs_per_j={str(j): per_j[j] for j in sorted(per_j)},
+        signed_sum=str(signed_total),
+    )

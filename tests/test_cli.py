@@ -314,6 +314,39 @@ def test_verify_refuses_an_involution_over_the_cap(capsys, argv):
     assert "exceeds the enumeration cap 9" in err
 
 
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [
+        (("recursion-vs-enumeration", "--N", "10"),
+         "recursion-vs-enumeration n=10 exceeds the enumeration cap 9"),
+        (("products", "--N", "10"), "products n=10 exceeds the enumeration cap 9"),
+        (("inverse", "--N", "41"), "inverse n=41 exceeds the triangle cap 40"),
+        (("identities", "--N", "41"), "identities n=41 exceeds the triangle cap 40"),
+        # the involution's --n is within its cap, the other suites' --N is not
+        (("all", "--N", "41", "--n", "5", "--k", "2"),
+         "recursion-vs-enumeration n=41 exceeds the enumeration cap 9"),
+    ],
+)
+def test_verify_refuses_a_suite_over_its_cap(capsys, monkeypatch, argv, refusal):
+    # inverse --N 41, if run, holds gigabytes within a minute, so the time
+    # limit is the assertion that nothing ran
+    monkeypatch.delenv("FIBROOK_MAX_N", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {refusal}; set FIBROOK_MAX_N to change the cap\n"
+
+
+def test_suite_caps_follow_fibrook_max_n(capsys, monkeypatch):
+    monkeypatch.setenv("FIBROOK_MAX_N", "5")
+    code, out, err = run(capsys, "verify", "inverse")
+    assert (code, out) == (2, "")
+    assert "inverse n=12 exceeds the triangle cap 5" in err
+    assert run(capsys, "verify", "inverse", "--N", "5")[0] == 0
+
+
 def test_involution_cap_follows_fibrook_max_n(capsys, monkeypatch):
     monkeypatch.setenv("FIBROOK_MAX_N", "3")
     code, _, err = run(capsys, "verify", "involution", "--n", "4", "--k", "2")

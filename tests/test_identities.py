@@ -463,7 +463,7 @@ def test_products_catch_a_wrong_augmented_sum(monkeypatch):
 
 def test_all_is_every_suite_in_order():
     reports = identities.run_suite("all", 2)
-    parts = [r for suite in identities.SUITE_DEFAULT_N for r in identities.run_suite(suite, 2)]
+    parts = [r for suite in identities.SUITE_SIZES for r in identities.run_suite(suite, 2)]
     assert reports == parts
     assert [r["check"] for r in reports[:6]] == [
         "recursion-vs-enumeration", "products", "matrix-inverse", "matrix-inverse",

@@ -263,17 +263,31 @@ def test_basis_expansions_verified(fam, N):
 
 
 @pytest.mark.parametrize(
-    "kind,identity",
+    "kind,fam,identity",
     [
-        ("Sf", "power-in-falling"),  # right side in the falling basis, W_k nodes
-        ("cf", "rising-in-powers"),  # right side in the power basis, zero nodes
+        pytest.param(kind, fam, identity, id=f"{kind}-{identity}")
+        for kind, fam, identity in [
+            ("Sf", FIBONACCI, "power-in-falling"),  # right side in the falling basis, W_k nodes
+            ("cf", FIBONACCI, "rising-in-powers"),  # right side in the power basis, zero nodes
+            ("sf", FIBONACCI, "falling-in-powers"),  # left side in the falling basis
+            ("Lf", FIBONACCI, "rising-in-falling"),  # left side in the rising basis
+            ("cp", TRIBONACCI, "rising-in-powers"),
+            ("sp", TRIBONACCI, "falling-in-powers"),
+            ("Sp", TRIBONACCI, "power-in-falling"),
+        ]
     ],
 )
-def test_basis_expansions_catch_a_wrong_entry(monkeypatch, kind, identity):
+def test_basis_expansions_catch_a_wrong_entry(monkeypatch, kind, fam, identity):
     _perturb(monkeypatch, kind, 4, 2, Q)
-    report = verify_basis_expansions(6, FIBONACCI)
+    report = verify_basis_expansions(6, fam)
     assert report["status"] == "FAIL"
     assert [(c["identity"], c["n"]) for c in report["counterexamples"]] == [(identity, 4)]
+
+
+def test_report_fails_on_a_counterexample_beside_warnings():
+    report = stirling.report("demo", "n<=1", [{"n": 1}], [{"note": "w"}], size=2)
+    assert list(report) == ["check", "range", "status", "size", "counterexamples", "warnings"]
+    assert report["status"] == "FAIL"
 
 
 # matrix inversion -----------------------------------------------------------------
