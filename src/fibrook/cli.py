@@ -46,7 +46,7 @@ from fibrook.board import (
     placement_count,
 )
 from fibrook.poly import PQRPoly
-from fibrook.stirling import TRIANGLE_KINDS, TriangleImage, triangle_image, verdict
+from fibrook.stirling import TRIANGLE_KINDS, triangle_text, verdict
 from fibrook.tiling import FIBONACCI, TRIBONACCI
 
 _FAMILIES = {"fib": FIBONACCI, "trib": TRIBONACCI}
@@ -211,19 +211,21 @@ def cmd_table(args: argparse.Namespace) -> int:
         return _usage_error(
             f"N={args.N} exceeds the triangle cap {args.triangle_max}; pass --force to override"
         )
-    tri = triangle_image(args.kind, args.N)
+    rows = triangle_text(args.kind, args.N)
     if args.fmt == "json":
-        _emit(args, _json_chunks(tri.json_fields()))
+        # each row an iterator, so that it is written entry by entry
+        fields = (("kind", args.kind), ("N", args.N), ("entries", map(iter, rows)))
+        _emit(args, _json_chunks(fields))
     elif args.fmt == "csv":
-        _emit(args, _csv_chunks(tri))
+        _emit(args, _csv_chunks(rows))
     else:
-        _emit(args, _text_chunks(tri))
+        _emit(args, _text_chunks(args.kind, args.N, rows))
     return 0
 
 
-def _text_chunks(tri: TriangleImage) -> Iterator[str]:
-    yield f"{tri.kind} triangle, rows 0..{tri.N}\n"
-    for n, row in enumerate(tri.text_rows()):
+def _text_chunks(kind: str, N: int, rows: Iterable[list[str]]) -> Iterator[str]:
+    yield f"{kind} triangle, rows 0..{N}\n"
+    for n, row in enumerate(rows):
         sep = f"n={n}: "
         for text in row:
             yield sep
@@ -233,11 +235,13 @@ def _text_chunks(tri: TriangleImage) -> Iterator[str]:
         yield "\n"
 
 
-def _csv_chunks(tri: TriangleImage) -> Iterator[str]:
+def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
     # entry text holds only digits, p q r ^ * + - and spaces, so no field needs quoting
     yield "n,k,poly\r\n"
-    for n, k, text in tri.csv_rows():
-        yield f"{n},{k},{text}\r\n"
+    for n, row in enumerate(rows):
+        for k, text in enumerate(row):
+            yield f"{n},{k},{text}\r\n"
+        del row  # free this row's text before the next row is drawn
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -79,9 +79,6 @@ def sf_column_series(k: int, order: int) -> XPoly:
 # closed forms for the extreme columns
 # ──────────────────────────────────────────────────────────────────────────
 
-CLOSED_FORM_KINDS = ("Sf_n1", "Sf_n2", "cf_n1", "col_nm1")
-
-
 def closed_form(kind: str, n: int) -> PQRPoly:
     """Closed forms: Sf_n1 = q^(n-1) (n >= 1), Sf_n2 = q^(n-2) [n-1]_q
     (n >= 2), cf_n1 = W_1 W_2 ... W_{n-1} (n >= 1), and col_nm1 =
@@ -333,21 +330,17 @@ def p_coefficient_sequence(entry: PQRPoly) -> list[int]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-class SequenceFixture(Record):
-    __slots__ = ("name", "values", "start_n", "source")
-
-    def __init__(self, name: str, values: tuple[int, ...], start_n: int, source: str) -> None:
-        self._set(name, values, start_n, source)
-
-
 class SequenceReport(Record):
-    __slots__ = ("fixture", "generated", "status", "warn")
+    """A sequence's fixture values, the values its formula generates, and
+    their status, MATCH or MISMATCH, with a note on a known variant."""
+
+    __slots__ = ("values", "generated", "status", "warn")
 
     def __init__(
-        self, fixture: SequenceFixture, generated: tuple[int, ...], status: str,
+        self, values: tuple[int, ...], generated: tuple[int, ...], status: str,
         warn: str | None = None,
     ) -> None:
-        self._set(fixture, generated, status, warn)  # status is MATCH or MISMATCH
+        self._set(values, generated, status, warn)
 
 
 def _read_fixture(filename: str) -> tuple[int, ...]:
@@ -355,28 +348,14 @@ def _read_fixture(filename: str) -> tuple[int, ...]:
     return tuple(int(line) for line in text.split())
 
 
+# name: (formula, first n, fixture file, file of a known variant transcription or None)
 _SEQUENCES = {
-    "A086602": (
-        cf_col1_p2_count,
-        5,
-        "A086602.txt",
-        "3*C(n-1,4) - C(n-3,2), n >= 5; the p^2 count in cf[n][1]; OEIS A086602",
-        None,
-    ),
-    "cfn1p3": (
-        cf_col1_p3_count,
-        6,
-        "cfn1p3.txt",
-        "15*C(n,6) - 6*C(n-2,4) + C(n-4,4), n >= 6; the p^3 count in cf[n][1]",
-        None,
-    ),
-    "A006002": (
-        cf_col2_p_coefficient_at_q1,
-        4,
-        "A006002.txt",
-        "(n-2)*C(n-2,2), n >= 4; the p^1 count in cf[n][2] at q = 1; OEIS A006002",
-        "A006002_variant.txt",
-    ),
+    # 3*C(n-1,4) - C(n-3,2), n >= 5; the p^2 count in cf[n][1]; OEIS A086602
+    "A086602": (cf_col1_p2_count, 5, "A086602.txt", None),
+    # 15*C(n,6) - 6*C(n-2,4) + C(n-4,4), n >= 6; the p^3 count in cf[n][1]
+    "cfn1p3": (cf_col1_p3_count, 6, "cfn1p3.txt", None),
+    # (n-2)*C(n-2,2), n >= 4; the p^1 count in cf[n][2] at q = 1; OEIS A006002
+    "A006002": (cf_col2_p_coefficient_at_q1, 4, "A006002.txt", "A006002_variant.txt"),
 }
 
 SEQUENCE_NAMES = tuple(sorted(_SEQUENCES))
@@ -388,10 +367,9 @@ def sequence_export(name: str) -> SequenceReport:
     to disagree produces a WARN note, never a failure."""
     if name not in _SEQUENCES:
         raise KeyError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCE_NAMES)}")
-    fn, start_n, fixture_file, source, variant_file = _SEQUENCES[name]
+    fn, start_n, fixture_file, variant_file = _SEQUENCES[name]
     values = _read_fixture(fixture_file)
     generated = tuple(fn(n) for n in range(start_n, start_n + len(values)))
-    fixture = SequenceFixture(name, values, start_n, source)
     status = "MATCH" if generated == values else "MISMATCH"
     warn = None
     if variant_file is not None:
@@ -405,7 +383,7 @@ def sequence_export(name: str) -> SequenceReport:
                 + ",".join(str(v) for v in missing)
                 + " relative to the formula values"
             )
-    return SequenceReport(fixture, generated, status, warn)
+    return SequenceReport(values, generated, status, warn)
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -413,11 +391,10 @@ def sequence_export(name: str) -> SequenceReport:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def check_series_columns(N: int = 12, kmax: int | None = None) -> dict:
+def check_series_columns(N: int = 12) -> dict:
     """Series coefficients equal triangle entries: t^n coefficient = Sf[n][k],
-    for columns k <= kmax (default min(N, 6))."""
-    if kmax is None:
-        kmax = min(N, 6)
+    for columns k <= min(N, 6)."""
+    kmax = min(N, 6)
     tri = build_triangle("Sf", N, width=kmax)
     bad = []
     for k in range(1, kmax + 1):
@@ -551,22 +528,19 @@ def check_sequences() -> dict:
         exported = sequence_export(name)
         if exported.status != "MATCH":
             bad.append({"name": name, "generated": list(exported.generated),
-                        "fixture": list(exported.fixture.values)})
+                        "fixture": list(exported.values)})
         if exported.warn:
             warnings.append({"name": name, "note": exported.warn})
     return report("sequences", ", ".join(SEQUENCE_NAMES), bad, warnings)
 
 
-def check_log_concavity(
-    sf_N: int = 25,
-    sf_kmax: int = 4,
-    empirical_N: int = 18,
-    empirical_kmax: int = 8,
-    cf_N: int = 20,
-) -> dict:
+def check_log_concavity() -> dict:
     """Log-concavity of Sf[n][k](p, 1) coefficient sequences: proved for
-    k <= 4 (FAIL on violation), empirical for k = 5..8 (WARN on violation);
-    cf[n][1](p, 1) is log-concave via real-rootedness (FAIL on violation)."""
+    k <= 4 (FAIL on violation, rows n <= 25), empirical for k = 5..8 (WARN
+    on violation, rows n <= 18); cf[n][1](p, 1) is log-concave via
+    real-rootedness (FAIL on violation, rows n <= 20).
+    `scripts/scan_log_concavity.py` scans further."""
+    sf_N, sf_kmax, empirical_N, empirical_kmax, cf_N = 25, 4, 18, 8, 20
     tri = build_triangle("Sf", max(sf_N, empirical_N), width=max(sf_kmax, empirical_kmax))
     cf_tri = build_triangle("cf", cf_N, width=1)
     bad = []

@@ -34,7 +34,7 @@ at q = p = r = 1, and that integer triangle is built first. sf and sp are
 cf and cp with the sign (-1)^(n-k) on each entry, and the integer pass
 also tracks total degrees, so `check_degree` refuses a row before its
 (p, r) keys could overflow. `fibrook table` prints straight from the image
-(`triangle_image`); `build_triangle` unpacks it into `PQRPoly` entries.
+(`triangle_text`); `build_triangle` unpacks it into `PQRPoly` entries.
 
 The Sf/sf matrices are mutually inverse. `involution` realizes the
 orthogonality bijectively: on pairs (rook-style placement of n-j tilings
@@ -158,50 +158,6 @@ class CoeffTriangle(Record):
         return self.rows[n][k]
 
 
-class TriangleImage:
-    """A triangle held in the q-image q -> 2**slot, as `triangle_image` builds it.
-
-    Its rows are drawn lazily: each pass over `text_rows` runs the image
-    recursion again and holds at most two image rows, so a printed table
-    never holds the whole image. Image row n holds, per k, the image
-    `{q_image_row(e_p, e_r): sum coeff * 2**(slot * e_q)}` of the unsigned
-    entry (the cf/cp entry for sf/sp), which gets its sign back when it is
-    printed. Every coefficient lies in [0, 2**slot), so an entry reads back
-    digit by digit. A plain class, but not a `Record`: it is never compared.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        N: int,
-        slot: int,
-        draw_rows: Callable[[], Iterator[tuple[dict[int, int], ...]]],
-    ):
-        self.kind = kind
-        self.N = N
-        self.slot = slot
-        self._draw_rows = draw_rows
-
-    def text_rows(self) -> Iterator[list[str]]:
-        """The printed entries, row by row, equal to `str` of the unpacked ones."""
-        for n, row in enumerate(self._draw_rows()):
-            yield [
-                q_image_text(image, self.slot, _entry_sign(self.kind, n, k))
-                for k, image in enumerate(row)
-            ]
-
-    def json_fields(self) -> tuple[tuple[str, object], ...]:
-        """The fields of the table's JSON document, in order. The entries
-        are drawn lazily, each row an iterator over its printed entries."""
-        return (("kind", self.kind), ("N", self.N), ("entries", map(iter, self.text_rows())))
-
-    def csv_rows(self) -> Iterator[tuple[int, int, str]]:
-        for n, row in enumerate(self.text_rows()):
-            for k, text in enumerate(row):
-                yield (n, k, text)
-            del row  # free this row's text before the next row is drawn
-
-
 def _entry_sign(kind: str, n: int, k: int) -> int:
     return -1 if _RULES[kind].signed and (n - k) % 2 else 1
 
@@ -242,16 +198,31 @@ def _row_tops(N: int, width: int | None) -> Iterator[tuple[int, int]]:
         yield n, n + 1 if width is None else min(n + 1, width)
 
 
-def triangle_image(kind: str, N: int) -> TriangleImage:
-    """Rows 0..N of the `kind` triangle in the q-image; see `build_triangle`."""
-    return TriangleImage(kind, N, *_image_rows(kind, N, None))
+def triangle_text(kind: str, N: int) -> Iterator[list[str]]:
+    """The printed entries of rows 0..N of the `kind` triangle, row by row,
+    equal to `str` of the entries of `build_triangle(kind, N)`.
+
+    The integer pass runs at the call, so an oversized degree raises before
+    any row is drawn; the rows are then drawn lazily, each image row from
+    the one before, so at most two image rows are held.
+    """
+    slot, rows = _image_rows(kind, N, None)
+    return (
+        [q_image_text(image, slot, _entry_sign(kind, n, k)) for k, image in enumerate(row)]
+        for n, row in enumerate(rows)
+    )
 
 
 def _image_rows(
     kind: str, N: int, width: int | None
-) -> tuple[int, Callable[[], Iterator[tuple[dict[int, int], ...]]]]:
-    """The slot width of the `kind` triangle's image, and a function that
-    draws its rows lazily, afresh on each call.
+) -> tuple[int, Iterator[tuple[dict[int, int], ...]]]:
+    """The slot width of the `kind` triangle's image, and its image rows,
+    drawn lazily.
+
+    Image row n holds, per k, the image `{q_image_row(e_p, e_r):
+    sum coeff * 2**(slot * e_q)}` of the unsigned entry (the cf/cp entry for
+    sf/sp), which gets its sign back when it is read. Every coefficient
+    lies in [0, 2**slot), so an entry reads back digit by digit.
 
     Two passes of the same recursion: the first, on integers at
     q = p = r = 1 and on total degrees, runs here, so that the slot is known
@@ -284,7 +255,7 @@ def _image_rows(
         largest = max(largest, *row)
         ones, degrees = row, row_deg
     slot = _slot_width(largest)
-    return slot, lambda: _recur_images(factor, slot, N, width)
+    return slot, _recur_images(factor, slot, N, width)
 
 
 def _recur_images(
@@ -319,7 +290,7 @@ def _recur_images(
 def build_triangle(kind: str, N: int, width: int | None = None) -> CoeffTriangle:
     """Rows 0..N of the `kind` triangle by its two-term recursion.
 
-    The recursion runs in the q-image q -> 2**w of `triangle_image`: each
+    The recursion runs in the q-image q -> 2**w of `_image_rows`: each
     entry is one int per (p, r) monomial, `{q_image_row(e_p, e_r):
     sum coeff * 2**(w * e_q)}`, as `PQRPoly.q_image` maps it. A term of the
     factor (W_n, W_k or W_k + W_n) times an entry is then one shift by
@@ -342,13 +313,13 @@ def build_triangle(kind: str, N: int, width: int | None = None) -> CoeffTriangle
     entries k = 0..min(n, width), which equal the leading entries of the
     full row; `entry` then raises for width < k <= n instead of guessing.
     """
-    slot, draw_images = _image_rows(kind, N, width)
+    slot, images = _image_rows(kind, N, width)
     rows = tuple(
         tuple(
             PQRPoly.from_q_image(image, slot, _entry_sign(kind, n, k))
             for k, image in enumerate(row)
         )
-        for n, row in enumerate(draw_images())
+        for n, row in enumerate(images)
     )
     return CoeffTriangle(kind, N, rows, width)
 

@@ -88,10 +88,16 @@ def test_table_size_cap(capsys, monkeypatch):
         assert "FIBROOK_MAX_N must be a positive integer" in err
 
 
-def test_table_past_the_exponent_limit_is_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table_past_the_exponent_limit_is_usage_error(capsys, monkeypatch, tmp_path, fmt, to_file):
     # cf[363][1] has total degree 65,703 >= 2**16; the integer pass refuses
-    # the row before any output is drawn, so no --out file is started
-    code, out, err = run(capsys, "table", "cf", "363", "--force", "--out", str(tmp_path / "cf.txt"))
+    # the row before any output is drawn, so neither the header nor an
+    # --out file is started. Each chunk is written as it is drawn, so a
+    # header drawn before the refusal would show.
+    monkeypatch.setattr(cli, "_WRITE_SIZE", 1)
+    out_args = ("--out", str(tmp_path / "cf.txt")) if to_file else ()
+    code, out, err = run(capsys, "table", "cf", "363", "--force", "--format", fmt, *out_args)
     assert code == 2
     assert out == ""
     assert err == "error: total degree 65703 reaches the packed-exponent limit 2**16\n"
@@ -220,7 +226,7 @@ def test_sequences_usage(capsys):
 
 def test_sequences_mismatch_exits_one(capsys, monkeypatch):
     real = identities.sequence_export("A086602")
-    broken = type(real)(real.fixture, real.generated, "MISMATCH", None)
+    broken = type(real)(real.values, real.generated, "MISMATCH", None)
     monkeypatch.setattr(identities, "sequence_export", lambda name: broken)
     code, out, _ = run(capsys, "sequences", "A086602")
     assert code == 1

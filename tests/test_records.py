@@ -1,6 +1,6 @@
 """The contract of every record class: tile families and tilings, boards and
 their placements, coefficient triangles, the involution's placement pairs,
-and the sequence fixtures and reports.
+and the sequence reports.
 
 A record equals a record of its own class with equal fields and hashes
 like it; it never equals a record of another class. It refuses assignment
@@ -16,14 +16,10 @@ from functools import lru_cache
 import pytest
 
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement
-from fibrook.identities import SequenceFixture, SequenceReport
+from fibrook.identities import SequenceReport
 from fibrook.poly import PQRPoly
 from fibrook.stirling import CoeffTriangle, PlacementPair
 from fibrook.tiling import FIBONACCI, TileFamily, Tiling, tiling_weight_sum
-
-
-def _fixture() -> SequenceFixture:
-    return SequenceFixture("A1", (1, 2), 3, "a source")
 
 
 # name: (build, the field names, the repr); each call of build() makes a new
@@ -62,16 +58,10 @@ RECORDS = {
         "entries=((2, Tiling(tiles=(1,))),)), "
         "file=FilePlacement(board=FerrersBoard(heights=(0,)), entries=()))",
     ),
-    "SequenceFixture": (
-        _fixture,
-        ("name", "values", "start_n", "source"),
-        "SequenceFixture(name='A1', values=(1, 2), start_n=3, source='a source')",
-    ),
     "SequenceReport": (
-        lambda: SequenceReport(_fixture(), (1, 2), "MATCH"),
-        ("fixture", "generated", "status", "warn"),
-        "SequenceReport(fixture=SequenceFixture(name='A1', values=(1, 2), start_n=3, "
-        "source='a source'), generated=(1, 2), status='MATCH', warn=None)",
+        lambda: SequenceReport((1, 2), (1, 2), "MATCH"),
+        ("values", "generated", "status", "warn"),
+        "SequenceReport(values=(1, 2), generated=(1, 2), status='MATCH', warn=None)",
     ),
 }
 
@@ -91,8 +81,7 @@ DIFFERENT = {
         RookPlacement(FerrersBoard((0, 1)), ((2, Tiling((1,))),)),
         FilePlacement(FerrersBoard((0, 0)), ()),
     ),
-    "SequenceFixture": lambda: SequenceFixture("A1", (1, 2), 4, "a source"),
-    "SequenceReport": lambda: SequenceReport(_fixture(), (1, 2), "MATCH", "a note"),
+    "SequenceReport": lambda: SequenceReport((1, 2), (1, 2), "MATCH", "a note"),
 }
 
 NAMES = sorted(RECORDS)

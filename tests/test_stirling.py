@@ -18,7 +18,7 @@ from fibrook.stirling import (
     involution_verify,
     matrix_inverse_check,
     triangle_from_boards,
-    triangle_image,
+    triangle_text,
     verify_basis_expansions,
 )
 from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, weight_poly
@@ -122,7 +122,7 @@ def test_image_build_matches_the_dict_recursion(kind: str):
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
 def test_table_text_is_str_of_the_entries(kind: str):
     want = [[str(e) for e in row] for row in _dict_recursion(kind, 9)]
-    assert list(triangle_image(kind, 9).text_rows()) == want
+    assert list(triangle_text(kind, 9)) == want
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
@@ -130,7 +130,7 @@ def test_slot_width_holds_every_coefficient_and_no_less(monkeypatch, kind: str):
     N = 12
     want = _dict_recursion(kind, N)
     tight = max(abs(c) for row in want for e in row for c in e.terms.values()).bit_length()
-    assert triangle_image(kind, N).slot >= tight
+    assert stirling._image_rows(kind, N, None)[0] >= tight
     monkeypatch.setattr(stirling, "_slot_width", lambda bound: tight)
     assert build_triangle(kind, N).rows == want
     # one bit narrower, the widest coefficient carries into its neighbour
@@ -143,7 +143,7 @@ def test_slot_width_holds_every_coefficient_and_no_less(monkeypatch, kind: str):
 def test_degree_guard_sees_the_exact_degree_of_every_row(monkeypatch, kind: str):
     seen: list[int] = []
     monkeypatch.setattr(stirling, "check_degree", seen.append)
-    triangle_image(kind, 10)
+    triangle_text(kind, 10)  # the integer pass runs before any row is drawn
     want = _dict_recursion(kind, 10)
     assert seen == [max(e.total_degree() for e in row) for row in want[1:]]
 
@@ -181,16 +181,14 @@ def test_triangle_from_boards_rejects_other_kinds():
         triangle_from_boards("Lf", 3)
 
 
-def test_json_and_csv_views():
-    tri = triangle_image("Sf", 2)
-    assert list(tri.csv_rows()) == [
-        (0, 0, "1"),
-        (1, 0, "0"),
-        (1, 1, "1"),
-        (2, 0, "0"),
-        (2, 1, "q"),
-        (2, 2, "1"),
-    ]
+def test_json_and_csv_views(capsys):
+    assert main(["table", "Sf", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "n,k,poly\r\n0,0,1\r\n1,0,0\r\n1,1,1\r\n2,0,0\r\n2,1,q\r\n2,2,1\r\n"
+    )
+    assert main(["table", "Sf", "2", "--format", "json"]) == 0
+    entries = [["1"], ["0", "1"], ["0", "q", "1"]]
+    assert json.loads(capsys.readouterr().out) == {"kind": "Sf", "N": 2, "entries": entries}
 
 
 # basis expansions ----------------------------------------------------------------
