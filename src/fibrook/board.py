@@ -153,25 +153,34 @@ def _entries_problem(
     return None
 
 
+def _entries_exponents(entries: tuple[tuple[int, Tiling], ...]) -> tuple[int, int, int]:
+    """(e_q, e_p, e_r) of the weight of placement entries: the tiles of each height, summed."""
+    ones = twos = threes = 0
+    for _, t in entries:
+        a, b, c = t._counts
+        ones, twos, threes = ones + a, twos + b, threes + c
+    return ones, twos, threes
+
+
 class Placement(Record):
     """k chosen columns, the s-th (s = 0, 1, ...) at column c tiled to the
     b_{c - lag*s} cells the cancellation rule leaves it.
 
     Built directly (or by `parse_placement`), a placement validates its
     entries with `_entries_problem` and raises on a bad one. The
-    enumerators and the involution build theirs through `_trusted`, which
-    skips that check. Enumerated placements are trusted: the enumerator
-    picks every tiling from the pool of the height the rule gives, and the
-    contract tests pin it. So `stirling.involution_verify` does not check
-    the pairs it draws; it runs its domain predicate, which runs the same
-    validator, once per pair, on the involution image.
+    enumerators build theirs through `_trusted`, which skips that check.
+    Enumerated placements are trusted: the enumerator picks every tiling
+    from the pool of the height the rule gives, and the contract tests pin
+    it. So `stirling.involution_verify` does not check the pairs it draws;
+    it runs its domain predicate, which runs the same validator, once per
+    pair, on the involution image.
 
     `_text` and `_exps`, derived like `Tiling`'s underscored slots and
     outside equality, hashing and `repr`, hold the text and weight
-    exponents that a `PlacementView` folds column by column; `str()` and
-    `exponents()` return them. A placement built any other way has None
-    there, and both derive their value from the entries and the counts and
-    text that each shared `Tiling` caches.
+    exponents that `str()` and `exponents()` return. A `PlacementView`
+    folds them column by column; a placement built directly derives them
+    from its entries and the counts and text that each shared `Tiling`
+    caches.
     """
 
     __slots__ = ("board", "entries", "_text", "_exps")
@@ -184,19 +193,20 @@ class Placement(Record):
         problem = _entries_problem(board, pairs, self.lag)
         if problem is not None:
             raise ValueError(problem)
-        self._set(board, pairs, None, None)
+        text = ";".join([f"{c}:{t._text}" for c, t in pairs])
+        self._set(board, pairs, text, _entries_exponents(pairs))
 
     @classmethod
     def _trusted(
         cls,
         board: FerrersBoard,
         entries: tuple[tuple[int, Tiling], ...],
-        text: str | None = None,
-        exps: tuple[int, int, int] | None = None,
+        text: str,
+        exps: tuple[int, int, int],
     ):
         """A placement from entries known to satisfy the rule; no checks.
-        `text` and `exps`, when given, must be what `str()` and
-        `exponents()` would derive from the entries."""
+        `text` and `exps` must be what `__init__` would derive from the
+        entries."""
         pl = object.__new__(cls)
         set_board, set_entries, set_text, set_exps = cls._setters
         set_board(pl, board)
@@ -211,23 +221,13 @@ class Placement(Record):
 
     def exponents(self) -> tuple[int, int, int]:
         """(e_q, e_p, e_r) of the weight: the tiles of each height, summed."""
-        if self._exps is not None:
-            return self._exps
-        ones = twos = threes = 0
-        for _, t in self.entries:
-            a, b, c = t._counts
-            ones += a
-            twos += b
-            threes += c
-        return ones, twos, threes
+        return self._exps
 
     def weight(self) -> PQRPoly:
         return PQRPoly.term(1, *self.exponents())
 
     def __str__(self) -> str:
-        if self._text is not None:
-            return self._text
-        return ";".join([f"{c}:{t._text}" for c, t in self.entries])
+        return self._text
 
 
 class FilePlacement(Placement):

@@ -37,11 +37,13 @@ also tracks total degrees, so `check_degree` refuses a row before its
 (`triangle_text`); `build_triangle` unpacks it into `PQRPoly` entries.
 
 The Sf/sf matrices are mutually inverse. `involution` realizes the
-orthogonality bijectively: on pairs (rook-style placement of n-j tilings
-on the n-staircase, file placement of j-k tilings on the j-staircase),
-signed by (-1)^(j-k), it flips the sign while preserving total weight, by
-moving one tiling from one board to the other. Its recursion on shrunken
-boards, while both last columns are empty, unrolls to a closed form.
+orthogonality bijectively: on pairs (j, rook, file), the entries of a
+rook-style placement of n-j tilings on the n-staircase and of a file
+placement of j-k tilings on the j-staircase, signed by (-1)^(j-k), it
+flips the sign while preserving total weight, by moving one tiling from
+one board to the other. (n, j) fixes both boards, so the map reads and
+returns entries only. Its recursion on shrunken boards, while both last
+columns are empty, unrolls to a closed form.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from fibrook.board import (
     FerrersBoard,
     FilePlacement,
     RookPlacement,
+    _entries_exponents,
     _entries_problem,
     enumerate_file_placements,
     enumerate_rook_placements,
@@ -452,75 +455,53 @@ def _max_degree(tri: CoeffTriangle) -> int:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-class PlacementPair(Record):
-    """A term of sum_j Sf[n][j] sf[j][k]: a rook-style placement of n-j
-    tilings on the n-staircase and a file placement of j-k tilings on the
-    j-staircase, signed by (-1)^(j-k)."""
-
-    __slots__ = ("j", "rook", "file")
-
-    def __init__(self, j: int, rook: RookPlacement, file: FilePlacement) -> None:
-        set_j, set_rook, set_file = self._setters  # unrolled: built up to 3 times per pair
-        set_j(self, j)
-        set_rook(self, rook)
-        set_file(self, file)
-
-    def sign(self) -> int:
-        return -1 if len(self.file.entries) % 2 else 1
-
-    def exponents(self) -> tuple[int, int, int]:
-        """(e_q, e_p, e_r) of the weight, the sum of both parts' exponents."""
-        (a, b, c), (x, y, z) = self.rook.exponents(), self.file.exponents()
-        return a + x, b + y, c + z
-
-    def weight(self) -> PQRPoly:
-        return PQRPoly.term(1, *self.exponents())
-
-
-def involution_domain(n: int, k: int) -> Iterator[PlacementPair]:
+def involution_domain(n: int, k: int) -> Iterator[tuple]:
     """All pairs behind the (n, k) entry of the product Sf * sf, rook-major.
 
-    The placements are drawn lazily; a j with more than one rook placement
-    holds its file placements as a list, and one with a single rook (j = n)
-    holds none.
+    A pair is the tuple (j, rook, file) of the entries of a rook-style
+    placement of n-j tilings on the n-staircase and of a file placement of
+    j-k tilings on the j-staircase, signed by (-1)^(j-k); (n, j) fixes both
+    boards. The placements are drawn lazily; a j with more than one rook
+    placement holds its file entries as a list, and one with a single rook
+    (j = n) holds none.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     for j in range(k, n + 1):
         rooks = enumerate_rook_placements(FerrersBoard.staircase(n), FIBONACCI, n - j)
-        files = enumerate_file_placements(FerrersBoard.staircase(j), FIBONACCI, j - k)
+        file_board = FerrersBoard.staircase(j)
+        files = (fp.entries for fp in enumerate_file_placements(file_board, FIBONACCI, j - k))
         if len(rooks) > 1:
             files = list(files)  # drawn once, walked once per rook
         for rp in rooks:
-            for fp in files:
-                yield PlacementPair(j, rp, fp)
+            rook = rp.entries
+            for file in files:
+                yield j, rook, file
 
 
-def _domain_problem(n: int, k: int, pair: PlacementPair) -> str | None:
+def _domain_problem(n: int, k: int, pair: tuple) -> str | None:
     """Why `pair` is not in `involution_domain(n, k)`, or None if it is.
 
     The complete membership test: it checks the entries of both parts
-    against their placement rule, because the involution builds its images
-    without validation.
+    against their placement rule on the staircase (n, j) implies, because
+    the involution builds its images without validation.
     """
-    j = pair.j
+    j, rook, file = pair
     if not k <= j <= n:
         return f"pair has j={j} outside {k}..{n}"
-    for label, part, cls, size, count in (("rook", pair.rook, RookPlacement, n, n - j),
-                                          ("file", pair.file, FilePlacement, j, j - k)):
-        if not isinstance(part, cls) or part.board != FerrersBoard.staircase(size):
-            return f"{label} part is not a {cls.__name__} on the {size}-staircase"
-        if len(part.entries) != count:
+    for label, entries, size, count, lag in (("rook", rook, n, n - j, RookPlacement.lag),
+                                             ("file", file, j, j - k, FilePlacement.lag)):
+        if len(entries) != count:
             return f"{label} part has the wrong number of tilings"
-        problem = _entries_problem(part.board, part.entries, cls.lag)
+        problem = _entries_problem(FerrersBoard.staircase(size), entries, lag)
         if problem is not None:
             return f"{label} part: {problem}"
-        if any(3 in t.tiles for _, t in part.entries):
+        if any(3 in t.tiles for _, t in entries):
             return f"{label} part has a tile outside {{1,2}}"
     return None
 
 
-def involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
+def involution(n: int, k: int, pair: tuple) -> tuple:
     """The sign-reversing, weight-preserving involution on the (n, k) pairs.
 
     Sends j to j +- 1, so it cancels the signed pairs in matched couples;
@@ -557,29 +538,19 @@ def involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
     return _involution_step(n, k, pair)
 
 
-def _involution_step(n: int, k: int, pair: PlacementPair) -> PlacementPair:
+def _involution_step(n: int, k: int, pair: tuple) -> tuple:
     """`involution` on a pair known to be in the (n, k) domain, without
-    testing membership. The image is built without validation;
-    `_domain_problem` checks it."""
-    j = pair.j
-    rook_entries = pair.rook.entries
-    file_entries = pair.file.entries
-    d_rook = n - rook_entries[-1][0] if rook_entries else n
-    d_file = j - file_entries[-1][0] if file_entries else j
+    testing membership. The image's entries are not validated;
+    `_domain_problem` checks them."""
+    j, rook, file = pair
+    d_rook = n - rook[-1][0] if rook else n
+    d_file = j - file[-1][0] if file else j
     d = min(d_rook, d_file)
     if d >= k:
         raise ValueError(f"both last columns stay empty to depth {d} >= k={k}")
-
     if d_rook == d:
-        new_rook = RookPlacement._trusted(pair.rook.board, rook_entries[:-1])
-        moved = (j + 1 - d, rook_entries[-1][1])
-        new_file = FilePlacement._trusted(FerrersBoard.staircase(j + 1), file_entries + (moved,))
-        return PlacementPair(j + 1, new_rook, new_file)
-
-    new_file = FilePlacement._trusted(FerrersBoard.staircase(j - 1), file_entries[:-1])
-    moved = (n - d, file_entries[-1][1])
-    new_rook = RookPlacement._trusted(pair.rook.board, rook_entries + (moved,))
-    return PlacementPair(j - 1, new_rook, new_file)
+        return j + 1, rook[:-1], file + ((j + 1 - d, rook[-1][1]),)
+    return j - 1, rook + ((n - d, file[-1][1]),), file[:-1]
 
 
 def involution_verify(n: int, k: int) -> dict:
@@ -599,9 +570,10 @@ def involution_verify(n: int, k: int) -> dict:
     counterexamples = []
     per_j: dict[int, int] = {}
     for pair in involution_domain(n, k):
-        per_j[pair.j] = per_j.get(pair.j, 0) + 1
-        weight = pair.exponents()
-        sign = pair.sign()
+        j, rook, file = pair
+        per_j[j] = per_j.get(j, 0) + 1
+        weight = _entries_exponents(rook + file)
+        sign = -1 if len(file) % 2 else 1
         signed[weight] = signed.get(weight, 0) + sign
         image = _involution_step(n, k, pair)
         inside = _domain_problem(n, k, image) is None
@@ -610,15 +582,16 @@ def involution_verify(n: int, k: int) -> dict:
             problems.append("image outside domain")
         if image == pair:
             problems.append("fixed point")
-        if image.sign() != -sign:
+        if len(image[2]) % 2 == len(file) % 2:
             problems.append("sign not flipped")
-        if image.exponents() != weight:
+        if _entries_exponents(image[1] + image[2]) != weight:
             problems.append("weight changed")
         if inside and _involution_step(n, k, image) != pair:
             problems.append("not an involution")
-        if problems:
-            counterexamples.append({"pair": f"j={pair.j} {pair.rook};{pair.file}",
-                                    "problems": problems})
+        if problems:  # a drawn pair is in the domain, so its parts validate
+            rook_part = RookPlacement(FerrersBoard.staircase(n), rook)
+            file_part = FilePlacement(FerrersBoard.staircase(j), file)
+            counterexamples.append({"pair": f"j={j} {rook_part};{file_part}", "problems": problems})
     signed_total = PQRPoly(signed)
     return report(
         "involution", f"n={n}, k={k}", counterexamples, holds=signed_total.is_zero,

@@ -1,6 +1,5 @@
 """The contract of every record class: tile families and tilings, boards and
-their placements, coefficient triangles, the involution's placement pairs,
-and the sequence reports.
+their placements, coefficient triangles and the sequence reports.
 
 A record equals a record of its own class with equal fields and hashes
 like it; it never equals a record of another class. It refuses assignment
@@ -18,7 +17,7 @@ import pytest
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement
 from fibrook.identities import SequenceReport
 from fibrook.poly import PQRPoly
-from fibrook.stirling import CoeffTriangle, PlacementPair
+from fibrook.stirling import CoeffTriangle
 from fibrook.tiling import FIBONACCI, TileFamily, Tiling, tiling_weight_sum
 
 
@@ -47,17 +46,6 @@ RECORDS = {
         ("kind", "N", "rows", "width"),
         "CoeffTriangle(kind='cf', N=1, rows=((PQRPoly(1),), (PQRPoly(0), PQRPoly(1))), width=1)",
     ),
-    "PlacementPair": (
-        lambda: PlacementPair(
-            1,
-            RookPlacement(FerrersBoard((0, 1)), ((2, Tiling((1,))),)),
-            FilePlacement(FerrersBoard((0,)), ()),
-        ),
-        ("j", "rook", "file"),
-        "PlacementPair(j=1, rook=RookPlacement(board=FerrersBoard(heights=(0, 1)), "
-        "entries=((2, Tiling(tiles=(1,))),)), "
-        "file=FilePlacement(board=FerrersBoard(heights=(0,)), entries=()))",
-    ),
     "SequenceReport": (
         lambda: SequenceReport((1, 2), (1, 2), "MATCH"),
         ("values", "generated", "status", "warn"),
@@ -75,11 +63,6 @@ DIFFERENT = {
     "RookPlacement": lambda: RookPlacement(FerrersBoard((0, 1, 2)), ((3, Tiling((1, 1))),)),
     "CoeffTriangle": lambda: CoeffTriangle(
         "cf", 1, ((PQRPoly.one(),), (PQRPoly.zero(), PQRPoly.one()))
-    ),
-    "PlacementPair": lambda: PlacementPair(
-        1,
-        RookPlacement(FerrersBoard((0, 1)), ((2, Tiling((1,))),)),
-        FilePlacement(FerrersBoard((0, 0)), ()),
     ),
     "SequenceReport": lambda: SequenceReport((1, 2), (1, 2), "MATCH", "a note"),
 }

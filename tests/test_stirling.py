@@ -10,7 +10,6 @@ from fibrook.cli import main
 from fibrook.poly import P, Q, R, PQRPoly, XPoly, xpoly_product
 from fibrook.stirling import (
     TRIANGLE_KINDS,
-    PlacementPair,
     build_triangle,
     family_for_kind,
     involution,
@@ -365,13 +364,22 @@ def test_inverse_by_hand_row_three():
 # the involution -------------------------------------------------------------------
 
 
-def _pair(n: int, j: int, rook_text: str, file_text: str) -> PlacementPair:
+def _pair(n: int, j: int, rook_text: str, file_text: str) -> tuple:
     rook = parse_placement(FerrersBoard.staircase(n), rook_text, model="rook")
     file = parse_placement(FerrersBoard.staircase(j), file_text, model="file")
-    return PlacementPair(j, rook, file)
+    return j, rook.entries, file.entries
 
 
-def _recursive_involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
+def _placements(n: int, pair: tuple) -> tuple[int, RookPlacement, FilePlacement]:
+    """The pair's j and its two parts as validated placements on their staircases."""
+    j, rook, file = pair
+    rook_part = RookPlacement(FerrersBoard.staircase(n), rook)
+    return j, rook_part, FilePlacement(FerrersBoard.staircase(j), file)
+
+
+def _recursive_involution(
+    n: int, k: int, j: int, rook: RookPlacement, file: FilePlacement
+) -> tuple[int, RookPlacement, FilePlacement]:
     """The involution as first stated, case 3 by recursion on smaller staircases.
 
     The differential reference for the closed form: every level builds its
@@ -379,29 +387,30 @@ def _recursive_involution(n: int, k: int, pair: PlacementPair) -> PlacementPair:
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
-    j, rook, file = pair.j, pair.rook.entries, pair.file.entries
-    if rook and rook[-1][0] == n:
-        return PlacementPair(
+    r, f = rook.entries, file.entries
+    if r and r[-1][0] == n:
+        return (
             j + 1,
-            RookPlacement(pair.rook.board, rook[:-1]),
-            FilePlacement(FerrersBoard.staircase(j + 1), file + ((j + 1, rook[-1][1]),)),
+            RookPlacement(rook.board, r[:-1]),
+            FilePlacement(FerrersBoard.staircase(j + 1), f + ((j + 1, r[-1][1]),)),
         )
-    if file and file[-1][0] == j:
-        return PlacementPair(
+    if f and f[-1][0] == j:
+        return (
             j - 1,
-            RookPlacement(pair.rook.board, rook + ((n, file[-1][1]),)),
-            FilePlacement(FerrersBoard.staircase(j - 1), file[:-1]),
+            RookPlacement(rook.board, r + ((n, f[-1][1]),)),
+            FilePlacement(FerrersBoard.staircase(j - 1), f[:-1]),
         )
-    inner = PlacementPair(
+    image_j, image_rook, image_file = _recursive_involution(
+        n - 1,
+        k - 1,
         j - 1,
-        RookPlacement(FerrersBoard.staircase(n - 1), rook),
-        FilePlacement(FerrersBoard.staircase(j - 1), file),
+        RookPlacement(FerrersBoard.staircase(n - 1), r),
+        FilePlacement(FerrersBoard.staircase(j - 1), f),
     )
-    image = _recursive_involution(n - 1, k - 1, inner)
-    return PlacementPair(
-        image.j + 1,
-        RookPlacement(FerrersBoard.staircase(n), image.rook.entries),
-        FilePlacement(FerrersBoard.staircase(image.j + 1), image.file.entries),
+    return (
+        image_j + 1,
+        RookPlacement(FerrersBoard.staircase(n), image_rook.entries),
+        FilePlacement(FerrersBoard.staircase(image_j + 1), image_file.entries),
     )
 
 
@@ -412,7 +421,8 @@ def test_closed_form_matches_the_recursion_on_every_small_domain():
         for k in range(1, n):
             for pair in involution_domain(n, k):
                 image = involution(n, k, pair)
-                assert image == _recursive_involution(n, k, pair)
+                j, rook, file = _recursive_involution(n, k, *_placements(n, pair))
+                assert image == (j, rook.entries, file.entries)
                 assert stirling._involution_step(n, k, pair) == image
                 checked += 1
     assert checked == 16062
@@ -423,7 +433,7 @@ def test_involution_verify_tests_membership_once_per_pair(monkeypatch):
     real = stirling._domain_problem
     calls = []
 
-    def counted(n: int, k: int, pair: PlacementPair) -> str | None:
+    def counted(n: int, k: int, pair: tuple) -> str | None:
         calls.append(pair)
         return real(n, k, pair)
 
@@ -439,8 +449,9 @@ def test_involution_base_case_swaps_the_two_pairs():
     b = _pair(2, 2, "", "2:1")
     assert involution(2, 1, a) == b
     assert involution(2, 1, b) == a
-    assert a.sign() == 1 and b.sign() == -1
-    assert a.weight() == b.weight() == Q
+    (_, rook_a, file_a), (_, rook_b, file_b) = _placements(2, a), _placements(2, b)
+    assert (file_a.k, file_b.k) == (0, 1)  # signs +1 and -1
+    assert rook_a.weight() * file_a.weight() == rook_b.weight() * file_b.weight() == Q
 
 
 def test_involution_moves_a_tiling_between_boards():
@@ -448,12 +459,13 @@ def test_involution_moves_a_tiling_between_boards():
     # onto the new last column when the file board grows from B_3 to B_4
     pair = _pair(6, 3, "4:1,2;5:1,2;6:1,2", "2:1")
     image = involution(6, 2, pair)
-    assert image.j == 4
-    assert str(image.rook) == "4:1,2;5:1,2"
-    assert str(image.file) == "2:1;4:1,2"
+    j, rook, file = _placements(6, image)
+    assert (j, str(rook), str(file)) == (4, "4:1,2;5:1,2", "2:1;4:1,2")
     assert involution(6, 2, image) == pair
-    assert image.sign() == -pair.sign()
-    assert image.weight() == pair.weight() == P**3 * Q**4
+    _, pair_rook, pair_file = _placements(6, pair)
+    assert (file.k, pair_file.k) == (2, 1)  # the sign flips
+    assert rook.weight() * file.weight() == pair_rook.weight() * pair_file.weight()
+    assert rook.weight() * file.weight() == P**3 * Q**4
 
 
 def test_involution_recursive_case():
@@ -461,11 +473,11 @@ def test_involution_recursive_case():
     # where the rook part does use the last column
     pair = _pair(5, 3, "3:1,1;4:1,1", "2:1")
     image = involution(5, 2, pair)
-    assert image.j == 4
-    assert str(image.rook) == "3:1,1"
-    assert str(image.file) == "2:1;3:1,1"
+    j, rook, file = _placements(5, image)
+    assert (j, str(rook), str(file)) == (4, "3:1,1", "2:1;3:1,1")
     assert involution(5, 2, image) == pair
-    assert image.weight() == pair.weight() == Q**5
+    _, pair_rook, pair_file = _placements(5, pair)
+    assert rook.weight() * file.weight() == pair_rook.weight() * pair_file.weight() == Q**5
 
 
 def test_involution_rejects_bad_input():
@@ -477,10 +489,6 @@ def test_involution_rejects_bad_input():
         involution(4, 2, _pair(5, 5, "", "2:1;3:1,1;5:1,1,1,1"))
     with pytest.raises(ValueError, match="wrong number of tilings"):
         involution(4, 2, _pair(4, 3, "", "2:1"))
-    swapped = _pair(4, 3, "2:1", "2:1")
-    with pytest.raises(ValueError, match="rook part is not a RookPlacement"):
-        involution(4, 2, PlacementPair(3, FilePlacement(swapped.rook.board, swapped.rook.entries),
-                                       swapped.file))
     with pytest.raises(ValueError, match="tile outside"):
         involution(5, 2, _pair(5, 4, "5:1,3", "2:1;3:1,1"))
 
@@ -535,9 +543,9 @@ def test_involution_check_fails_on_an_image_outside_the_domain(monkeypatch):
     # of applying the map to a pair it is not defined on
     real = stirling._involution_step
 
-    def leaky(n: int, k: int, pair: PlacementPair) -> PlacementPair:
-        image = real(n, k, pair)
-        return PlacementPair(n + 1, image.rook, image.file) if image.j == n else image
+    def leaky(n: int, k: int, pair: tuple) -> tuple:
+        j, rook, file = real(n, k, pair)
+        return (n + 1 if j == n else j), rook, file
 
     monkeypatch.setattr(stirling, "_involution_step", leaky)
     found = _counterexamples(involution_verify(4, 2))
@@ -555,17 +563,16 @@ def test_involution_check_fails_on_an_image_outside_the_domain(monkeypatch):
 
 
 def test_involution_check_fails_on_a_mis_sized_image(monkeypatch, capsys):
-    # each image's last file tiling moves one column right, built as the
-    # involution builds its images: reported, not raised while being built
+    # each image's last file tiling moves one column right, unvalidated as
+    # the involution's images are: reported, not raised while being built
     real = stirling._involution_step
 
-    def shifted(n: int, k: int, pair: PlacementPair) -> PlacementPair:
-        image = real(n, k, pair)
-        if not image.file.entries:
-            return image
-        *kept, (col, tiling) = image.file.entries
-        moved = FilePlacement._trusted(image.file.board, (*kept, (col + 1, tiling)))
-        return PlacementPair(image.j, image.rook, moved)
+    def shifted(n: int, k: int, pair: tuple) -> tuple:
+        j, rook, file = real(n, k, pair)
+        if not file:
+            return j, rook, file
+        *kept, (col, tiling) = file
+        return j, rook, (*kept, (col + 1, tiling))
 
     monkeypatch.setattr(stirling, "_involution_step", shifted)
     found = _counterexamples(involution_verify(5, 2))
@@ -574,8 +581,9 @@ def test_involution_check_fails_on_a_mis_sized_image(monkeypatch, capsys):
         image = real(5, 2, pair)
         # an image with an empty file part is the real one, but the map
         # then sends it to a shifted copy of the pair
-        problem = "image outside domain" if image.file.entries else "not an involution"
-        expected[f"j={pair.j} {pair.rook};{pair.file}"] = [problem]
+        problem = "image outside domain" if image[2] else "not an involution"
+        j, rook, file = _placements(5, pair)
+        expected[f"j={j} {rook};{file}"] = [problem]
     assert found == expected
     assert len(found) == 78
     assert sum(p == ["image outside domain"] for p in found.values()) == 74
