@@ -12,8 +12,7 @@ would be a discovery, not a bug.
 
 import argparse
 
-from fibrook.identities import log_concave, p_coefficient_sequence, unimodal
-from fibrook.stirling import build_triangle
+from fibrook.identities import log_concave, p_sequences, unimodal
 
 
 def main() -> int:
@@ -24,11 +23,11 @@ def main() -> int:
     args = parser.parse_args()
 
     # column k depends on columns <= k alone, so build no further than kmax
-    tri = build_triangle("Sf", args.N, width=max(args.kmax, 0))
+    seqs = p_sequences("Sf", args.N, width=max(args.kmax, 0))
     violations = []
     for k in range(1, args.kmax + 1):
         for n in range(k, args.N + 1):
-            seq = p_coefficient_sequence(tri.entry(n, k))
+            seq = seqs[n][k]
             lc = log_concave(seq)
             uni = unimodal(seq)
             if args.show:

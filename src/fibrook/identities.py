@@ -30,12 +30,13 @@ from math import comb
 from pathlib import Path
 
 from fibrook.board import FerrersBoard, aug_mixed_sum, file_poly, mixed_file_sum, rook_poly
-from fibrook.poly import PQRPoly, XPoly, horner_step, q_binomial, q_int, xpoly_product
+from fibrook.poly import PQRPoly, XPoly, horner_step, p_sequence, q_binomial, q_int, xpoly_product
 from fibrook.stirling import (
     build_triangle,
     involution_verify,
     matrix_inverse_check,
     report,
+    triangle_images,
     verify_basis_expansions,
 )
 from fibrook.tiling import FIBONACCI, TRIBONACCI, Record, TileFamily, fibonacci_number, weight_poly
@@ -319,10 +320,15 @@ def unimodal(seq) -> bool:
     return i == len(inner) - 1
 
 
-def p_coefficient_sequence(entry: PQRPoly) -> list[int]:
-    """Integer coefficients of p^0, p^1, ... after setting q = 1 (and r = 1)."""
-    at_q1 = entry.substitute(q=1, r=1)
-    return [c.as_int() for c in at_q1.coefficients_in("p")]
+def p_sequences(kind: str, N: int, width: int | None = None) -> list[list[list[int]]]:
+    """seqs[n][k]: the integer coefficients of p^0, p^1, ... of the `kind`
+    entry (n, k) at q = r = 1, for rows 0..N and columns k <= width.
+
+    Read from the triangle at slot 0, the image q -> 2**0 = 1, where each
+    row value is already a q = 1 coefficient; no entry is unpacked.
+    """
+    rows_at = triangle_images(kind, N, width)[1]
+    return [[p_sequence(image) for image in row] for row in rows_at(0)]
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -455,12 +461,12 @@ def check_q1_specializations(N: int = 20) -> dict:
     """Binomial formulas for Sf columns 3..5 at q = 1, plus the single-p
     product formula for every column of the rows up to min(N, 14)."""
     n_single = min(N, 14)
-    columns = build_triangle("Sf", N, width=5)
-    tri = build_triangle("Sf", n_single)
+    columns = p_sequences("Sf", N, width=5)
+    rows = p_sequences("Sf", n_single)
     bad = []
     for k in (3, 4, 5):
         for n in range(k, N + 1):
-            coeffs = p_coefficient_sequence(columns.entry(n, k))
+            coeffs = columns[n][k]
             smax = (n - 1) if k != 5 else 4
             for s in range(0, smax + 1):
                 got = sf_q1_coefficient(n, k, s)
@@ -469,7 +475,7 @@ def check_q1_specializations(N: int = 20) -> dict:
                     bad.append({"n": n, "k": k, "s": s, "formula": got, "triangle": have})
     for n in range(3, n_single + 1):
         for k in range(3, n):
-            coeffs = p_coefficient_sequence(tri.entry(n, k))
+            coeffs = rows[n][k]
             have = coeffs[1] if len(coeffs) > 1 else 0
             got = sf_q1_coefficient(n, k, 1)
             if got != have:
@@ -541,22 +547,22 @@ def check_log_concavity() -> dict:
     real-rootedness (FAIL on violation, rows n <= 20).
     `scripts/scan_log_concavity.py` scans further."""
     sf_N, sf_kmax, empirical_N, empirical_kmax, cf_N = 25, 4, 18, 8, 20
-    tri = build_triangle("Sf", max(sf_N, empirical_N), width=max(sf_kmax, empirical_kmax))
-    cf_tri = build_triangle("cf", cf_N, width=1)
+    sf = p_sequences("Sf", max(sf_N, empirical_N), width=max(sf_kmax, empirical_kmax))
+    cf = p_sequences("cf", cf_N, width=1)
     bad = []
     warnings = []
     for n in range(1, sf_N + 1):
         for k in range(1, min(sf_kmax, n) + 1):
-            seq = p_coefficient_sequence(tri.entry(n, k))
+            seq = sf[n][k]
             if not log_concave(seq):
                 bad.append({"kind": "Sf", "n": n, "k": k, "sequence": seq})
     for n in range(1, empirical_N + 1):
         for k in range(sf_kmax + 1, min(empirical_kmax, n) + 1):
-            seq = p_coefficient_sequence(tri.entry(n, k))
+            seq = sf[n][k]
             if not log_concave(seq):
                 warnings.append({"kind": "Sf", "n": n, "k": k, "sequence": seq})
     for n in range(1, cf_N + 1):
-        seq = p_coefficient_sequence(cf_tri.entry(n, 1))
+        seq = cf[n][1]
         if not log_concave(seq):
             bad.append({"kind": "cf", "n": n, "k": 1, "sequence": seq})
     scope = (f"Sf k<={sf_kmax} n<={sf_N} and cf col 1 n<={cf_N} asserted; "

@@ -137,19 +137,20 @@ def _row_keys(row: int, low: int, stop: int) -> list[int]:
     return keys[low:stop]
 
 
-def q_image_text(rows: Mapping[int, int], w: int, sign: int = 1) -> str:
-    """str(PQRPoly.from_q_image(rows, w, sign)), without building the polynomial.
+def q_image_text(rows: Mapping[int, int], w: int) -> str:
+    """str(PQRPoly.from_q_image(rows, w)), without building the polynomial.
 
-    Same preconditions as `from_q_image`. Every coefficient has the sign
-    `sign`, so each term's text is one digit and its cached monomial, and
+    Same preconditions as `from_q_image`. Every coefficient has the sign of
+    the rows, so each term's text is one digit and its cached monomial, and
     the terms are put in graded order by sorting their packed keys.
     """
     if not rows:
         return "0"
-    lead = " + " if sign > 0 else " - "
+    negative = next(iter(rows.values())) < 0
+    lead = " - " if negative else " + "
     chunks: dict[int, str] = {}
     for row, value in rows.items():
-        low, digits = _row_digits(value, w)
+        low, digits = _row_digits(abs(value), w)
         for key, digit in zip(_row_keys(row, low, low + len(digits)), digits):
             if digit:
                 mono = _MONO_TEXT.get(key)
@@ -162,7 +163,21 @@ def q_image_text(rows: Mapping[int, int], w: int, sign: int = 1) -> str:
                 else:
                     chunks[key] = f"{lead}{digit}"
     text = "".join([chunks[key] for key in sorted(chunks)])
-    return text[3:] if sign > 0 else "-" + text[3:]
+    return "-" + text[3:] if negative else text[3:]
+
+
+def p_sequence(rows: Mapping[int, int]) -> list[int]:
+    """The coefficients of p**0, p**1, ... of an image at slot 0, with r = 1.
+
+    At slot 0, q -> 2**0 = 1, so each row's value is the q = 1 coefficient
+    of its (p, r) monomial, and the rows of one power of p add up.
+    """
+    seq = [0] * ((max(rows, default=-1) >> _P_SHIFT) + 1)
+    for row, value in rows.items():
+        seq[row >> _P_SHIFT] += value
+    while seq and not seq[-1]:
+        seq.pop()
+    return seq
 
 
 def _from_packed(terms: dict[int, int], deg: int) -> PQRPoly:
@@ -236,13 +251,6 @@ class PQRPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def degree(self, var: str) -> int:
-        """Largest exponent of `var`; -1 for the zero polynomial."""
-        shift = _SHIFT[var]
-        if not self._terms:
-            return -1
-        return max(key >> shift & _MASK for key in self._terms)
-
     def total_degree(self) -> int:
         if not self._terms:
             return -1
@@ -259,19 +267,6 @@ class PQRPoly:
         }
         return _from_packed(picked, self._deg)
 
-    def coefficients_in(self, var: str) -> list[PQRPoly]:
-        """Coefficient list [c_0, ..., c_d] so that sum c_s * var**s == self."""
-        d = self.degree(var)
-        return [self.coefficient(var, s) for s in range(d + 1)]
-
-    def as_int(self) -> int:
-        """The value of a constant polynomial; raises if any variable survives."""
-        if not self._terms:
-            return 0
-        if len(self._terms) != 1 or 0 not in self._terms:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[0]
-
     def eval_at(self, q: int, p: int = 0, r: int = 0) -> int:
         """Exact integer evaluation at q, p, r."""
         total = 0
@@ -279,10 +274,6 @@ class PQRPoly:
             e_q, e_p, e_r = _unpack(key)
             total += coeff * q**e_q * p**e_p * r**e_r
         return total
-
-    def abs_sum(self) -> int:
-        """The sum of |coeff| over all terms, the l1 norm of the coefficients."""
-        return sum(map(abs, self._terms.values()))
 
     def q_image(self, w: int) -> dict[int, int]:
         """The image under q -> 2**w, one integer per (p, r) monomial.
@@ -306,47 +297,24 @@ class PQRPoly:
         return {row: value for row, value in rows.items() if value}
 
     @classmethod
-    def from_q_image(cls, rows: Mapping[int, int], w: int, sign: int = 1) -> PQRPoly:
-        """The polynomial f with f.q_image(w) == rows, times `sign` (+1 or -1).
+    def from_q_image(cls, rows: Mapping[int, int], w: int) -> PQRPoly:
+        """The polynomial f with f.q_image(w) == rows.
 
-        Only for images of polynomials whose coefficients lie in [0, 2**w):
-        each row is then read as plain base-2**w digits (`_row_digits`).
+        Only for images of polynomials whose coefficients all have one sign
+        and absolute values below 2**w: each row is then read as plain
+        base-2**w digits of its absolute value (`_row_digits`).
         """
         terms: dict[int, int] = {}
         for row, value in rows.items():
-            low, digits = _row_digits(value, w)
+            low, digits = _row_digits(abs(value), w)
             keys = _row_keys(row, low, low + len(digits))
-            if sign < 0:
+            if value < 0:
                 digits = [-digit for digit in digits]
             if 0 in digits:
                 terms.update((key, digit) for key, digit in zip(keys, digits) if digit)
             else:
                 terms.update(zip(keys, digits))
         return _from_packed(terms, max(terms) >> _DEG_SHIFT if terms else 0)
-
-    def substitute(
-        self,
-        q: int | None = None,
-        p: int | None = None,
-        r: int | None = None,
-    ) -> PQRPoly:
-        """Partial evaluation: plug in integers for some variables, keep the rest."""
-        out: dict[int, int] = {}
-        for key, coeff in self._terms.items():
-            e_q, e_p, e_r = _unpack(key)
-            if q is not None:
-                coeff *= q**e_q
-                e_q = 0
-            if p is not None:
-                coeff *= p**e_p
-                e_p = 0
-            if r is not None:
-                coeff *= r**e_r
-                e_r = 0
-            # exponents only shrink, so the key cannot overflow
-            key = (e_q + e_p + e_r) << _DEG_SHIFT | e_q << _Q_SHIFT | e_p << _P_SHIFT | e_r
-            out[key] = out.get(key, 0) + coeff
-        return _from_packed({k: c for k, c in out.items() if c}, self._deg)
 
     # arithmetic -----------------------------------------------------------
 

@@ -34,7 +34,10 @@ at q = p = r = 1, and that integer triangle is built first. sf and sp are
 cf and cp with the sign (-1)^(n-k) on each entry, and the integer pass
 also tracks total degrees, so `check_degree` refuses a row before its
 (p, r) keys could overflow. `fibrook table` prints straight from the image
-(`triangle_text`); `build_triangle` unpacks it into `PQRPoly` entries.
+(`triangle_text`); `build_triangle` unpacks it into `PQRPoly` entries. The
+checks compare images and unpack an entry only for a counterexample's
+text: the inverse and basis checks at a slot from their own l1 bounds, the
+q = 1 checks at slot 0, where q -> 2**0 = 1.
 
 The Sf/sf matrices are mutually inverse. `involution` realizes the
 orthogonality bijectively: on pairs (j, rook, file), the entries of a
@@ -48,6 +51,7 @@ columns are empty, unrolls to a closed form.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator
 
 from fibrook.board import (
@@ -161,10 +165,6 @@ class CoeffTriangle(Record):
         return self.rows[n][k]
 
 
-def _entry_sign(kind: str, n: int, k: int) -> int:
-    return -1 if _RULES[kind].signed and (n - k) % 2 else 1
-
-
 def _slot_width(bound: int) -> int:
     """The narrowest image slot that holds every coefficient in [0, bound]."""
     return bound.bit_length()
@@ -174,18 +174,21 @@ def _multipliers(kind: str, N: int) -> Callable[[int, int], tuple[list, int, int
     """The factor m(n, k) of T[n][k] in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k].
 
     Each factor comes as (terms, value at q = p = r = 1, total degree), its
-    terms as (row key, e_q, coeff) triples; W_0 = 0 has no terms, value 0
-    and degree -1.
+    terms as (row key, e_q, coeff) triples, with the coefficients negated
+    for sf/sp; W_0 = 0 has no terms, value 0 and degree -1.
     """
-    fam, factor = family_for_kind(kind), _RULES[kind].factor
+    fam, rule = family_for_kind(kind), _RULES[kind]
+    sign = -1 if rule.signed else 1
     parts = []
     for j in range(N + 1):
         weight = weight_poly(fam, j)
-        terms = [(q_image_row(e_p, e_r), e_q, c) for (e_q, e_p, e_r), c in weight.terms.items()]
+        terms = [
+            (q_image_row(e_p, e_r), e_q, sign * c) for (e_q, e_p, e_r), c in weight.terms.items()
+        ]
         parts.append((terms, weight.eval_at(1, 1, 1), weight.total_degree()))
-    if factor == "n":
+    if rule.factor == "n":
         return lambda n, k: parts[n]
-    if factor == "k":
+    if rule.factor == "k":
         return lambda n, k: parts[k]
 
     def sum_of_weights(n: int, k: int) -> tuple[list, int, int]:  # "k+n": W_k + W_n
@@ -209,28 +212,39 @@ def triangle_text(kind: str, N: int) -> Iterator[list[str]]:
     any row is drawn; the rows are then drawn lazily, each image row from
     the one before, so at most two image rows are held.
     """
-    slot, rows = _image_rows(kind, N, None)
-    return (
-        [q_image_text(image, slot, _entry_sign(kind, n, k)) for k, image in enumerate(row)]
-        for n, row in enumerate(rows)
-    )
+    slot, rows_at, _, _ = triangle_images(kind, N)
+    return ([q_image_text(image, slot) for image in row] for row in rows_at(slot))
 
 
-def _image_rows(
-    kind: str, N: int, width: int | None
-) -> tuple[int, Iterator[tuple[dict[int, int], ...]]]:
-    """The slot width of the `kind` triangle's image, and its image rows,
-    drawn lazily.
+def triangle_images(
+    kind: str, N: int, width: int | None = None
+) -> tuple[
+    int, Callable[[int], Iterator[tuple[dict[int, int], ...]]], list[list[int]], list[list[int]]
+]:
+    """Rows 0..N of the `kind` triangle in ring images, and the integer
+    pass behind them: (slot, rows_at, norms, degrees).
 
-    Image row n holds, per k, the image `{q_image_row(e_p, e_r):
-    sum coeff * 2**(slot * e_q)}` of the unsigned entry (the cf/cp entry for
-    sf/sp), which gets its sign back when it is read. Every coefficient
-    lies in [0, 2**slot), so an entry reads back digit by digit.
+    `rows_at(s)` draws the rows in the image q -> 2**s. Image row n holds,
+    per k, the image `{q_image_row(e_p, e_r): sum coeff * 2**(s * e_q)}`
+    of entry (n, k), signed for sf/sp, as `PQRPoly.q_image` maps it; a
+    term of the factor times an entry is one shift by s * e_q, one small
+    multiply and one add per row. With a
+    `width`, row n holds the entries k = 0..min(n, width). norms[n][k] is
+    the entry's value at q = p = r = 1, its l1 norm, since cf, cp, Sf, Sp
+    and Lf have nonnegative coefficients and sf/sp are cf/cp signed; and
+    degrees[n][k] is its total degree (-1 for 0). Nothing cancels, so
+    degrees add under products and take the max under sums, and
+    `check_degree` refuses each row before its row keys, which add the way
+    packed keys do, could carry from the r field into the p field.
 
-    Two passes of the same recursion: the first, on integers at
-    q = p = r = 1 and on total degrees, runs here, so that the slot is known
-    and an oversized degree raises before any image is built; the second
-    runs on the images as the rows are drawn.
+    `slot` is the natural width, the bit length of the largest norm: at
+    that slot every coefficient is below 2**slot in absolute value, and an
+    entry reads back digit by digit. A check that compares images under a
+    bound of its own draws the rows at a wider slot, or at slot 0, the
+    homomorphism q -> 1, where a row's value is the q = 1 coefficient of
+    its (p, r) monomial. The integer pass runs once, at the call, so an
+    oversized degree raises before any image is built; each `rows_at` call
+    draws its rows lazily, each from the one before.
     """
     factor = _multipliers(kind, N)
     if N < 0:
@@ -238,31 +252,31 @@ def _image_rows(
     if width is not None and width < 0:
         raise ValueError("width must be >= 0")
 
-    # The unsigned triangle at q = p = r = 1, and the total degree of every
-    # entry; with nonnegative coefficients nothing cancels, so degrees add
-    # under products and take the max under sums.
-    ones, degrees, largest = [1], [0], 1
+    # With nonnegative coefficients nothing cancels, so values at 1 are l1
+    # norms, and degrees add under products and take the max under sums.
+    norms, degrees = [[1]], [[0]]
     for n, top in _row_tops(N, width):
+        ones, degs = norms[-1], degrees[-1]
         size = len(ones)
         row, row_deg = [], []
         for k in range(top + 1):
-            value, deg = (ones[k - 1], degrees[k - 1]) if 0 < k <= size else (0, -1)
+            value, deg = (ones[k - 1], degs[k - 1]) if 0 < k <= size else (0, -1)
             if k < size and ones[k]:
                 _, at_one, m_deg = factor(n, k)
                 if at_one:
                     value += at_one * ones[k]
-                    deg = max(deg, m_deg + degrees[k])
+                    deg = max(deg, m_deg + degs[k])
             row.append(value)
             row_deg.append(deg)
         check_degree(max(row_deg))
-        largest = max(largest, *row)
-        ones, degrees = row, row_deg
-    slot = _slot_width(largest)
-    return slot, _recur_images(factor, slot, N, width)
+        norms.append(row)
+        degrees.append(row_deg)
+    slot = _slot_width(max(map(max, norms)))
+    return slot, partial(_recur_images, factor, N, width), norms, degrees
 
 
 def _recur_images(
-    factor: Callable[[int, int], tuple[list, int, int]], slot: int, N: int, width: int | None
+    factor: Callable[[int, int], tuple[list, int, int]], N: int, width: int | None, slot: int
 ) -> Iterator[tuple[dict[int, int], ...]]:
     """The image rows 0..N, each computed from the one before and then dropped."""
     prev: tuple[dict[int, int], ...] = ({0: 1},)
@@ -291,38 +305,17 @@ def _recur_images(
 
 
 def build_triangle(kind: str, N: int, width: int | None = None) -> CoeffTriangle:
-    """Rows 0..N of the `kind` triangle by its two-term recursion.
-
-    The recursion runs in the q-image q -> 2**w of `_image_rows`: each
-    entry is one int per (p, r) monomial, `{q_image_row(e_p, e_r):
-    sum coeff * 2**(w * e_q)}`, as `PQRPoly.q_image` maps it. A term of the
-    factor (W_n, W_k or W_k + W_n) times an entry is then one shift by
-    w * e_q, one small-int multiply and one add per (term, row) pair, with
-    no dict of terms. One slot width w serves the whole triangle. cf, cp,
-    Sf, Sp and Lf have nonnegative coefficients, so nothing cancels and
-    each coefficient of an entry is at most the entry's value at
-    q = p = r = 1; w is the bit length of the largest value of that integer
-    triangle, and below 2**w the base-2**w digits of a row are exactly its
-    coefficients. sf and sp are cf and cp with the sign (-1)**(n - k) on
-    each entry. Degree guard: the integer pass also carries the exact total
-    degree of every entry (degrees add under products and take the max
-    under sums, again since nothing cancels) and calls `check_degree` on
-    each row before it is built, so row keys, which add the way packed keys
-    do, never carry from the r field into the p field. The image is then
-    unpacked into a `CoeffTriangle` of `PQRPoly`s.
+    """Rows 0..N of the `kind` triangle by its two-term recursion, as
+    `PQRPoly` entries read back from `triangle_images` at the natural slot.
 
     Entry (n+1, k) reads only entries (n, k-1) and (n, k), so column k
     depends on columns <= k alone. With a `width`, row n holds only the
     entries k = 0..min(n, width), which equal the leading entries of the
     full row; `entry` then raises for width < k <= n instead of guessing.
     """
-    slot, images = _image_rows(kind, N, width)
+    slot, rows_at, _, _ = triangle_images(kind, N, width)
     rows = tuple(
-        tuple(
-            PQRPoly.from_q_image(image, slot, _entry_sign(kind, n, k))
-            for k, image in enumerate(row)
-        )
-        for n, row in enumerate(images)
+        tuple(PQRPoly.from_q_image(image, slot) for image in row) for row in rows_at(slot)
     )
     return CoeffTriangle(kind, N, rows, width)
 
@@ -353,6 +346,40 @@ def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:
 # ──────────────────────────────────────────────────────────────────────────
 
 
+def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """acc += a * b on q-images: row keys add and values multiply, as
+    `PQRPoly.q_image` maps a product."""
+    get = acc.get
+    right = b.items()
+    for ra, va in a.items():
+        for rb, vb in right:
+            key = ra + rb
+            acc[key] = get(key, 0) + va * vb
+
+
+def _nonzero(image: dict[int, int]) -> dict[int, int]:
+    return {row: value for row, value in image.items() if value}
+
+
+def _image_horner(poly: list[dict], c: dict[int, int], const: dict[int, int]) -> list[dict]:
+    """`horner_step` on q-images: const + (x + c) * poly, where poly and the
+    result list the images of the coefficients of x**0, x**1, ..."""
+    out = [dict(const), *map(dict, poly)]
+    for coeff, image in zip(out, poly):
+        _add_product(coeff, c, image)
+    return out
+
+
+def _newton_bounds(shift: list[PQRPoly]) -> tuple[list[int], list[int]]:
+    """Per k, bounds on the l1 norm and total degree of prod_{i<k} (x + c_i),
+    with each c_i 0 or +-W_i, whose coefficients share one sign."""
+    norms, degrees = [1], [0]
+    for c in shift[:-1]:
+        norms.append(norms[-1] * (1 + abs(c.eval_at(1, 1, 1))))
+        degrees.append(degrees[-1] + max(c.total_degree(), 0))
+    return norms, degrees
+
+
 def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
     """Check the basis expansion of every triangle of the family up to row N.
 
@@ -368,6 +395,19 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
     Horner form, P = T[n][n], then P = T[n][k] + (x - a_k) P for
     k = n-1, ..., 0. Every product is a node (one W_k) times a coefficient
     of P, never a basis polynomial times a triangle entry.
+
+    Both sides are compared in the image q -> 2**w of `triangle_images`,
+    one list of images per side, so a product is a handful of integer
+    products. The width comes from the integer pass: with c_i = -a_i, every
+    coefficient of lhs_n is at most prod_{i<n} (1 + |c_i|_1), and every one
+    of the right side at most sum_k |T[n][k]|_1 prod_{i<k} (1 + |c_i|_1);
+    with B the largest of these bounds and w = B.bit_length() + 2, both
+    sides and their difference have coefficients below 2**(w-1), where the
+    image is injective (balanced base-2**w digits). The same pass bounds
+    the total degree of every product, which `check_degree` refuses before
+    a row key could carry from the r field into the p field. Only a
+    failing n is recomputed as polynomials, from `build_triangle`, for the
+    text of its counterexample.
     """
     zero = PQRPoly.zero()
     weights = [weight_poly(fam, k) for k in range(N + 1)]
@@ -379,20 +419,38 @@ def verify_basis_expansions(N: int, fam: TileFamily) -> dict:
     }
     counterexamples = []
     for name, kind in _kinds_by_basis(fam).items():
-        tri = build_triangle(kind, N)
         # "A-in-B" puts basis A on the left, B on the right ("powers" is "power")
         lhs_shift, rhs_shift = (shifts[side.rstrip("s")] for side in name.split("-in-"))
-        lhs = XPoly.one()
+        (lhs_norm, lhs_deg), (rhs_norm, rhs_deg) = map(_newton_bounds, (lhs_shift, rhs_shift))
+        _, rows_at, norms, degrees = triangle_images(kind, N)
+        bound = top_degree = 0
         for n in range(N + 1):
+            bound = max(bound, lhs_norm[n], sum(norms[n][k] * rhs_norm[k] for k in range(n + 1)))
+            top_degree = max(top_degree, lhs_deg[n], *map(sum, zip(degrees[n], rhs_deg)))
+        check_degree(top_degree)
+        w = bound.bit_length() + 2
+        lhs_nodes = [c.q_image(w) for c in lhs_shift]
+        rhs_nodes = [c.q_image(w) for c in rhs_shift]
+        lhs: list[dict] = [{0: 1}]
+        tri = None
+        for n, row in enumerate(rows_at(w)):
             if n:
-                lhs = horner_step(lhs, lhs_shift[n - 1], zero)
-            rhs = XPoly.zero()
+                lhs = _image_horner(lhs, lhs_nodes[n - 1], {})
+            rhs: list[dict] = []
             for k in range(n, -1, -1):
-                rhs = horner_step(rhs, rhs_shift[k], tri.entry(n, k))
-            if lhs != rhs:
-                counterexamples.append(
-                    {"identity": name, "n": n, "lhs": str(lhs), "rhs": str(rhs)}
-                )
+                rhs = _image_horner(rhs, rhs_nodes[k], row[k])
+            if all(_nonzero(a) == _nonzero(b) for a, b in zip(lhs, rhs)):
+                continue
+            if tri is None:
+                tri = build_triangle(kind, N)
+            lhs_poly, rhs_poly = XPoly.one(), XPoly.zero()
+            for i in range(n):
+                lhs_poly = horner_step(lhs_poly, lhs_shift[i], zero)
+            for k in range(n, -1, -1):
+                rhs_poly = horner_step(rhs_poly, rhs_shift[k], tri.entry(n, k))
+            counterexamples.append(
+                {"identity": name, "n": n, "lhs": str(lhs_poly), "rhs": str(rhs_poly)}
+            )
     return report("basis-expansions", f"family={fam.label}, n<={N}", counterexamples)
 
 
@@ -400,54 +458,45 @@ def matrix_inverse_check(N: int, fam: TileFamily) -> dict:
     """Check sum_j Sf[n][j] sf[j][k] = [n == k] (and the {1,2,3} analogue).
 
     Each sum is checked in the image of the ring homomorphism q -> 2**w,
-    taken separately for each (p, r) monomial (`PQRPoly.q_image`), so one
-    product of two entries is a handful of integer products instead of a
-    term-by-term dict product. The width w comes from the data: since
-    |fg|_inf <= |f|_1 |g|_1, every coefficient of the (n, k) sum is at most
-    B = max over n, k of sum_j |Sf[n][j]|_1 |sf[j][k]|_1, and with
-    w = B.bit_length() + 2 both the sum and [n == k] have coefficients
-    below 2**(w-1) in absolute value. The image is injective there (each
-    row is read as digits in balanced base 2**w), so the images are equal
-    exactly when the polynomials are. Only a failing entry is recomputed
-    as a polynomial, for the text of its counterexample.
+    taken separately for each (p, r) monomial: both triangles are built
+    directly at slot w by `triangle_images`, so one product of two entries
+    is a handful of integer products instead of a term-by-term dict
+    product. The width w comes from the data: since |fg|_inf <= |f|_1 |g|_1,
+    every coefficient of the (n, k) sum is at most
+    B = max over n, k of sum_j |Sf[n][j]|_1 |sf[j][k]|_1, with the norms
+    from the integer pass, and with w = B.bit_length() + 2 both the sum
+    and [n == k] have coefficients below 2**(w-1) in absolute value. The
+    image is injective there (each row is read as digits in balanced base
+    2**w), so the images are equal exactly when the polynomials are. Only
+    a failing entry is recomputed as a polynomial, from `build_triangle`,
+    for the text of its counterexample.
     """
     kinds = _kinds_by_basis(fam)
     big, small = kinds["power-in-falling"], kinds["falling-in-powers"]
-    tri_big = build_triangle(big, N)
-    tri_small = build_triangle(small, N)
-    check_degree(_max_degree(tri_big) + _max_degree(tri_small))
-    norm_big = [[e.abs_sum() for e in row] for row in tri_big.rows]
-    norm_small = [[e.abs_sum() for e in row] for row in tri_small.rows]
+    _, rows_big, norm_big, deg_big = triangle_images(big, N)
+    _, rows_small, norm_small, deg_small = triangle_images(small, N)
+    check_degree(max(map(max, deg_big)) + max(map(max, deg_small)))
     bound = max(
         sum(norm_big[n][j] * norm_small[j][k] for j in range(k, n + 1))
         for n in range(N + 1)
         for k in range(n + 1)
     )
     w = bound.bit_length() + 2
-    image_big = [[e.q_image(w) for e in row] for row in tri_big.rows]
-    image_small = [[e.q_image(w) for e in row] for row in tri_small.rows]
+    image_big = list(rows_big(w))
+    image_small = list(rows_small(w))
     counterexamples = []
+    tris = None
     for n in range(N + 1):
         for k in range(n + 1):
             rows: dict[int, int] = {}
-            get = rows.get
             for j in range(k, n + 1):
-                right = image_small[j][k].items()
-                for ra, va in image_big[n][j].items():
-                    for rb, vb in right:
-                        key = ra + rb
-                        rows[key] = get(key, 0) + va * vb
-            got = {key: value for key, value in rows.items() if value}
-            if got != ({0: 1} if n == k else {}):
-                total = PQRPoly.zero()
-                for j in range(k, n + 1):
-                    total = total + tri_big.entry(n, j) * tri_small.entry(j, k)
-                counterexamples.append({"n": n, "k": k, "value": str(total)})
+                _add_product(rows, image_big[n][j], image_small[j][k])
+            if _nonzero(rows) != ({0: 1} if n == k else {}):
+                if tris is None:
+                    tris = build_triangle(big, N), build_triangle(small, N)
+                terms = (tris[0].entry(n, j) * tris[1].entry(j, k) for j in range(k, n + 1))
+                counterexamples.append({"n": n, "k": k, "value": str(sum(terms, PQRPoly.zero()))})
     return report("matrix-inverse", f"family={fam.label}, n,k<={N}", counterexamples)
-
-
-def _max_degree(tri: CoeffTriangle) -> int:
-    return max(e.total_degree() for row in tri.rows for e in row)
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -1,4 +1,83 @@
 import hypothesis
+import pytest
+
+import fibrook.identities as identities
+import fibrook.stirling as stirling
+from fibrook.poly import PQRPoly
 
 hypothesis.settings.register_profile("fibrook", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("fibrook")
+
+
+def l1_norm(poly: PQRPoly) -> int:
+    """The sum of |coeff| over all terms of `poly`."""
+    return sum(map(abs, poly.terms.values()))
+
+
+@pytest.fixture
+def perturb_entry(monkeypatch):
+    """`perturb_entry(kind, n, k, delta)` makes every check see the `kind`
+    entry (n, k) plus the `PQRPoly` delta, in every triangle that reaches
+    row n; an entry beyond the width a check asks for makes the call raise.
+
+    `triangle_images` adds the delta's l1 norm and total degree to the
+    entry's norm and degree from the integer pass, and its `rows_at` adds
+    the delta's image to the entry's image at every slot a check asks for,
+    slot 0 included. The checks ask for slot 0 or for a slot wider than
+    the natural one; the rows at the natural slot, which are read back as
+    polynomials, stay as built, and `build_triangle` adds the delta to the
+    unpacked entry instead, for the identity checks that still unpack and
+    for counterexample text. Perturbations stack, each on top of the ones
+    before.
+    """
+
+    def apply(kind: str, n: int, k: int, delta: PQRPoly) -> None:
+        for module in (stirling, identities):
+            monkeypatch.setattr(module, "triangle_images",
+                                _perturbed_images(module.triangle_images, kind, n, k, delta))
+            monkeypatch.setattr(module, "build_triangle",
+                                _perturbed_build(module.build_triangle, kind, n, k, delta))
+
+    return apply
+
+
+def _perturbed_images(real, kind: str, n: int, k: int, delta: PQRPoly):
+    def images(kind_: str, N: int, width: int | None = None):
+        found = real(kind_, N, width)
+        if kind_ != kind or n > N:
+            return found
+        natural, rows_at, norms, degrees = found
+        norms[n][k] += l1_norm(delta)
+        degrees[n][k] = max(degrees[n][k], delta.total_degree())
+
+        def perturbed_rows(slot: int):
+            rows = rows_at(slot)
+            return rows if slot == natural else _add_to_row(rows, n, k, delta.q_image(slot))
+
+        return natural, perturbed_rows, norms, degrees
+
+    return images
+
+
+def _add_to_row(rows, n: int, k: int, image: dict[int, int]):
+    for m, row in enumerate(rows):
+        if m == n:
+            row = list(row)
+            entry = dict(row[k])
+            for key, value in image.items():
+                entry[key] = entry.get(key, 0) + value
+            row[k] = {key: value for key, value in entry.items() if value}
+            row = tuple(row)
+        yield row
+
+
+def _perturbed_build(real, kind: str, n: int, k: int, delta: PQRPoly):
+    def build(kind_: str, N: int, width: int | None = None) -> stirling.CoeffTriangle:
+        tri = real(kind_, N, width)
+        if kind_ != kind or n > N:
+            return tri
+        rows = [list(row) for row in tri.rows]
+        rows[n][k] = rows[n][k] + delta
+        return stirling.CoeffTriangle(kind_, N, tuple(tuple(row) for row in rows), width)
+
+    return build

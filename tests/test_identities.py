@@ -22,7 +22,8 @@ from fibrook.identities import (
     closed_form,
     fibonomial,
     log_concave,
-    p_coefficient_sequence,
+    p_sequences,
+    run_suite,
     sequence_export,
     sf_column_series,
     sf_p_coefficient_formula,
@@ -31,7 +32,8 @@ from fibrook.identities import (
 )
 from fibrook.board import FerrersBoard
 from fibrook.poly import P, Q, PQRPoly, XPoly, xpoly_product
-from fibrook.stirling import CoeffTriangle, build_triangle
+import fibrook.stirling as stirling
+from fibrook.stirling import TRIANGLE_KINDS, build_triangle
 from fibrook.tiling import FIBONACCI, weight_poly
 
 
@@ -86,10 +88,10 @@ def test_sf_p_formula_frozen_and_domain():
 
 def test_sf_q1_values_match_triangle():
     # the all-column s = 0 formula; sf-q1-specializations checks s = 0 in columns 3..5 only
-    tri = build_triangle("Sf", 14)
+    seqs = p_sequences("Sf", 14)
     for n in range(3, 15):
         for k in range(1, n + 1):
-            assert sf_q1_coefficient(n, k, 0) == p_coefficient_sequence(tri.entry(n, k))[0]
+            assert sf_q1_coefficient(n, k, 0) == seqs[n][k][0]
 
 
 def test_sf_q1_frozen_spot_values():
@@ -158,11 +160,32 @@ def test_log_concave_positive_implies_unimodal(seq):
     assert unimodal(seq)
 
 
+def p_coefficient_sequence(entry: PQRPoly) -> list[int]:
+    """Integer coefficients of p^0, p^1, ... after setting q = r = 1, from
+    the terms of `entry`: the polynomial reference for `p_sequences`."""
+    at_q1: dict[int, int] = {}
+    for (_, e_p, _), coeff in entry.terms.items():
+        at_q1[e_p] = at_q1.get(e_p, 0) + coeff
+    powers = [e_p for e_p, coeff in at_q1.items() if coeff]
+    return [at_q1.get(s, 0) for s in range(max(powers, default=-1) + 1)]
+
+
+@pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+def test_slot_zero_sequences_match_the_unpacked_entries(kind: str):
+    for N in range(13):
+        want = [[p_coefficient_sequence(e) for e in row] for row in build_triangle(kind, N).rows]
+        assert p_sequences(kind, N) == want
+    for width in (0, 1, 5):
+        want = [[p_coefficient_sequence(e) for e in row]
+                for row in build_triangle(kind, 12, width).rows]
+        assert p_sequences(kind, 12, width) == want
+
+
 def test_triangle_p_coefficients_are_well_shaped():
-    tri = build_triangle("Sf", 16)
+    seqs = p_sequences("Sf", 16)
     for n in range(3, 17):
-        for k in (3, 4):
-            seq = p_coefficient_sequence(tri.entry(n, k))
+        for k in range(3, min(n, 4) + 1):
+            seq = seqs[n][k]
             assert log_concave(seq)
             assert unimodal(seq)
 
@@ -237,26 +260,9 @@ def test_check_sequences_catches_a_wrong_generator(monkeypatch):
     assert [w["name"] for w in report["warnings"]] == ["A006002"]
 
 
-def _perturb_entry(monkeypatch, kind: str, n: int, k: int, delta: PQRPoly) -> None:
-    """Make the checks in `identities` see `kind`[n][k] + delta in every
-    build that reaches row n; an entry beyond the width the check asks for
-    makes the build raise."""
-    real = identities.build_triangle
-
-    def perturbed(kind_: str, N: int, width: int | None = None) -> CoeffTriangle:
-        tri = real(kind_, N, width)
-        if kind_ != kind or n > N:
-            return tri
-        rows = [list(row) for row in tri.rows]
-        rows[n][k] = rows[n][k] + delta
-        return CoeffTriangle(kind_, N, tuple(tuple(row) for row in rows), width)
-
-    monkeypatch.setattr(identities, "build_triangle", perturbed)
-
-
-def test_log_concavity_catches_a_wrong_sf_entry(monkeypatch):
+def test_log_concavity_catches_a_wrong_sf_entry(perturb_entry):
     # Sf[6][3] at q = 1 has p-sequence [10, 10, 5, 1]; taking 9 from p^1 makes a dip
-    _perturb_entry(monkeypatch, "Sf", 6, 3, PQRPoly.term(-9, e_p=1))
+    perturb_entry("Sf", 6, 3, PQRPoly.term(-9, e_p=1))
     report = check_log_concavity()
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
@@ -264,9 +270,9 @@ def test_log_concavity_catches_a_wrong_sf_entry(monkeypatch):
     ]
 
 
-def test_log_concavity_catches_a_wrong_cf_entry(monkeypatch):
+def test_log_concavity_catches_a_wrong_cf_entry(perturb_entry):
     # cf[6][1] at q = 1 has p-sequence [1, 6, 12, 9, 2]; zeroing p^1 leaves an inner 0
-    _perturb_entry(monkeypatch, "cf", 6, 1, PQRPoly.term(-6, e_p=1))
+    perturb_entry("cf", 6, 1, PQRPoly.term(-6, e_p=1))
     report = check_log_concavity()
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
@@ -274,8 +280,8 @@ def test_log_concavity_catches_a_wrong_cf_entry(monkeypatch):
     ]
 
 
-def test_cf_columns_catch_a_wrong_entry(monkeypatch):
-    _perturb_entry(monkeypatch, "cf", 5, 2, Q)
+def test_cf_columns_catch_a_wrong_entry(perturb_entry):
+    perturb_entry("cf", 5, 2, Q)
     report = check_cf_columns()
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
@@ -288,8 +294,8 @@ def test_cf_columns_catch_a_wrong_entry(monkeypatch):
 # each perturbed entry sits at the top of that range, so a shrunken loop misses it
 
 
-def test_closed_forms_catch_a_wrong_entry(monkeypatch):
-    _perturb_entry(monkeypatch, "Sf", 20, 1, Q)
+def test_closed_forms_catch_a_wrong_entry(perturb_entry):
+    perturb_entry("Sf", 20, 1, Q)
     report = check_closed_forms(20)
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
@@ -297,9 +303,9 @@ def test_closed_forms_catch_a_wrong_entry(monkeypatch):
     ]
 
 
-def test_sf_p_coefficients_catch_a_wrong_entry(monkeypatch):
+def test_sf_p_coefficients_catch_a_wrong_entry(perturb_entry):
     want = sf_p_coefficient_formula(12, 11, 1)
-    _perturb_entry(monkeypatch, "Sf", 12, 11, P)
+    perturb_entry("Sf", 12, 11, P)
     report = check_sf_p_coefficients(12)
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
@@ -307,9 +313,9 @@ def test_sf_p_coefficients_catch_a_wrong_entry(monkeypatch):
     ]
 
 
-def test_series_columns_catch_a_wrong_entry(monkeypatch):
+def test_series_columns_catch_a_wrong_entry(perturb_entry):
     want = build_triangle("Sf", 12).entry(12, 6)
-    _perturb_entry(monkeypatch, "Sf", 12, 6, Q)
+    perturb_entry("Sf", 12, 6, Q)
     report = check_series_columns(12)
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
@@ -317,9 +323,9 @@ def test_series_columns_catch_a_wrong_entry(monkeypatch):
     ]
 
 
-def test_q1_specializations_catch_a_wrong_entry(monkeypatch):
+def test_q1_specializations_catch_a_wrong_entry(perturb_entry):
     # 25 C(19, 6) + C(19, 5) = 689928 at q = 1
-    _perturb_entry(monkeypatch, "Sf", 20, 5, P**2)
+    perturb_entry("Sf", 20, 5, P**2)
     report = check_q1_specializations(20)
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
@@ -467,6 +473,29 @@ def test_run_suite_calls_the_checks_by_name(monkeypatch):
     monkeypatch.setattr(identities, "check_products", lambda N: {"check": "stub", "N": N})
     assert identities.run_suite("products") == [{"check": "stub", "N": 6}]
     assert identities.run_suite("products", 2) == [{"check": "stub", "N": 2}]
+
+
+def test_inverse_suite_and_log_concavity_pass_without_unpacking(monkeypatch):
+    calls = []
+    real_unpack = PQRPoly.from_q_image.__func__
+    real_build = stirling.build_triangle
+
+    def unpack(cls, *args):
+        calls.append("from_q_image")
+        return real_unpack(cls, *args)
+
+    def build(*args, **kwargs):
+        calls.append("build_triangle")
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(PQRPoly, "from_q_image", classmethod(unpack))
+    monkeypatch.setattr(stirling, "build_triangle", build)
+    monkeypatch.setattr(identities, "build_triangle", build)
+    assert [r["status"] for r in run_suite("inverse", 8)] == ["PASS"] * 4
+    assert check_log_concavity()["status"] == "PASS"
+    assert calls == []
+    stirling.build_triangle("Sf", 2)  # the spies see an unpacking build
+    assert calls == ["build_triangle"] + ["from_q_image"] * 6
 
 
 def test_run_suite_rejects_an_unknown_suite():

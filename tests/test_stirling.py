@@ -7,7 +7,8 @@ import pytest
 import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, parse_placement
 from fibrook.cli import main
-from fibrook.poly import P, Q, R, PQRPoly, XPoly, xpoly_product
+from conftest import l1_norm
+from fibrook.poly import P, Q, R, PQRPoly, XPoly, horner_step, xpoly_product
 from fibrook.stirling import (
     TRIANGLE_KINDS,
     build_triangle,
@@ -129,7 +130,7 @@ def test_slot_width_holds_every_coefficient_and_no_less(monkeypatch, kind: str):
     N = 12
     want = _dict_recursion(kind, N)
     tight = max(abs(c) for row in want for e in row for c in e.terms.values()).bit_length()
-    assert stirling._image_rows(kind, N, None)[0] >= tight
+    assert stirling.triangle_images(kind, N)[0] >= tight
     monkeypatch.setattr(stirling, "_slot_width", lambda bound: tight)
     assert build_triangle(kind, N).rows == want
     # one bit narrower, the widest coefficient carries into its neighbour
@@ -237,21 +238,6 @@ def test_rising_factorial_expands_in_cf_row():
         assert up3.coefficient(k) == tri.entry(3, k)
 
 
-def _perturb(monkeypatch, kind: str, n: int, k: int, delta: PQRPoly) -> None:
-    """Make `stirling.build_triangle(kind, ...)` add `delta` to entry (n, k)."""
-    real = stirling.build_triangle
-
-    def perturbed(kd: str, N: int, width: int | None = None):
-        tri = real(kd, N, width)
-        if kd != kind:
-            return tri
-        rows = [list(row) for row in tri.rows]
-        rows[n][k] = rows[n][k] + delta
-        return stirling.CoeffTriangle(kd, N, tuple(tuple(row) for row in rows), width)
-
-    monkeypatch.setattr(stirling, "build_triangle", perturbed)
-
-
 @pytest.mark.parametrize("fam,N", [(FIBONACCI, 10), (TRIBONACCI, 8)])
 def test_basis_expansions_verified(fam, N):
     report = verify_basis_expansions(N, fam)
@@ -274,11 +260,98 @@ def test_basis_expansions_verified(fam, N):
         ]
     ],
 )
-def test_basis_expansions_catch_a_wrong_entry(monkeypatch, kind, fam, identity):
-    _perturb(monkeypatch, kind, 4, 2, Q)
+def test_basis_expansions_catch_a_wrong_entry(perturb_entry, kind, fam, identity):
+    perturb_entry(kind, 4, 2, Q)
     report = verify_basis_expansions(6, fam)
     assert report["status"] == "FAIL"
     assert [(c["identity"], c["n"]) for c in report["counterexamples"]] == [(identity, 4)]
+
+
+def test_basis_expansions_slot_width_comes_from_the_data(monkeypatch, perturb_entry):
+    widths = _requested_slots(monkeypatch)
+    assert verify_basis_expansions(6, FIBONACCI)["status"] == "PASS"
+    assert set(widths) == {"cf", "sf", "Sf", "Lf"}
+    [w] = widths["Sf"]
+    # Sf[4][2] + q - 2**w has the same image as Sf[4][2] at width w
+    perturb_entry("Sf", 4, 2, Q - 2**w)
+    report = verify_basis_expansions(6, FIBONACCI)
+    assert [(c["identity"], c["n"]) for c in report["counterexamples"]] == [("power-in-falling", 4)]
+    assert max(widths["Sf"]) > w
+
+
+def test_basis_expansions_keep_the_degree_guard(perturb_entry):
+    # Sp[5][5] = 1 + r^65535 fits the packed fields, but in the Horner sum
+    # for x^5 it meets the node -W_4, whose term q*r makes r^65536: that
+    # row key would carry into the p field and alias p*q. The check must
+    # refuse from the degrees of the integer pass, 65535 + (1+2+3+4), before
+    # it compares any image or rebuilds any polynomial.
+    perturb_entry("Sp", 5, 5, PQRPoly.term(1, e_r=65535))
+    with pytest.raises(OverflowError, match="total degree 65545"):
+        verify_basis_expansions(5, TRIBONACCI)
+
+
+def _reference_basis_expansions(N: int, fam: TileFamily) -> dict:
+    """`verify_basis_expansions` on `PQRPoly` entries: the term-by-term
+    reference for the image check."""
+    zero = PQRPoly.zero()
+    weights = [weight_poly(fam, k) for k in range(N + 1)]
+    shifts = {"power": [zero] * (N + 1), "falling": [-w for w in weights], "rising": weights}
+    counterexamples = []
+    for name, kind in stirling._kinds_by_basis(fam).items():
+        tri = stirling.build_triangle(kind, N)
+        lhs_shift, rhs_shift = (shifts[side.rstrip("s")] for side in name.split("-in-"))
+        lhs = XPoly.one()
+        for n in range(N + 1):
+            if n:
+                lhs = horner_step(lhs, lhs_shift[n - 1], zero)
+            rhs = XPoly.zero()
+            for k in range(n, -1, -1):
+                rhs = horner_step(rhs, rhs_shift[k], tri.entry(n, k))
+            if lhs != rhs:
+                counterexamples.append({"identity": name, "n": n, "lhs": str(lhs), "rhs": str(rhs)})
+    return stirling.report("basis-expansions", f"family={fam.label}, n<={N}", counterexamples)
+
+
+def _reference_matrix_inverse(N: int, fam: TileFamily) -> dict:
+    """`matrix_inverse_check` on `PQRPoly` entries, each mapped to its image
+    at a width from their l1 norms: the reference for the image check."""
+    kinds = stirling._kinds_by_basis(fam)
+    tri_big = stirling.build_triangle(kinds["power-in-falling"], N)
+    tri_small = stirling.build_triangle(kinds["falling-in-powers"], N)
+    norm_big = [[l1_norm(e) for e in row] for row in tri_big.rows]
+    norm_small = [[l1_norm(e) for e in row] for row in tri_small.rows]
+    bound = max(
+        sum(norm_big[n][j] * norm_small[j][k] for j in range(k, n + 1))
+        for n in range(N + 1)
+        for k in range(n + 1)
+    )
+    w = bound.bit_length() + 2
+    counterexamples = []
+    for n in range(N + 1):
+        for k in range(n + 1):
+            total = PQRPoly.zero()
+            for j in range(k, n + 1):
+                total = total + tri_big.entry(n, j) * tri_small.entry(j, k)
+            if total.q_image(w) != ({0: 1} if n == k else {}):
+                counterexamples.append({"n": n, "k": k, "value": str(total)})
+    return stirling.report("matrix-inverse", f"family={fam.label}, n,k<={N}", counterexamples)
+
+
+@pytest.mark.parametrize(
+    "fam,N,perturbations",
+    [
+        (FIBONACCI, 10, []),
+        (TRIBONACCI, 8, []),
+        (FIBONACCI, 9, [("sf", 7, 3, Q), ("Sf", 6, 2, -P * R)]),
+        (TRIBONACCI, 8, [("sp", 6, 2, R), ("Sp", 7, 7, 3 * Q**2), ("cp", 5, 1, -Q)]),
+        (FIBONACCI, 7, [("cf", 4, 2, P), ("Lf", 6, 3, Q - 2), ("sf", 3, 3, PQRPoly.constant(-1))]),
+    ],
+)
+def test_image_checks_match_the_polynomial_references(perturb_entry, fam, N, perturbations):
+    for kind, n, k, delta in perturbations:
+        perturb_entry(kind, n, k, delta)
+    assert matrix_inverse_check(N, fam) == _reference_matrix_inverse(N, fam)
+    assert verify_basis_expansions(N, fam) == _reference_basis_expansions(N, fam)
 
 
 def test_report_fails_on_a_counterexample_beside_warnings():
@@ -304,8 +377,8 @@ def test_triangles_are_mutually_inverse(fam):
         (TRIBONACCI, 8, "sp", 6, 2, R, [(6, 2), (7, 2), (8, 2)]),
     ],
 )
-def test_inverse_check_catches_a_wrong_entry(monkeypatch, fam, N, kind, n, k, delta, failing):
-    _perturb(monkeypatch, kind, n, k, delta)
+def test_inverse_check_catches_a_wrong_entry(perturb_entry, fam, N, kind, n, k, delta, failing):
+    perturb_entry(kind, n, k, delta)
     report = matrix_inverse_check(N, fam)
     assert report["status"] == "FAIL"
     assert [(c["n"], c["k"]) for c in report["counterexamples"]] == failing
@@ -318,35 +391,65 @@ def test_inverse_check_catches_a_wrong_entry(monkeypatch, fam, N, kind, n, k, de
         assert c["value"] == str(total)
 
 
-def test_inverse_check_slot_width_comes_from_the_data(monkeypatch):
-    widths = set()
-    real_image = PQRPoly.q_image
+def _requested_slots(monkeypatch) -> dict[str, set[int]]:
+    """Record, per kind, every slot a check draws image rows at."""
+    slots: dict[str, set[int]] = {}
+    real = stirling.triangle_images
 
-    def spy(self, w):
-        widths.add(w)
-        return real_image(self, w)
+    def spy(kind, N, width=None):
+        natural, rows_at, norms, degrees = real(kind, N, width)
 
-    monkeypatch.setattr(PQRPoly, "q_image", spy)
+        def recorded(slot):
+            slots.setdefault(kind, set()).add(slot)
+            return rows_at(slot)
+
+        return natural, recorded, norms, degrees
+
+    monkeypatch.setattr(stirling, "triangle_images", spy)
+    return slots
+
+
+def test_inverse_check_slot_width_comes_from_the_data(monkeypatch, perturb_entry):
+    widths = _requested_slots(monkeypatch)
     assert matrix_inverse_check(8, FIBONACCI)["status"] == "PASS"
-    [w] = widths
+    assert widths["Sf"] == widths["sf"]
+    [w] = widths["sf"]
     # q - 2**w has image 0 at width w, so only a wider slot can see it
     bad = Q - 2**w
     assert bad.q_image(w) == {}
-    _perturb(monkeypatch, "sf", 5, 5, bad)
+    perturb_entry("sf", 5, 5, bad)
     report = matrix_inverse_check(8, FIBONACCI)
     assert report["status"] == "FAIL"
     assert (5, 5) in [(c["n"], c["k"]) for c in report["counterexamples"]]
-    assert max(widths) > w
+    assert max(widths["sf"]) > w
 
 
-def test_inverse_check_keeps_the_degree_guard(monkeypatch):
+@pytest.mark.parametrize("fam", [FIBONACCI, TRIBONACCI])
+def test_checks_run_the_integer_pass_once_per_kind(monkeypatch, fam: TileFamily):
+    passes = []
+    real = stirling.triangle_images
+
+    def counted(kind, N, width=None):
+        passes.append(kind)
+        return real(kind, N, width)
+
+    monkeypatch.setattr(stirling, "triangle_images", counted)
+    kinds = stirling._kinds_by_basis(fam)
+    assert matrix_inverse_check(6, fam)["status"] == "PASS"
+    assert sorted(passes) == sorted([kinds["power-in-falling"], kinds["falling-in-powers"]])
+    passes.clear()
+    assert verify_basis_expansions(6, fam)["status"] == "PASS"
+    assert sorted(passes) == sorted(kinds.values())
+
+
+def test_inverse_check_keeps_the_degree_guard(perturb_entry):
     # Each entry fits the packed fields, but r^40000 * r^25536 does not: its
     # row key would carry into the p field and alias p, and the (2, 0) sum
     # r^65536 - p would pass in the image. The check must refuse instead.
     r_power = PQRPoly.term(1, e_r=25536)
-    _perturb(monkeypatch, "Sf", 2, 1, PQRPoly.term(1, e_r=40000))
-    _perturb(monkeypatch, "sf", 1, 0, r_power)
-    _perturb(monkeypatch, "sf", 2, 0, -P - Q * r_power)
+    perturb_entry("Sf", 2, 1, PQRPoly.term(1, e_r=40000))
+    perturb_entry("sf", 1, 0, r_power)
+    perturb_entry("sf", 2, 0, -P - Q * r_power)
     with pytest.raises(OverflowError):
         matrix_inverse_check(3, FIBONACCI)
 
