@@ -1,8 +1,10 @@
-"""Golden digests of `fibrook table` for every kind and output format.
+"""Golden digests of `fibrook table` for every kind and output format,
+and of `fibrook series` at the size CI runs.
 
-The digests pin stdout byte for byte: any change to how triangles are
-built or printed, including the per-entry signs of sf and sp, shows up
-here. Sizes stay small enough that all 21 commands run in about a second.
+The digests pin stdout byte for byte: any change to how triangles or
+column series are built or printed, including the per-entry signs of sf
+and sp, shows up here. Sizes stay small enough that all 22 commands run
+in a few seconds.
 """
 
 import hashlib
@@ -41,3 +43,10 @@ def test_table_output_is_pinned(capsys, kind, N, fmt, nbytes, sha256):
     assert main(["table", kind, str(N), "--format", fmt]) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (nbytes, sha256)
+
+
+def test_series_output_is_pinned(capsys):
+    assert main(["series", "6", "--order", "30"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        659018, "264b9b68c35c3ba52466671429f13630c97add557367bcfd3dd98b73c2df9029")

@@ -2,10 +2,10 @@
 
 The digests pin stdout byte for byte: every report's check name, range,
 status, counts, signed sums and warnings, in registry order. They cover
-every suite at N = 5, the identity suite at its default sizes and at
-N = 20, the inverse check at N = 13, and the involution on every domain
-up to n = 6 and on the (8, 5) domain that perfbench's `placements`
-workload checks. Each runs in about a second.
+every suite at N = 5 and at its default size, the identity suite at its
+default sizes and at N = 20, the inverse check at N = 13, and the
+involution on every domain up to n = 6 and on the (8, 5) domain that
+perfbench's `placements` workload checks. Each runs in about a second.
 """
 
 import hashlib
@@ -21,6 +21,7 @@ GOLDEN = [
     (("involution", "--N", "6"), 3927, "71f15e86c06c89fcc0d1a85192c7c6b50d034099a99f4b32b5b304f19b20d287"),
     (("involution", "--n", "8", "--k", "5"), 347, "8459f3fb7a84647cdb4b3a963a65c89b7f343935e3870edf2461ed05cfff1924"),
     (("identities", "--N", "20"), 1459, "812bdf2aa84fd526b6e85a7d0857f06cad540aa821565edb408bfd41aa41c47d"),
+    (("all",), 6180, "218a2088120703162caa4b0bd90d07317f69774c5009b179162597d304efd75c"),
 ]
 
 
