@@ -624,7 +624,7 @@ def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
     bad = []
     n = board.n
     # file side: prod_i (x + W_{b_i}) = sum_k fT_k x^(n-k), any heights
-    lhs = xpoly_product([(1, weight_poly(fam, h)) for h in board.heights])
+    lhs = xpoly_product([weight_poly(fam, h) for h in board.heights])
     rhs = XPoly([file_poly(board, fam, n - i) for i in range(n + 1)])
     if lhs != rhs:
         bad.append({"board": str(board), "family": fam.label, "identity": "file-product",

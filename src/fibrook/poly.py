@@ -24,17 +24,17 @@ private: the constructor, `term` and `.terms` speak exponent triples
 
 On top of the ring this module provides the q-analogues ([n]_q with the
 convention [0]_q = 1, q-factorials, q-binomials built by the Pascal-type
-recursion so no division is ever performed), polynomials in one formal
-variable with PQRPoly coefficients (XPoly), which also hold the column
-generating functions in t cut at a given order. There is deliberately no
-division or rational-function support: 1/(1 - c*t) exists only as a
-geometric series cut at some power of t.
+recursion so no division is ever performed), and XPoly, a coefficient value
+type for polynomials in one formal variable, built from a list or by
+`horner_step` (it also holds the column series in t cut at some order).
+There is deliberately no division or rational-function support: 1/(1 - c*t)
+exists only as a geometric series cut at some power of t.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 Exponents = tuple[int, int, int]  # (e_q, e_p, e_r)
 
@@ -480,7 +480,8 @@ def q_binomial(n: int, k: int) -> PQRPoly:
 
 
 class XPoly:
-    """Polynomial in a formal variable x with PQRPoly coefficients."""
+    """Polynomial in x with PQRPoly coefficients: a coefficient value, built
+    from a list (lowest power first) or by `horner_step`, with no arithmetic."""
 
     __slots__ = ("_coeffs",)
 
@@ -505,10 +506,6 @@ class XPoly:
         return cls([_ZERO] * n + [_ONE])
 
     @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
     def coeffs(self) -> tuple[PQRPoly, ...]:
         return self._coeffs
 
@@ -516,45 +513,6 @@ class XPoly:
         if 0 <= i < len(self._coeffs):
             return self._coeffs[i]
         return _ZERO
-
-    def __add__(self, other: XPoly) -> XPoly:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        size = max(len(self._coeffs), len(other._coeffs))
-        return XPoly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(size)]
-        )
-
-    def __sub__(self, other: XPoly) -> XPoly:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        size = max(len(self._coeffs), len(other._coeffs))
-        return XPoly(
-            [self.coefficient(i) - other.coefficient(i) for i in range(size)]
-        )
-
-    def __mul__(self, other: XPoly | PQRPoly | int) -> XPoly:
-        if isinstance(other, (PQRPoly, int)):
-            return XPoly([c * other for c in self._coeffs])
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return XPoly.zero()
-        out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return XPoly(out)
-
-    __rmul__ = __mul__
-
-    def eval_at(self, x: int, q: int, p: int = 0, r: int = 0) -> int:
-        total = 0
-        for i, c in enumerate(self._coeffs):
-            total += c.eval_at(q, p, r) * x**i
-        return total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, XPoly):
@@ -588,9 +546,9 @@ class XPoly:
 def horner_step(poly: XPoly, c: PQRPoly, const: PQRPoly) -> XPoly:
     """const + (x + c) * poly: one step of a Newton-form evaluation.
 
-    Each product is c times one coefficient of `poly`, so a Newton basis
-    polynomial or a sum over one is built a linear factor at a time,
-    never by multiplying two polynomials in x.
+    Each product is c times one coefficient of `poly`, so every x-polynomial
+    that is not given by its coefficient list is built a linear factor at a
+    time, never by multiplying two polynomials in x.
     """
     coeffs = poly.coeffs
     if not coeffs:
@@ -601,14 +559,12 @@ def horner_step(poly: XPoly, c: PQRPoly, const: PQRPoly) -> XPoly:
     return XPoly(out)
 
 
-def xpoly_product(factors: Sequence[tuple[int, PQRPoly]]) -> XPoly:
-    """Product of linear factors (x + sign * c) for (sign, c) in `factors`.
+def xpoly_product(cs: Iterable[PQRPoly]) -> XPoly:
+    """The product of the linear factors x + c for c in `cs`, by Horner steps.
 
-    Signs must be +1 or -1; the empty product is 1.
+    A falling factor x - c is passed as -c; the empty product is 1.
     """
     out = XPoly.one()
-    for sign, c in factors:
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        out = horner_step(out, c if sign == 1 else -c, _ZERO)
+    for c in cs:
+        out = horner_step(out, c, _ZERO)
     return out

@@ -3,7 +3,7 @@ import pytest
 
 import fibrook.identities as identities
 import fibrook.stirling as stirling
-from fibrook.poly import PQRPoly
+from fibrook.poly import PQRPoly, XPoly
 
 hypothesis.settings.register_profile("fibrook", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("fibrook")
@@ -12,6 +12,30 @@ hypothesis.settings.load_profile("fibrook")
 def l1_norm(poly: PQRPoly) -> int:
     """The sum of |coeff| over all terms of `poly`."""
     return sum(map(abs, poly.terms.values()))
+
+
+def xpoly_add(f: XPoly, g: XPoly) -> XPoly:
+    """f + g, coefficient by coefficient."""
+    size = max(len(f.coeffs), len(g.coeffs))
+    return XPoly([f.coefficient(i) + g.coefficient(i) for i in range(size)])
+
+
+def xpoly_mul(f: XPoly, g: XPoly) -> XPoly:
+    """f * g by coefficient convolution: the generic product that the Horner
+    steps of `fibrook.poly` and the cut column series are checked against."""
+    out = [PQRPoly.zero()] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return XPoly(out)
+
+
+def linear_product(cs) -> XPoly:
+    """prod (x + c) for c in `cs`, by `xpoly_mul`; the empty product is 1."""
+    out = XPoly.one()
+    for c in cs:
+        out = xpoly_mul(out, XPoly([c, 1]))
+    return out
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fibrook.board as board_module
 import fibrook.identities as identities
 from fibrook.board import (
     FerrersBoard,
@@ -314,6 +315,38 @@ def test_polys_match_placement_sums(fam: TileFamily):
             )
             assert file_poly(board, fam, k) == fsum
             assert rook_poly(board, fam, k) == rsum
+
+
+def test_the_two_placement_modes_stay_independent(monkeypatch):
+    # recursion reads only weight_poly, enumeration only the enumerated
+    # column sums, so each mode returns with the other's input broken
+    boards = (FerrersBoard((1, 2, 2, 4)), FerrersBoard((3, 1, 2)), FerrersBoard.staircase(5))
+    cases = [
+        (poly, board, fam, k)
+        for board in boards
+        for fam in FAMILIES
+        for poly in ((file_poly, rook_poly) if board.is_ferrers else (file_poly,))
+        for k in range(board.n + 1)
+    ]
+
+    def broken(*args):
+        raise RuntimeError("the other mode's input")
+
+    def values(mode: str, *names: str) -> list[PQRPoly]:
+        board_module._placement_rec.cache_clear()
+        board_module._enum_sums.cache_clear()
+        with monkeypatch.context() as patch:
+            for name in names:
+                patch.setattr(board_module, name, broken)
+            return [poly(board, fam, k, mode) for poly, board, fam, k in cases]
+
+    recursion = values("recursion", "tiling_weight_sum", "enumerate_tilings")
+    assert values("enumeration", "weight_poly") == recursion
+    # the patches reach the mode that uses them
+    with pytest.raises(RuntimeError):
+        values("recursion", "weight_poly")
+    with pytest.raises(RuntimeError):
+        values("enumeration", "tiling_weight_sum")
 
 
 def test_file_poly_on_non_ferrers_board():

@@ -7,7 +7,7 @@ import pytest
 import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, parse_placement
 from fibrook.cli import main
-from conftest import l1_norm
+from conftest import l1_norm, linear_product
 from fibrook.poly import P, Q, R, PQRPoly, XPoly, horner_step, xpoly_product
 from fibrook.stirling import (
     TRIANGLE_KINDS,
@@ -197,16 +197,15 @@ def test_json_and_csv_views(capsys):
 def falling_factorial_basis(fam: TileFamily, k: int) -> XPoly:
     """x (x - W_1) ... (x - W_{k-1}); the empty product 1 for k = 0.
 
-    A reference for the triangle rows: the basis check itself works on
-    Newton nodes and never builds a basis polynomial.
+    A reference for the triangle rows, multiplied out by the generic product
+    of conftest.py: the basis check itself works on Newton nodes and never
+    builds a basis polynomial.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return XPoly.one()
-    factors = [(1, PQRPoly.zero())]
-    factors += [(-1, weight_poly(fam, i)) for i in range(1, k)]
-    return xpoly_product(factors)
+    return linear_product([PQRPoly.zero()] + [-weight_poly(fam, i) for i in range(1, k)])
 
 
 def rising_factorial_basis(fam: TileFamily, k: int) -> XPoly:
@@ -215,9 +214,7 @@ def rising_factorial_basis(fam: TileFamily, k: int) -> XPoly:
         raise ValueError("k must be >= 0")
     if k == 0:
         return XPoly.one()
-    factors = [(1, PQRPoly.zero())]
-    factors += [(1, weight_poly(fam, i)) for i in range(1, k)]
-    return xpoly_product(factors)
+    return linear_product([PQRPoly.zero()] + [weight_poly(fam, i) for i in range(1, k)])
 
 
 def test_factorial_bases():
@@ -228,6 +225,11 @@ def test_factorial_bases():
     assert down3.coefficient(2) == -(Q + Q**2)
     assert down3.coefficient(1) == Q**3
     assert rising_factorial_basis(FIBONACCI, 0) == XPoly.one()
+    # the Horner-step product agrees, a falling factor x - W passing -W
+    for k in range(1, 7):
+        nodes = [PQRPoly.zero()] + [weight_poly(TRIBONACCI, i) for i in range(1, k)]
+        assert xpoly_product(nodes) == rising_factorial_basis(TRIBONACCI, k)
+        assert xpoly_product([-w for w in nodes]) == falling_factorial_basis(TRIBONACCI, k)
 
 
 def test_rising_factorial_expands_in_cf_row():
