@@ -5,7 +5,9 @@ weights and the total. The boards cover a zero-height column, a staircase,
 a non-Ferrers file board and the tribonacci family; the rows with k of
 3 to 5 have two or more leading columns before the last one, including a
 board whose every column is tiled; the k = 0 and k > columns rows pin
-the one empty placement and the empty list.
+the one empty placement and the empty list. The last rows pin the
+48,444-placement board of perfbench's `placements` workload, in text and
+JSON, and the rook enumeration that CI runs.
 """
 
 import hashlib
@@ -43,10 +45,19 @@ GOLDEN = [
     ("F(0,2,2,3)", 5, "fib", "file", "json", 112, "0288f8f4e91ced19724b8b04579457afbf274bb2141bac2b1622e74c4d76c761"),
     ("F(0,2,2,3)", 5, "fib", "rook", "text", 9, "a0f4a44637099e8bb4f5d78a5556e54f43eadbe6f2a87cfa0481bd401b6c2a9b"),
     ("F(0,2,2,3)", 5, "fib", "rook", "json", 112, "cb2b624a4349cba1ead954ed38a2ff5daf1a1d2ad3766f5f339072bc334783dc"),
+    # the board of perfbench's `placements` enumeration (48,444 placements)
+    # and the rook enumeration CI runs
+    ("F(1,2,3,4,5,6,7,8,9)", 3, "fib", "file", "text", 2331695, "1476d676512f524e60d31f2d7a50c71043a6c87e1db9a2a9008a248cdf022088"),
+    ("F(1,2,3,4,5,6,7,8,9)", 3, "fib", "file", "json", 4850898, "d073f0cd9bc45652e92a9e605b10ef59d796d22c1674217f83df8f78f4bf39e9"),
+    ("F(0,1,2,3,4,5,6,7,8)", 3, "fib", "rook", "text", 102383, "f11f876f5db8d62237c913adbac2154bb3662b636735f57935031be282520c69"),
 ]
 
 
-@pytest.mark.parametrize("board,k,family,model,fmt,nbytes,sha256", GOLDEN)
+# ids from the values, not the list position, so that a golden added
+# anywhere leaves the other ids alone
+@pytest.mark.parametrize(
+    "board,k,family,model,fmt,nbytes,sha256", GOLDEN, ids=["-".join(map(str, row)) for row in GOLDEN]
+)
 def test_enumerate_output_is_pinned(capsys, board, k, family, model, fmt, nbytes, sha256):
     argv = ["enumerate", board, "--k", str(k), "--family", family, "--model", model, "--format", fmt]
     assert main(argv) == 0

@@ -25,7 +25,9 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("args,nbytes,sha256", GOLDEN)
+# ids from the command arguments, not the list position, so that a golden
+# added anywhere leaves the other ids alone
+@pytest.mark.parametrize("args,nbytes,sha256", GOLDEN, ids=[" ".join(args) for args, _, _ in GOLDEN])
 def test_verify_output_is_pinned(capsys, args, nbytes, sha256):
     assert main(["verify", *args]) == 0
     out = capsys.readouterr().out.encode()
