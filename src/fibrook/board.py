@@ -167,8 +167,8 @@ class Placement(Record):
     b_{c - lag*s} cells the cancellation rule leaves it.
 
     Built directly (or by `parse_placement`), a placement validates its
-    entries with `_entries_problem` and raises on a bad one. The
-    enumerators build theirs through `_trusted`, which skips that check.
+    entries with `_entries_problem` and raises on a bad one. Iterating a
+    `PlacementView` builds each through `_trusted`, which skips that check.
     Enumerated placements are trusted: the enumerator picks every tiling
     from the pool of the height the rule gives, and the contract tests pin
     it. So `stirling.involution_verify` does not check the pairs it draws;
@@ -271,11 +271,12 @@ class PlacementView:
     them all.
 
     The placements of one column subset share all but their last column,
-    so each subset is folded once: each chosen column's tilings become
-    (entry, text, counts) fragments, and each head (one tiling per leading
+    so `heads()` folds each subset once: each head (one tiling per leading
     column, drawn lazily, so one is held at a time) is joined into an
-    entries prefix, a text prefix and an exponent sum. Each placement adds
-    its last fragment to these and keeps the text and sum in its slots.
+    entries prefix, a text prefix and an exponent sum, which each fragment
+    of the last column completes. Iterating builds the placements through
+    `Placement._trusted`; a caller that needs only the text, entries or
+    exponents reads `heads()` and builds no placement.
     """
 
     __slots__ = ("board", "fam", "k", "model")
@@ -289,34 +290,43 @@ class PlacementView:
     def __len__(self) -> int:
         return placement_count(self.board, self.fam, self.k, self.model)
 
-    def __iter__(self) -> Iterator[Placement]:
+    def heads(self) -> Iterator[tuple[tuple, str, tuple[int, int, int], list[tuple]]]:
+        """(entries, text, exponents, last) per head, in the view's order.
+
+        Each (entries, text, counts) fragment in `last`, a list shared by
+        the heads of one column subset, completes the head into one
+        placement: the entries and text concatenated, the counts summed.
+        k = 0 gives one head with one empty fragment; k < 0 or k > n none.
+        """
         # every tiling comes from the pool of the height the rule gives its
-        # column, so the entries hold by construction and skip validation;
+        # column, so the entries hold by construction and need no validation;
         # `combinations` would allocate k indices before finding none
         board, fam, k = self.board, self.fam, self.k
         if k < 0 or k > board.n:
             return
-        cls = _MODELS[self.model]
-        build = cls._trusted
         if k == 0:
-            yield build(board, (), "", (0, 0, 0))
+            yield (), "", (0, 0, 0), [((), "", (0, 0, 0))]
             return
+        lag = _MODELS[self.model].lag
         for combo in combinations(range(1, board.n + 1), k):
-            hts = _rule_heights(board.heights, combo, cls.lag)
+            hts = _rule_heights(board.heights, combo, lag)
             if 0 in hts:
                 continue
-            *heads, last = [
-                [((col, t), f"{col}:{t._text}", t._counts) for t in enumerate_tilings(fam, h)]
+            *leading, last = [
+                [(((col, t),), f"{col}:{t._text}", t._counts) for t in enumerate_tilings(fam, h)]
                 for col, h in zip(combo, hts)
             ]
-            for head in product(*heads):
-                entries = tuple([entry for entry, _, _ in head])
+            for head in product(*leading):
+                entries = tuple([entry for (entry,), _, _ in head])
                 text = "".join([piece + ";" for _, piece, _ in head])
-                ones, twos, threes = map(sum, zip((0, 0, 0), *[cts for _, _, cts in head]))
-                for entry, piece, (a, b, c) in last:
-                    yield build(
-                        board, entries + (entry,), text + piece, (ones + a, twos + b, threes + c)
-                    )
+                exps = tuple(map(sum, zip((0, 0, 0), *[cts for _, _, cts in head])))
+                yield entries, text, exps, last
+
+    def __iter__(self) -> Iterator[Placement]:
+        board, build = self.board, _MODELS[self.model]._trusted
+        for entries, text, (ones, twos, threes), last in self.heads():
+            for tail, piece, (a, b, c) in last:
+                yield build(board, entries + tail, text + piece, (ones + a, twos + b, threes + c))
 
 
 def enumerate_file_placements(board: FerrersBoard, fam: TileFamily, k: int) -> PlacementView:

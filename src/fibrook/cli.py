@@ -39,7 +39,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 from fibrook.board import (
-    Placement,
+    PlacementView,
     enumerate_file_placements,
     enumerate_rook_placements,
     parse_board,
@@ -71,8 +71,8 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
 
 
 # chunks are gathered into writes of whole blocks of this many characters:
-# stdout may be unbuffered (PYTHONUNBUFFERED), and one write per placement
-# line then costs a system call each
+# stdout may be unbuffered (PYTHONUNBUFFERED), and one write per chunk (a
+# table entry, one head's placement lines) then costs a system call each
 _WRITE_SIZE = 1 << 16
 
 
@@ -338,7 +338,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     if args.model == "rook" and not board.is_ferrers:
         return _usage_error(f"{board} is not a Ferrers board; the rook model needs weakly increasing heights")
-    rook = args.model == "rook"
     count = placement_count(board, fam, k, args.model, _COUNT_LIMIT)
     if count > PLACEMENT_MAX and not args.force:
         shown = str(count) if count < _COUNT_LIMIT else f"more than 2**{_COUNT_BITS}"
@@ -346,42 +345,45 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"{board} has {shown} {args.model} placements with k={k}, over the "
             f"placement cap {PLACEMENT_MAX}; pass --force to override"
         )
-    if rook:
-        placements = enumerate_rook_placements(board, fam, k)
-    else:
-        placements = enumerate_file_placements(board, fam, k)
+    enum = enumerate_rook_placements if args.model == "rook" else enumerate_file_placements
+    view = enum(board, fam, k)
     if args.fmt == "json":
         head = {"board": str(board), "family": fam.label, "model": args.model, "k": k}
-        _emit(args, _json_chunks(_placement_fields(head, placements)))
+        _emit(args, _json_chunks(_placement_fields(head, view)))
     else:
-        _emit(args, _placement_lines(placements))
+        _emit(args, _placement_lines(view))
     return 0
 
 
-def _weighed(placements: Iterable[Placement], counts: dict) -> Iterator[tuple[str, str]]:
-    """(placement, weight) texts per placement, adding up in `counts` the
-    placements per weight, as exponent triples; each weight is printed once."""
+def _weighed(view: PlacementView, counts: dict) -> Iterator[list[tuple[str, str]]]:
+    """The (placement, weight) texts of each head of `view`, a list per head,
+    adding up in `counts` the placements per weight, as exponent triples;
+    each weight is printed once. No placement object is built."""
     weight_text: dict[tuple[int, int, int], str] = {}
-    for pl in placements:
-        exps = pl.exponents()
-        counts[exps] = counts.get(exps, 0) + 1
-        weight = weight_text.get(exps)
-        if weight is None:
-            weight = weight_text[exps] = str(PQRPoly.term(1, *exps))
-        yield str(pl), weight
+    for _, text, (ones, twos, threes), last in view.heads():
+        pairs = []
+        for _, piece, (a, b, c) in last:
+            exps = (ones + a, twos + b, threes + c)
+            counts[exps] = counts.get(exps, 0) + 1
+            weight = weight_text.get(exps)
+            if weight is None:
+                weight = weight_text[exps] = str(PQRPoly.term(1, *exps))
+            pairs.append((text + piece, weight))
+        yield pairs
 
 
-def _placement_lines(placements: Iterable[Placement]) -> Iterator[str]:
+def _placement_lines(view: PlacementView) -> Iterator[str]:
+    # one chunk per head: the lines of its placements
     counts: dict[tuple[int, int, int], int] = {}
-    for text, weight in _weighed(placements, counts):
-        yield f"{text or '(empty)'}  {weight}\n"
+    for pairs in _weighed(view, counts):
+        yield "".join([f"{text or '(empty)'}  {weight}\n" for text, weight in pairs])
     yield f"total  {PQRPoly(counts)}\n"
 
 
-def _placement_fields(head: dict, placements: Iterable[Placement]) -> Iterator[tuple[str, object]]:
+def _placement_fields(head: dict, view: PlacementView) -> Iterator[tuple[str, object]]:
     counts: dict[tuple[int, int, int], int] = {}
     yield from head.items()
-    listed = _weighed(placements, counts)
+    listed = (pair for pairs in _weighed(view, counts) for pair in pairs)
     yield "placements", ({"placement": text, "weight": weight} for text, weight in listed)
     yield "total", str(PQRPoly(counts))
 

@@ -281,6 +281,30 @@ def test_folded_text_and_exponents_match_the_derived_ones(model, fam):
                     assert twin == pl and str(twin) == text
 
 
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
+@pytest.mark.parametrize("model", ["file", "rook"])
+def test_heads_complete_into_the_placements_of_the_view(model, fam):
+    # each fragment of a head's last column completes one placement: the
+    # entries and text of both joined, their exponents summed
+    boards = list(all_ferrers_boards(4, 4))
+    if model == "file":
+        boards += [FerrersBoard((3, 1, 2)), FerrersBoard((2, 0, 5, 1))]
+    for board in boards:
+        for k in range(-1, board.n + 2):
+            view = PlacementView(board, fam, k, model)
+            completed = [
+                (entries + tail, text + piece, tuple(e + c for e, c in zip(exps, counts)))
+                for entries, text, exps, last in view.heads()
+                for tail, piece, counts in last
+            ]
+            assert len(completed) == placement_count(board, fam, k, model)
+            for entries, text, exps in completed:
+                parsed = parse_placement(board, text, model)
+                assert parsed.entries == entries
+                assert parsed.exponents() == exps
+            assert completed == [(pl.entries, str(pl), pl.exponents()) for pl in view]
+
+
 def test_rook_enumeration_on_small_staircase():
     b3 = FerrersBoard.staircase(3)
     pls = enumerate_rook_placements(b3, FIBONACCI, 1)

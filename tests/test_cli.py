@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fibrook.board as board
 import fibrook.cli as cli
 import fibrook.identities as identities
 import fibrook.stirling as stirling
@@ -128,6 +129,27 @@ def test_enumerate_file_weights(capsys):
     payload = json.loads(out)
     assert len(payload["placements"]) == 184
     assert any(p["weight"] == "p^2*q^7" for p in payload["placements"])
+
+
+def test_enumerate_and_the_involution_build_no_placement_object(capsys, monkeypatch):
+    # both read the views' heads; a placement object built on the way fails
+    argvs = [
+        ["enumerate", "F(1,2,3,4,5,6,7)", "--k", "4", "--model", "rook"],
+        ["enumerate", "F(1,2,3,4,5,6,7)", "--k", "4", "--model", "rook", "--format", "json"],
+        ["enumerate", "F(3,1,4,2,5)", "--k", "3"],
+    ]
+    outputs = [run(capsys, *argv) for argv in argvs]
+    report = stirling.involution_verify(6, 2)
+
+    def no_placement(*args, **kwargs):
+        raise AssertionError("a placement object was built")
+
+    monkeypatch.setattr(board.Placement, "_trusted", classmethod(no_placement))
+    monkeypatch.setattr(board.Placement, "__init__", no_placement)
+    assert [run(capsys, *argv) for argv in argvs] == outputs
+    assert all(code == 0 for code, _, _ in outputs)
+    assert stirling.involution_verify(6, 2) == report
+    assert report["status"] == "PASS"
 
 
 def test_enumerate_usage_errors(capsys):
