@@ -72,7 +72,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
 
 # chunks are gathered into writes of whole blocks of this many characters:
 # stdout may be unbuffered (PYTHONUNBUFFERED), and one write per chunk (a
-# table entry, one head's placement lines) then costs a system call each
+# table entry, a placement line) then costs a system call each
 _WRITE_SIZE = 1 << 16
 
 
@@ -355,35 +355,32 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _weighed(view: PlacementView, counts: dict) -> Iterator[list[tuple[str, str]]]:
-    """The (placement, weight) texts of each head of `view`, a list per head,
-    adding up in `counts` the placements per weight, as exponent triples;
-    each weight is printed once. No placement object is built."""
+def _weighed(view: PlacementView, counts: dict) -> Iterator[tuple[str, str]]:
+    """(placement, weight) texts per placement of `view`, read from its
+    heads, adding up in `counts` the placements per weight, as exponent
+    triples; each weight is printed once. No placement object is built."""
     weight_text: dict[tuple[int, int, int], str] = {}
     for _, text, (ones, twos, threes), last in view.heads():
-        pairs = []
         for _, piece, (a, b, c) in last:
             exps = (ones + a, twos + b, threes + c)
             counts[exps] = counts.get(exps, 0) + 1
             weight = weight_text.get(exps)
             if weight is None:
                 weight = weight_text[exps] = str(PQRPoly.term(1, *exps))
-            pairs.append((text + piece, weight))
-        yield pairs
+            yield text + piece, weight
 
 
 def _placement_lines(view: PlacementView) -> Iterator[str]:
-    # one chunk per head: the lines of its placements
     counts: dict[tuple[int, int, int], int] = {}
-    for pairs in _weighed(view, counts):
-        yield "".join([f"{text or '(empty)'}  {weight}\n" for text, weight in pairs])
+    for text, weight in _weighed(view, counts):
+        yield f"{text or '(empty)'}  {weight}\n"
     yield f"total  {PQRPoly(counts)}\n"
 
 
 def _placement_fields(head: dict, view: PlacementView) -> Iterator[tuple[str, object]]:
     counts: dict[tuple[int, int, int], int] = {}
     yield from head.items()
-    listed = (pair for pairs in _weighed(view, counts) for pair in pairs)
+    listed = _weighed(view, counts)
     yield "placements", ({"placement": text, "weight": weight} for text, weight in listed)
     yield "total", str(PQRPoly(counts))
 

@@ -263,29 +263,10 @@ def test_placement_view_is_sized_and_drawn_afresh(model, enumerate_placements, f
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
 @pytest.mark.parametrize("model", ["file", "rook"])
 def test_folded_text_and_exponents_match_the_derived_ones(model, fam):
-    # the view folds each placement's text and exponents column by column;
-    # a parsed placement is validated and derives both from its entries
-    boards = list(all_ferrers_boards(4, 4))
-    if model == "file":
-        boards += [FerrersBoard((3, 1, 2)), FerrersBoard((2, 0, 5, 1))]
-    for board in boards:
-        for k in range(board.n + 2):
-            for pl in PlacementView(board, fam, k, model):
-                assert pl._text is not None and pl._exps is not None
-                text = str(pl)
-                parsed = parse_placement(board, text, model)
-                assert text == str(parsed)
-                assert pl.exponents() == parsed.exponents()
-                assert pl == parsed and hash(pl) == hash(parsed)
-                for twin in (copy.copy(pl), pickle.loads(pickle.dumps(pl))):
-                    assert twin == pl and str(twin) == text
-
-
-@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
-@pytest.mark.parametrize("model", ["file", "rook"])
-def test_heads_complete_into_the_placements_of_the_view(model, fam):
-    # each fragment of a head's last column completes one placement: the
-    # entries and text of both joined, their exponents summed
+    # the view folds each placement's text and exponents column by column:
+    # each fragment of a head's last column completes one placement, the
+    # entries and text of both joined, their exponents summed; a parsed
+    # placement is validated and derives both from its entries
     boards = list(all_ferrers_boards(4, 4))
     if model == "file":
         boards += [FerrersBoard((3, 1, 2)), FerrersBoard((2, 0, 5, 1))]
@@ -297,12 +278,18 @@ def test_heads_complete_into_the_placements_of_the_view(model, fam):
                 for entries, text, exps, last in view.heads()
                 for tail, piece, counts in last
             ]
+            placements = list(view)
             assert len(completed) == placement_count(board, fam, k, model)
-            for entries, text, exps in completed:
+            assert completed == [(pl.entries, str(pl), pl.exponents()) for pl in placements]
+            for pl in placements:
+                assert pl._text is not None and pl._exps is not None
+                text = str(pl)
                 parsed = parse_placement(board, text, model)
-                assert parsed.entries == entries
-                assert parsed.exponents() == exps
-            assert completed == [(pl.entries, str(pl), pl.exponents()) for pl in view]
+                assert text == str(parsed)
+                assert pl.exponents() == parsed.exponents()
+                assert pl == parsed and hash(pl) == hash(parsed)
+                for twin in (copy.copy(pl), pickle.loads(pickle.dumps(pl))):
+                    assert twin == pl and str(twin) == text
 
 
 def test_rook_enumeration_on_small_staircase():
