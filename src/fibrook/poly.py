@@ -16,11 +16,11 @@ plain ints gives the graded print order: total degree first, then the
 exponents of q, p and r. A field can only overflow once a total degree
 reaches 2**W, so every polynomial carries an upper bound on its total
 degree (a sum under `*`, a max under `+`), and an operation that would
-reach the limit raises OverflowError instead of wrapping. The factor text
-of each printed monomial (`p^2*q^3`) is kept in a module-level cache, which
-grows only with the number of distinct monomials printed. The packing is
-private: the constructor, `term` and `.terms` speak exponent triples
-(e_q, e_p, e_r).
+reach the limit raises OverflowError instead of wrapping. The printed
+text of each monomial (`*p^2*q^3`) is cached per (p, r) row, as a list
+indexed by the power of q and built from cached factor pieces, so the cache
+grows only with the rows and q powers printed. The packing is private: the
+constructor, `term` and `.terms` speak exponent triples (e_q, e_p, e_r).
 
 On top of the ring this module provides the q-analogues ([n]_q with the
 convention [0]_q = 1, q-factorials, q-binomials built by the Pascal-type
@@ -34,6 +34,7 @@ exists only as a geometric series cut at some power of t.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, repeat, zip_longest
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, int, int]  # (e_q, e_p, e_r)
@@ -46,9 +47,6 @@ _P_SHIFT = _EXP_BITS
 _Q_SHIFT = 2 * _EXP_BITS
 _DEG_SHIFT = 3 * _EXP_BITS
 _SHIFT = {"q": _Q_SHIFT, "p": _P_SHIFT, "r": 0}  # variable name -> field shift
-
-# packed key -> factor text such as "p^2*q^3" ("" for the constant monomial)
-_MONO_TEXT: dict[int, str] = {}
 
 def check_degree(deg: int) -> None:
     """Raise OverflowError unless total degree `deg` fits the packed fields.
@@ -71,17 +69,6 @@ def _pack(e_q: int, e_p: int, e_r: int) -> int:
 
 def _unpack(key: int) -> Exponents:
     return (key >> _Q_SHIFT & _MASK, key >> _P_SHIFT & _MASK, key & _MASK)
-
-
-def _mono_text(key: int) -> str:
-    e_q, e_p, e_r = _unpack(key)
-    factors = []
-    for name, e in (("p", e_p), ("q", e_q), ("r", e_r)):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
 
 
 def q_image_row(e_p: int, e_r: int) -> int:
@@ -137,32 +124,60 @@ def _row_keys(row: int, low: int, stop: int) -> list[int]:
     return keys[low:stop]
 
 
+# row key -> the text of its monomials times q**0, q**1, ..., each led by
+# "*" ("" for the constant monomial), shared by `__str__` and `q_image_text`
+_ROW_TEXT: dict[int, list[str]] = {}
+
+
+@lru_cache(maxsize=None)
+def _factor(name: str, e: int) -> str:
+    return "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}"
+
+
+def _row_text(row: int, stop: int) -> list[str]:
+    """The monomial texts of row `row` times q**0 .. q**(stop-1) (at least), cached.
+
+    Raises OverflowError, as `_pack` does, once a total degree reaches 2**16.
+    """
+    texts = _ROW_TEXT.get(row)
+    if texts is None:
+        texts = _ROW_TEXT[row] = []
+    if len(texts) < stop:
+        e_p, e_r = row >> _P_SHIFT, row & _MASK
+        check_degree(e_p + e_r + stop - 1)
+        p, r = _factor("p", e_p), _factor("r", e_r)
+        texts += [p + _factor("q", e_q) + r for e_q in range(len(texts), stop)]
+    return texts
+
+
 def q_image_text(rows: Mapping[int, int], w: int) -> str:
     """str(PQRPoly.from_q_image(rows, w)), without building the polynomial.
 
     Same preconditions as `from_q_image`. Every coefficient has the sign of
-    the rows, so each term's text is one digit and its cached monomial, and
-    the terms are put in graded order by sorting their packed keys.
+    the rows, so each term's text is one digit and its monomial's cached
+    text. A row's nonzero digits form one run in e_q, and its term at e_q
+    has total degree e_q plus the row's degree, so the graded order is a
+    degree-skewed merge: the rows are sorted by degree, descending, then by
+    row key, each row's term texts are offset by its lowest total degree,
+    and the rows are read column by column, one total degree at a time.
     """
     if not rows:
         return "0"
     negative = next(iter(rows.values())) < 0
     lead = " - " if negative else " + "
-    chunks: dict[int, str] = {}
-    for row, value in rows.items():
-        low, digits = _row_digits(abs(value), w)
-        for key, digit in zip(_row_keys(row, low, low + len(digits)), digits):
-            if digit:
-                mono = _MONO_TEXT.get(key)
-                if mono is None:
-                    mono = _MONO_TEXT[key] = _mono_text(key)
-                if digit == 1:
-                    chunks[key] = lead + (mono or "1")
-                elif mono:
-                    chunks[key] = f"{lead}{digit}*{mono}"
-                else:
-                    chunks[key] = f"{lead}{digit}"
-    text = "".join([chunks[key] for key in sorted(chunks)])
+    term = (lead + "{}{}").format
+    runs = []
+    for minus_deg, row in sorted([(-(row >> _P_SHIFT) - (row & _MASK), row) for row in rows]):
+        low, digits = _row_digits(abs(rows[row]), w)
+        stop = low + len(digits)
+        texts = list(map(term, digits, _row_text(row, stop)[low:stop]))
+        if 0 in digits:
+            texts = [text if digit else "" for text, digit in zip(texts, digits)]
+        runs.append((low - minus_deg, texts))
+    base = min(start for start, _ in runs)
+    columns = [chain(repeat("", start - base), texts) for start, texts in runs]
+    text = "".join(chain.from_iterable(zip_longest(*columns, fillvalue="")))
+    text = text.replace(lead + "1*", lead)  # a unit digit before a monomial
     return "-" + text[3:] if negative else text[3:]
 
 
@@ -410,20 +425,17 @@ class PQRPoly:
             return "0"
         parts: list[str] = []
         for key, coeff in sorted(self._terms.items()):
-            mono = _MONO_TEXT.get(key)
-            if mono is None:
-                mono = _MONO_TEXT[key] = _mono_text(key)
+            e_q = key >> _Q_SHIFT & _MASK
+            mono = _row_text(key & _ROW_MASK, e_q + 1)[e_q]
             if coeff > 0:
                 sign = " + "
             else:
                 sign = " - "
                 coeff = -coeff
-            if not mono:
-                parts.append(f"{sign}{coeff}")
-            elif coeff == 1:
-                parts.append(sign + mono)
+            if coeff == 1 and mono:
+                parts.append(sign + mono[1:])
             else:
-                parts.append(f"{sign}{coeff}*{mono}")
+                parts.append(f"{sign}{coeff}{mono}")
         first = parts[0]
         parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)

@@ -305,6 +305,30 @@ def test_q_image_text_reads_inner_zero_digits_and_long_rows():
     assert q_image_text({}, 8) == "0"
 
 
+def test_q_image_text_merges_rows_by_degree_then_row_key():
+    # rows of one p+r degree whose q-runs overlap: at each total degree the
+    # terms come by e_q, so the rows of higher p+r degree first, and a tie
+    # goes by e_p then e_r, the row key's order
+    f = (1 + 2 * Q + 3 * Q**2) * R + (Q + Q**2) * P
+    f += (Q + 4 * Q**2) * P * R + (2 + 5 * Q) * P**2
+    text = "r + 2*p^2 + 2*q*r + p*q + p*q*r + 5*p^2*q + 3*q^2*r + p*q^2 + 4*p*q^2*r"
+    assert str(f) == text
+    for w in (4, 9):
+        assert q_image_text(f.q_image(w), w) == text
+        assert q_image_text((-f).q_image(w), w) == "-" + text.replace(" + ", " - ")
+
+
+def test_q_image_text_pads_rows_whose_degrees_do_not_meet():
+    # the row of highest p+r degree, read first, starts at total degree 9,
+    # and the rows below it end at degrees 6 and 1
+    f = 1 + 2 * Q + 3 * P * Q**5 + Q**4 * P**3 * R**2 + 5 * Q**5 * P**3 * R**2
+    text = "1 + 2*q + 3*p*q^5 + p^3*q^4*r^2 + 5*p^3*q^5*r^2"
+    assert str(f) == text
+    for w in (3, 8):
+        assert q_image_text(f.q_image(w), w) == text
+        assert q_image_text((-f).q_image(w), w) == "-" + text.replace(" + ", " - ")
+
+
 def test_reading_an_image_keeps_the_degree_limit():
     row = q_image_row(0, 65000)
     top = PQRPoly.from_q_image({row: 1 << 535}, 1)

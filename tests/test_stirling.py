@@ -8,7 +8,7 @@ import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, parse_placement
 from fibrook.cli import main
 from conftest import l1_norm, linear_product
-from fibrook.poly import P, Q, R, PQRPoly, XPoly, horner_step, xpoly_product
+from fibrook.poly import P, Q, R, PQRPoly, XPoly, horner_step, q_image_text, xpoly_product
 from fibrook.stirling import (
     TRIANGLE_KINDS,
     build_triangle,
@@ -123,6 +123,15 @@ def test_image_build_matches_the_dict_recursion(kind: str):
 def test_table_text_is_str_of_the_entries(kind: str):
     want = [[str(e) for e in row] for row in _dict_recursion(kind, 9)]
     assert list(triangle_text(kind, 9)) == want
+
+
+@pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+def test_entry_text_is_str_of_the_polynomial_read_from_its_image(kind: str):
+    slot, rows_at, _, _ = stirling.triangle_images(kind, 12)
+    for s in (slot, slot + 9):
+        for row in rows_at(s):
+            for image in row:
+                assert q_image_text(image, s) == str(PQRPoly.from_q_image(image, s))
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
