@@ -7,8 +7,10 @@ board-level checks compare the two independent modes of the placement
 polynomials (recursion and enumeration) and the product identities they
 satisfy. Everything else is a prediction about the triangles of
 `fibrook.stirling`: the triangle recursion is the source of truth, and the
-formulas are evaluated independently and compared entrywise. Every check
-returns a JSON-ready report dict built by `fibrook.stirling.report`.
+formulas are evaluated independently and compared entrywise, in the
+triangles' images under q -> 2**w (`_triangle_sides`, and slot 0 for the
+q = 1 checks). Every check returns a JSON-ready report dict built by
+`fibrook.stirling.report`.
 
 Covered: the generating function for a fixed column of the Sf triangle,
 the small-column closed forms, the p^0 and p^1 coefficient extractions,
@@ -30,7 +32,9 @@ from math import comb
 from pathlib import Path
 
 from fibrook.board import FerrersBoard, aug_mixed_sum, file_poly, mixed_file_sum, rook_poly
-from fibrook.poly import PQRPoly, XPoly, horner_step, p_sequence, q_binomial, q_int, xpoly_product
+from fibrook.poly import (
+    PQRPoly, XPoly, horner_step, p_sequence, q_binomial, q_image_row, q_int, xpoly_product,
+)
 from fibrook.stirling import (
     build_triangle,
     involution_verify,
@@ -325,7 +329,8 @@ def p_sequences(kind: str, N: int, width: int | None = None) -> list[list[list[i
     entry (n, k) at q = r = 1, for rows 0..N and columns k <= width.
 
     Read from the triangle at slot 0, the image q -> 2**0 = 1, where each
-    row value is already a q = 1 coefficient; no entry is unpacked.
+    row value is already a q = 1 coefficient; no entry is built as a
+    polynomial.
     """
     rows_at = triangle_images(kind, N, width)[1]
     return [[p_sequence(image) for image in row] for row in rows_at(0)]
@@ -397,39 +402,80 @@ def sequence_export(name: str) -> SequenceReport:
 # ──────────────────────────────────────────────────────────────────────────
 
 
+def _triangle_sides(kind: str, N: int, width: int | None, cases: list[tuple]) -> list:
+    """For each case (n, k, s, formula): None when the formula equals the
+    `kind` entry (n, k), or its coefficient of p**s when s is not None, and
+    else that triangle side as a `PQRPoly`, from `build_triangle`, which
+    runs only when a case fails.
+
+    Both sides are compared in the image q -> 2**w of `triangle_images`.
+    Each coefficient of an entry is at most its l1 norm from the integer
+    pass, and each of a formula at most the formula's l1 norm; with B the
+    largest of these and w = B.bit_length() + 2, both sides and their
+    difference have coefficients below 2**(w-1), where the image is
+    injective (balanced base-2**w digits). Sf and cf carry no r, so the
+    coefficient of p**s of an entry is its image row `q_image_row(s, 0)`.
+    """
+    _, rows_at, norms, _ = triangle_images(kind, N, width)
+    bound = max(max(map(max, norms)), *(sum(map(abs, f.terms.values())) for *_, f in cases))
+    w = bound.bit_length() + 2
+    wanted = {(n, k) for n, k, _, _ in cases}
+    images = {(n, k): image for n, row in enumerate(rows_at(w))
+              for k, image in enumerate(row) if (n, k) in wanted}
+    sides, tri = [], None
+    for n, k, s, formula in cases:
+        image = images.get((n, k), {})
+        if s is not None:
+            value = image.get(q_image_row(s, 0))
+            image = {0: value} if value else {}
+        if image == formula.q_image(w):
+            sides.append(None)
+            continue
+        if tri is None:
+            tri = build_triangle(kind, N, width)
+        entry = tri.entry(n, k)
+        sides.append(entry if s is None else entry.coefficient("p", s))
+    return sides
+
+
 def check_series_columns(N: int = 12) -> dict:
     """Series coefficients equal triangle entries: t^n coefficient = Sf[n][k],
     for columns k <= min(N, 6)."""
     kmax = min(N, 6)
-    tri = build_triangle("Sf", N, width=kmax)
-    bad = []
+    cases = []
     for k in range(1, kmax + 1):
         series = sf_column_series(k, N)
-        for n in range(N + 1):
-            want = tri.entry(n, k)
-            got = series.coefficient(n)
-            if got != want:
-                bad.append({"n": n, "k": k, "series": str(got), "triangle": str(want)})
+        cases += [(n, k, None, series.coefficient(n)) for n in range(N + 1)]
+    bad = [
+        {"n": n, "k": k, "series": str(got), "triangle": str(want)}
+        for (n, k, _, got), want in zip(cases, _triangle_sides("Sf", N, kmax, cases))
+        if want is not None
+    ]
     return report("sf-column-series", f"k<={kmax}, order {N}", bad)
 
 
 def check_closed_forms(N: int = 20) -> dict:
     """The four extreme-column closed forms against the triangles."""
-    sf_tri = build_triangle("Sf", N)
-    cf_tri = build_triangle("cf", N)
-    bad = []
+    forms = []  # (label, triangle, n, k, closed form), in report order
     for n in range(1, N + 1):
-        cases = [("Sf_n1", sf_tri.entry(n, 1), closed_form("Sf_n1", n))]
+        forms.append(("Sf_n1", "Sf", n, 1, closed_form("Sf_n1", n)))
         if n >= 2:
-            cases.append(("Sf_n2", sf_tri.entry(n, 2), closed_form("Sf_n2", n)))
-        cases.append(("cf_n1", cf_tri.entry(n, 1), closed_form("cf_n1", n)))
+            forms.append(("Sf_n2", "Sf", n, 2, closed_form("Sf_n2", n)))
+        forms.append(("cf_n1", "cf", n, 1, closed_form("cf_n1", n)))
         if n >= 2:
             shared = closed_form("col_nm1", n)
-            cases.append(("col_nm1(cf)", cf_tri.entry(n, n - 1), shared))
-            cases.append(("col_nm1(Sf)", sf_tri.entry(n, n - 1), shared))
-        for label, got, want in cases:
-            if got != want:
-                bad.append({"form": label, "n": n, "triangle": str(got), "formula": str(want)})
+            forms.append(("col_nm1(cf)", "cf", n, n - 1, shared))
+            forms.append(("col_nm1(Sf)", "Sf", n, n - 1, shared))
+    sides: dict[int, PQRPoly | None] = {}
+    for kind in ("Sf", "cf"):
+        picked = [i for i, form in enumerate(forms) if form[1] == kind]
+        cases = [(n, k, None, want) for _, _, n, k, want in map(forms.__getitem__, picked)]
+        sides.update(zip(picked, _triangle_sides(kind, N, None, cases)))
+    bad = [
+        {"form": label, "n": n, "triangle": str(sides[i]), "formula": str(want)}
+        for i, (label, _, n, _, want) in enumerate(forms)
+        if sides[i] is not None
+    ]
     return report("closed-forms", f"n<={N}", bad)
 
 
@@ -440,20 +486,15 @@ FIBONOMIAL_MIN_N = 30
 
 def check_sf_p_coefficients(N: int = SF_P_MAX_N) -> dict:
     """p^0 and p^1 coefficient formulas for Sf against the triangle."""
-    tri = build_triangle("Sf", N)
-    bad = []
-    for n in range(1, N + 1):
-        for k in range(1, n + 1):
-            want = tri.entry(n, k).coefficient("p", 0)
-            got = sf_p_coefficient_formula(n, k, 0)
-            if got != want:
-                bad.append({"n": n, "k": k, "s": 0, "formula": str(got), "triangle": str(want)})
-    for n in range(4, N + 1):
-        for k in range(3, n):
-            want = tri.entry(n, k).coefficient("p", 1)
-            got = sf_p_coefficient_formula(n, k, 1)
-            if got != want:
-                bad.append({"n": n, "k": k, "s": 1, "formula": str(got), "triangle": str(want)})
+    cases = [(n, k, 0, sf_p_coefficient_formula(n, k, 0))
+             for n in range(1, N + 1) for k in range(1, n + 1)]
+    cases += [(n, k, 1, sf_p_coefficient_formula(n, k, 1))
+              for n in range(4, N + 1) for k in range(3, n)]
+    bad = [
+        {"n": n, "k": k, "s": s, "formula": str(got), "triangle": str(want)}
+        for (n, k, s, got), want in zip(cases, _triangle_sides("Sf", N, None, cases))
+        if want is not None
+    ]
     return report("sf-p-coefficients", f"s=0: k<=n<={N}; s=1: 3<=k<n<={N}", bad)
 
 
@@ -487,21 +528,16 @@ def check_q1_specializations(N: int = 20) -> dict:
 def check_cf_columns(N: int = 20) -> dict:
     """Column 1 (s <= 3) and column 2 (s <= 1) formulas for cf, plus the
     integer count of the column-2 p coefficient at q = 1."""
-    tri = build_triangle("cf", N, width=2)
+    cases = [(n, col, s, cf_column_coefficient_formula(n, col, s))
+             for n in range(1, N + 1) for col, top in ((1, 4), (2, 2)) for s in range(top)]
+    at_q1 = p_sequences("cf", N, width=2)
     bad = []
-    for n in range(1, N + 1):
-        for s in range(4):
-            want = tri.entry(n, 1).coefficient("p", s)
-            got = cf_column_coefficient_formula(n, 1, s)
-            if got != want:
-                bad.append({"col": 1, "n": n, "s": s, "formula": str(got), "triangle": str(want)})
-        for s in range(2):
-            want = tri.entry(n, 2).coefficient("p", s)
-            got = cf_column_coefficient_formula(n, 2, s)
-            if got != want:
-                bad.append({"col": 2, "n": n, "s": s, "formula": str(got), "triangle": str(want)})
-        if n >= 4:
-            want_int = tri.entry(n, 2).coefficient("p", 1).eval_at(1)
+    for (n, col, s, got), want in zip(cases, _triangle_sides("cf", N, 2, cases)):
+        if want is not None:
+            bad.append({"col": col, "n": n, "s": s, "formula": str(got), "triangle": str(want)})
+        if (col, s) == (2, 1) and n >= 4:  # the last case of row n
+            seq = at_q1[n][2]
+            want_int = seq[1] if len(seq) > 1 else 0
             got_int = cf_col2_p_coefficient_at_q1(n)
             if got_int != want_int:
                 bad.append({"col": 2, "n": n, "s": 1, "at_q1": True,

@@ -16,11 +16,13 @@ plain ints gives the graded print order: total degree first, then the
 exponents of q, p and r. A field can only overflow once a total degree
 reaches 2**W, so every polynomial carries an upper bound on its total
 degree (a sum under `*`, a max under `+`), and an operation that would
-reach the limit raises OverflowError instead of wrapping. The printed
-text of each monomial (`*p^2*q^3`) is cached per (p, r) row, as a list
-indexed by the power of q and built from cached factor pieces, so the cache
-grows only with the rows and q powers printed. The packing is private: the
-constructor, `term` and `.terms` speak exponent triples (e_q, e_p, e_r).
+reach the limit raises OverflowError instead of wrapping. The packing is
+private: the constructor, `term` and `.terms` speak exponent triples
+(e_q, e_p, e_r). `q_image` maps a polynomial to its image under q -> 2**w,
+one integer per (p, r) monomial. Images are never decoded: `q_image_text`
+prints one from its digits, with the text of each monomial (`*p^2*q^3`)
+cached per (p, r) row and indexed by the power of q, and `str` composes
+each monomial from cached factor pieces, so it grows no row cache.
 
 On top of the ring this module provides the q-analogues ([n]_q with the
 convention [0]_q = 1, q-factorials, q-binomials built by the Pascal-type
@@ -103,29 +105,8 @@ def _row_digits(value: int, w: int) -> tuple[int, list[int]]:
     return low, digits
 
 
-# row key -> the packed keys of its monomials times q**0, q**1, ..., shared
-# by every polynomial read from an image, as `__add__` shares its left keys
-_ROW_KEYS: dict[int, list[int]] = {}
-
-
-def _row_keys(row: int, low: int, stop: int) -> list[int]:
-    """The packed keys of row `row` times q**low .. q**(stop-1), from a cache.
-
-    Raises OverflowError, as `_pack` does, once a total degree reaches 2**16.
-    """
-    keys = _ROW_KEYS.get(row)
-    if keys is None:
-        keys = _ROW_KEYS[row] = [(row >> _P_SHIFT) + (row & _MASK) << _DEG_SHIFT | row]
-    if len(keys) < stop:
-        check_degree((keys[-1] >> _DEG_SHIFT) + stop - len(keys))
-        step = 1 << _DEG_SHIFT | 1 << _Q_SHIFT  # times q
-        while len(keys) < stop:
-            keys.append(keys[-1] + step)
-    return keys[low:stop]
-
-
 # row key -> the text of its monomials times q**0, q**1, ..., each led by
-# "*" ("" for the constant monomial), shared by `__str__` and `q_image_text`
+# "*" ("" for the constant monomial), for `q_image_text`
 _ROW_TEXT: dict[int, list[str]] = {}
 
 
@@ -151,15 +132,17 @@ def _row_text(row: int, stop: int) -> list[str]:
 
 
 def q_image_text(rows: Mapping[int, int], w: int) -> str:
-    """str(PQRPoly.from_q_image(rows, w)), without building the polynomial.
+    """str(f) for the f with f.q_image(w) == rows, read from the image alone.
 
-    Same preconditions as `from_q_image`. Every coefficient has the sign of
-    the rows, so each term's text is one digit and its monomial's cached
-    text. A row's nonzero digits form one run in e_q, and its term at e_q
-    has total degree e_q plus the row's degree, so the graded order is a
-    degree-skewed merge: the rows are sorted by degree, descending, then by
-    row key, each row's term texts are offset by its lowest total degree,
-    and the rows are read column by column, one total degree at a time.
+    Only for images of polynomials whose coefficients all have one sign and
+    absolute values below 2**w: each row is read as plain base-2**w digits
+    of its absolute value (`_row_digits`), so each term's text is one digit
+    and its monomial's cached text. A row's nonzero digits form one run in
+    e_q, and its term at e_q has total degree e_q plus the row's degree, so
+    the graded order is a degree-skewed merge: the rows are sorted by
+    degree, descending, then by row key, each row's term texts are offset by
+    its lowest total degree, and the rows are read column by column, one
+    total degree at a time.
     """
     if not rows:
         return "0"
@@ -311,26 +294,6 @@ class PQRPoly:
             rows[row] = get(row, 0) + (coeff << w * (key >> _Q_SHIFT & _MASK))
         return {row: value for row, value in rows.items() if value}
 
-    @classmethod
-    def from_q_image(cls, rows: Mapping[int, int], w: int) -> PQRPoly:
-        """The polynomial f with f.q_image(w) == rows.
-
-        Only for images of polynomials whose coefficients all have one sign
-        and absolute values below 2**w: each row is then read as plain
-        base-2**w digits of its absolute value (`_row_digits`).
-        """
-        terms: dict[int, int] = {}
-        for row, value in rows.items():
-            low, digits = _row_digits(abs(value), w)
-            keys = _row_keys(row, low, low + len(digits))
-            if value < 0:
-                digits = [-digit for digit in digits]
-            if 0 in digits:
-                terms.update((key, digit) for key, digit in zip(keys, digits) if digit)
-            else:
-                terms.update(zip(keys, digits))
-        return _from_packed(terms, max(terms) >> _DEG_SHIFT if terms else 0)
-
     # arithmetic -----------------------------------------------------------
 
     @staticmethod
@@ -425,8 +388,8 @@ class PQRPoly:
             return "0"
         parts: list[str] = []
         for key, coeff in sorted(self._terms.items()):
-            e_q = key >> _Q_SHIFT & _MASK
-            mono = _row_text(key & _ROW_MASK, e_q + 1)[e_q]
+            e_q, e_p, e_r = _unpack(key)
+            mono = _factor("p", e_p) + _factor("q", e_q) + _factor("r", e_r)
             if coeff > 0:
                 sign = " + "
             else:

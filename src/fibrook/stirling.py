@@ -34,10 +34,11 @@ at q = p = r = 1, and that integer triangle is built first. sf and sp are
 cf and cp with the sign (-1)^(n-k) on each entry, and the integer pass
 also tracks total degrees, so `check_degree` refuses a row before its
 (p, r) keys could overflow. `fibrook table` prints straight from the image
-(`triangle_text`); `build_triangle` unpacks it into `PQRPoly` entries. The
-checks compare images and unpack an entry only for a counterexample's
-text: the inverse and basis checks at a slot from their own l1 bounds, the
-q = 1 checks at slot 0, where q -> 2**0 = 1.
+(`triangle_text`). The checks compare images, never decoded: the inverse,
+basis and formula checks at a slot from their own l1 bounds, the q = 1
+checks at slot 0, where q -> 2**0 = 1. `build_triangle` runs the same
+recursions in the ring: the reference for the images, and a failing
+check's counterexample text.
 
 The Sf/sf matrices are mutually inverse. `involution` realizes the
 orthogonality bijectively: on pairs (j, rook, file), the entries of a
@@ -171,43 +172,42 @@ def _slot_width(bound: int) -> int:
     return bound.bit_length()
 
 
-def _multipliers(kind: str, N: int) -> Callable[[int, int], tuple[list, int, int]]:
-    """The factor m(n, k) of T[n][k] in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k].
-
-    Each factor comes as (terms, value at q = p = r = 1, total degree), its
-    terms as (row key, e_q, coeff) triples, with the coefficients negated
-    for sf/sp; W_0 = 0 has no terms, value 0 and degree -1.
-    """
+def _rule_factor(kind: str, N: int, lift: Callable, plus: Callable) -> Callable:
+    """The factor m(n, k) of T[n][k] in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k],
+    W_n, W_k or W_k + W_n as the kind's rule says, negated for sf/sp, with
+    each (signed) W_j as lift(W_j) and a sum of two as `plus` makes it."""
     fam, rule = family_for_kind(kind), _RULES[kind]
-    sign = -1 if rule.signed else 1
-    parts = []
-    for j in range(N + 1):
-        weight = weight_poly(fam, j)
-        terms = [
-            (q_image_row(e_p, e_r), e_q, sign * c) for (e_q, e_p, e_r), c in weight.terms.items()
-        ]
-        parts.append((terms, weight.eval_at(1, 1, 1), weight.total_degree()))
-    if rule.factor == "n":
-        return lambda n, k: parts[n]
-    if rule.factor == "k":
-        return lambda n, k: parts[k]
+    parts = [lift((-1 if rule.signed else 1) * weight_poly(fam, j)) for j in range(N + 1)]
+    return {"n": lambda n, k: parts[n], "k": lambda n, k: parts[k],
+            "k+n": lambda n, k: plus(parts[k], parts[n])}[rule.factor]
 
-    def sum_of_weights(n: int, k: int) -> tuple[list, int, int]:  # "k+n": W_k + W_n
-        (ta, va, da), (tb, vb, db) = parts[k], parts[n]
-        return ta + tb, va + vb, max(da, db)
 
-    return sum_of_weights
+def _multipliers(kind: str, N: int) -> Callable[[int, int], tuple[list, int, int]]:
+    """`_rule_factor` for the image recursion: each factor comes as (terms, l1
+    norm, total degree), its terms as (row key, e_q, coeff) triples; W_0 = 0
+    has no terms, norm 0 and degree -1."""
+
+    def lift(weight: PQRPoly) -> tuple[list, int, int]:
+        terms = [(q_image_row(e_p, e_r), e_q, c) for (e_q, e_p, e_r), c in weight.terms.items()]
+        return terms, abs(weight.eval_at(1, 1, 1)), weight.total_degree()
+
+    return _rule_factor(kind, N, lift, lambda a, b: (a[0] + b[0], a[1] + b[1], max(a[2], b[2])))
 
 
 def _row_tops(N: int, width: int | None) -> Iterator[tuple[int, int]]:
     """(n, top): row n + 1 of the recursion holds the entries k = 0..top."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if width is not None and width < 0:
+        raise ValueError("width must be >= 0")
     for n in range(N):
         yield n, n + 1 if width is None else min(n + 1, width)
 
 
 def triangle_text(kind: str, N: int) -> Iterator[list[str]]:
     """The printed entries of rows 0..N of the `kind` triangle, row by row,
-    equal to `str` of the entries of `build_triangle(kind, N)`.
+    equal to `str` of the entries of `build_triangle(kind, N)`, printed
+    from the image rows at the natural slot by `q_image_text`.
 
     The integer pass runs at the call, so an oversized degree raises before
     any row is drawn; the rows are then drawn lazily, each image row from
@@ -248,11 +248,6 @@ def triangle_images(
     draws its rows lazily, each from the one before.
     """
     factor = _multipliers(kind, N)
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if width is not None and width < 0:
-        raise ValueError("width must be >= 0")
-
     # With nonnegative coefficients nothing cancels, so values at 1 are l1
     # norms, and degrees add under products and take the max under sums.
     norms, degrees = [[1]], [[0]]
@@ -306,19 +301,22 @@ def _recur_images(
 
 
 def build_triangle(kind: str, N: int, width: int | None = None) -> CoeffTriangle:
-    """Rows 0..N of the `kind` triangle by its two-term recursion, as
-    `PQRPoly` entries read back from `triangle_images` at the natural slot.
+    """Rows 0..N of the `kind` triangle by its two-term recursion in the ring,
+    on `PQRPoly` entries: the reference for `triangle_images`, and the text
+    of a failing check's counterexample.
 
     Entry (n+1, k) reads only entries (n, k-1) and (n, k), so column k
     depends on columns <= k alone. With a `width`, row n holds only the
     entries k = 0..min(n, width), which equal the leading entries of the
     full row; `entry` then raises for width < k <= n instead of guessing.
     """
-    slot, rows_at, _, _ = triangle_images(kind, N, width)
-    rows = tuple(
-        tuple(PQRPoly.from_q_image(image, slot) for image in row) for row in rows_at(slot)
-    )
-    return CoeffTriangle(kind, N, rows, width)
+    factor = _rule_factor(kind, N, lambda weight: weight, PQRPoly.__add__)
+    rows = [(PQRPoly.one(),)]
+    for n, top in _row_tops(N, width):
+        # the zero after the last entry is read as T[n][n+1], and as T[n][-1] for k = 0
+        prev = rows[-1] + (PQRPoly.zero(),)
+        rows.append(tuple(prev[k - 1] + factor(n, k) * prev[k] for k in range(top + 1)))
+    return CoeffTriangle(kind, N, tuple(rows), width)
 
 
 def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:

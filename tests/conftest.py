@@ -46,12 +46,9 @@ def perturb_entry(monkeypatch):
 
     `triangle_images` adds the delta's l1 norm and total degree to the
     entry's norm and degree from the integer pass, and its `rows_at` adds
-    the delta's image to the entry's image at every slot a check asks for,
-    slot 0 included. The checks ask for slot 0 or for a slot wider than
-    the natural one; the rows at the natural slot, which are read back as
-    polynomials, stay as built, and `build_triangle` adds the delta to the
-    unpacked entry instead, for the identity checks that still unpack and
-    for counterexample text. Perturbations stack, each on top of the ones
+    the delta's image to the entry's image at every slot, and
+    `build_triangle`, which the checks call for counterexample text, adds
+    the delta to the entry. Perturbations stack, each on top of the ones
     before.
     """
 
@@ -75,8 +72,7 @@ def _perturbed_images(real, kind: str, n: int, k: int, delta: PQRPoly):
         degrees[n][k] = max(degrees[n][k], delta.total_degree())
 
         def perturbed_rows(slot: int):
-            rows = rows_at(slot)
-            return rows if slot == natural else _add_to_row(rows, n, k, delta.q_image(slot))
+            return _add_to_row(rows_at(slot), n, k, delta.q_image(slot))
 
         return natural, perturbed_rows, norms, degrees
 

@@ -325,6 +325,76 @@ def test_series_columns_catch_a_wrong_entry(perturb_entry):
     ]
 
 
+# each formula below is made wrong by Q - 2**s at one case, with s the natural
+# slot of the triangle the check builds: at slot s that difference maps to 0,
+# so the check must compare at a slot of its own
+
+
+def _slot_blind(kind: str, N: int, width: int | None = None) -> PQRPoly:
+    slot = stirling.triangle_images(kind, N, width)[0]
+    off = Q - 2**slot
+    assert off.q_image(slot) == {}
+    return off
+
+
+def test_closed_forms_catch_a_formula_off_by_the_natural_slot(monkeypatch):
+    off = _slot_blind("Sf", 20)
+    real = identities.closed_form
+    monkeypatch.setattr(identities, "closed_form",
+                        lambda kind, n: real(kind, n) + off if (kind, n) == ("Sf_n1", 20)
+                        else real(kind, n))
+    report = check_closed_forms(20)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"form": "Sf_n1", "n": 20, "triangle": "q^19", "formula": str(Q**19 + off)}
+    ]
+
+
+def test_sf_p_coefficients_catch_a_formula_off_by_the_natural_slot(monkeypatch):
+    off = _slot_blind("Sf", 12)
+    real = identities.sf_p_coefficient_formula
+    want = real(12, 11, 1)
+    monkeypatch.setattr(identities, "sf_p_coefficient_formula",
+                        lambda n, k, s: real(n, k, s) + off if (n, k, s) == (12, 11, 1)
+                        else real(n, k, s))
+    report = check_sf_p_coefficients(12)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"n": 12, "k": 11, "s": 1, "formula": str(want + off), "triangle": str(want)}
+    ]
+
+
+def test_series_columns_catch_a_formula_off_by_the_natural_slot(monkeypatch):
+    off = _slot_blind("Sf", 12, 6)
+    real = identities.sf_column_series
+    want = real(6, 12).coefficient(12)
+
+    def series(k: int, order: int) -> XPoly:
+        coeffs = real(k, order).coeffs
+        return XPoly([c + off if (k, n) == (6, 12) else c for n, c in enumerate(coeffs)])
+
+    monkeypatch.setattr(identities, "sf_column_series", series)
+    report = check_series_columns(12)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"n": 12, "k": 6, "series": str(want + off), "triangle": str(want)}
+    ]
+
+
+def test_cf_columns_catch_a_formula_off_by_the_natural_slot(monkeypatch):
+    off = _slot_blind("cf", 20, 2)
+    real = identities.cf_column_coefficient_formula
+    want = real(20, 1, 0)
+    monkeypatch.setattr(identities, "cf_column_coefficient_formula",
+                        lambda n, col, s: real(n, col, s) + off if (n, col, s) == (20, 1, 0)
+                        else real(n, col, s))
+    report = check_cf_columns(20)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"col": 1, "n": 20, "s": 0, "formula": str(want + off), "triangle": str(want)}
+    ]
+
+
 def test_q1_specializations_catch_a_wrong_entry(perturb_entry):
     # 25 C(19, 6) + C(19, 5) = 689928 at q = 1
     perturb_entry("Sf", 20, 5, P**2)
@@ -477,27 +547,23 @@ def test_run_suite_calls_the_checks_by_name(monkeypatch):
     assert identities.run_suite("products", 2) == [{"check": "stub", "N": 2}]
 
 
-def test_inverse_suite_and_log_concavity_pass_without_unpacking(monkeypatch):
+def test_every_suite_passes_without_building_a_triangle(monkeypatch):
     calls = []
-    real_unpack = PQRPoly.from_q_image.__func__
     real_build = stirling.build_triangle
 
-    def unpack(cls, *args):
-        calls.append("from_q_image")
-        return real_unpack(cls, *args)
+    def build(*args):
+        calls.append(args)
+        return real_build(*args)
 
-    def build(*args, **kwargs):
-        calls.append("build_triangle")
-        return real_build(*args, **kwargs)
-
-    monkeypatch.setattr(PQRPoly, "from_q_image", classmethod(unpack))
     monkeypatch.setattr(stirling, "build_triangle", build)
     monkeypatch.setattr(identities, "build_triangle", build)
-    assert [r["status"] for r in run_suite("inverse", 8)] == ["PASS"] * 4
-    assert check_log_concavity()["status"] == "PASS"
+    assert "FAIL" not in [r["status"] for r in run_suite("all")]
     assert calls == []
-    stirling.build_triangle("Sf", 2)  # the spies see an unpacking build
-    assert calls == ["build_triangle"] + ["from_q_image"] * 6
+    # the spy sees the build that a failing check makes for its counterexample text
+    real_form = identities.closed_form
+    monkeypatch.setattr(identities, "closed_form", lambda kind, n: real_form(kind, n) + Q)
+    assert check_closed_forms(3)["status"] == "FAIL"
+    assert calls == [("Sf", 3, None), ("cf", 3, None)]
 
 
 def test_run_suite_rejects_an_unknown_suite():

@@ -80,72 +80,45 @@ def test_column_bound_keeps_the_leading_entries(kind: str):
         build_triangle(kind, N, -1)
 
 
-def _dict_recursion(kind: str, N: int, width: int | None = None) -> tuple:
-    """The rows of the `kind` triangle by term-by-term `PQRPoly` products.
-
-    The differential reference for the q-image build: the same two-term
-    recursions, run in the ring with no image and no slot width.
-    """
-    fam = family_for_kind(kind)
-    zero = PQRPoly.zero()
-    rows: list[list[PQRPoly]] = [[PQRPoly.one()]]
-    for n in range(N):
-        prev = rows[n]
-        size = len(prev)
-        top = n + 1 if width is None else min(n + 1, width)
-
-        def at(k: int) -> PQRPoly:
-            return prev[k] if 0 <= k < size else zero
-
-        new_row: list[PQRPoly] = []
-        for k in range(top + 1):
-            if kind in ("cf", "cp"):
-                step = weight_poly(fam, n) * at(k)
-            elif kind in ("sf", "sp"):
-                step = -(weight_poly(fam, n) * at(k))
-            elif kind in ("Sf", "Sp"):
-                step = weight_poly(fam, k) * at(k)
-            else:  # Lf
-                step = (weight_poly(fam, k) + weight_poly(fam, n)) * at(k)
-            new_row.append(at(k - 1) + step)
-        rows.append(new_row)
-    return tuple(tuple(row) for row in rows)
-
-
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
 def test_image_build_matches_the_dict_recursion(kind: str):
+    # `build_triangle` runs the recursions in the ring, on dict-backed
+    # `PQRPoly` entries, with no image and no slot width: the reference for
+    # the image rows at slot 0, at the natural slot and wider
     for N in (0, 1, 12):
         for width in (None, 0, 1, 3, 12):
-            assert build_triangle(kind, N, width).rows == _dict_recursion(kind, N, width)
+            want = build_triangle(kind, N, width).rows
+            slot, rows_at, _, _ = stirling.triangle_images(kind, N, width)
+            for s in (0, slot, slot + 9):
+                assert list(rows_at(s)) == [tuple(e.q_image(s) for e in row) for row in want]
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
 def test_table_text_is_str_of_the_entries(kind: str):
-    want = [[str(e) for e in row] for row in _dict_recursion(kind, 9)]
+    want = [[str(e) for e in row] for row in build_triangle(kind, 9).rows]
     assert list(triangle_text(kind, 9)) == want
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
 def test_entry_text_is_str_of_the_polynomial_read_from_its_image(kind: str):
+    want = [[str(e) for e in row] for row in build_triangle(kind, 12).rows]
     slot, rows_at, _, _ = stirling.triangle_images(kind, 12)
     for s in (slot, slot + 9):
-        for row in rows_at(s):
-            for image in row:
-                assert q_image_text(image, s) == str(PQRPoly.from_q_image(image, s))
+        assert [[q_image_text(image, s) for image in row] for row in rows_at(s)] == want
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
 def test_slot_width_holds_every_coefficient_and_no_less(monkeypatch, kind: str):
     N = 12
-    want = _dict_recursion(kind, N)
-    tight = max(abs(c) for row in want for e in row for c in e.terms.values()).bit_length()
+    rows = build_triangle(kind, N).rows
+    want = [[str(e) for e in row] for row in rows]
+    tight = max(abs(c) for row in rows for e in row for c in e.terms.values()).bit_length()
     assert stirling.triangle_images(kind, N)[0] >= tight
     monkeypatch.setattr(stirling, "_slot_width", lambda bound: tight)
-    assert build_triangle(kind, N).rows == want
+    assert list(triangle_text(kind, N)) == want
     # one bit narrower, the widest coefficient carries into its neighbour
     monkeypatch.setattr(stirling, "_slot_width", lambda bound: tight - 1)
-    narrow = build_triangle(kind, N)
-    assert any(a != b for got, ref in zip(narrow.rows, want) for a, b in zip(got, ref))
+    assert list(triangle_text(kind, N)) != want
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
@@ -153,7 +126,7 @@ def test_degree_guard_sees_the_exact_degree_of_every_row(monkeypatch, kind: str)
     seen: list[int] = []
     monkeypatch.setattr(stirling, "check_degree", seen.append)
     triangle_text(kind, 10)  # the integer pass runs before any row is drawn
-    want = _dict_recursion(kind, 10)
+    want = build_triangle(kind, 10).rows
     assert seen == [max(e.total_degree() for e in row) for row in want[1:]]
 
 
@@ -161,7 +134,7 @@ def test_degree_guard_refuses_a_row_past_the_packed_fields():
     # cf[n][1] = W_1 ... W_{n-1} has total degree n(n-1)/2, which first
     # reaches 2**16 at n = 363; the integer pass raises before any image
     with pytest.raises(OverflowError, match="total degree 65703"):
-        build_triangle("cf", 363, width=1)
+        stirling.triangle_images("cf", 363, width=1)
 
 
 def test_kind_families():
