@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from pathlib import Path
 
@@ -417,7 +417,7 @@ def _triangle_sides(kind: str, N: int, width: int | None, cases: list[tuple]) ->
     coefficient of p**s of an entry is its image row `q_image_row(s, 0)`.
     """
     _, rows_at, norms, _ = triangle_images(kind, N, width)
-    bound = max(max(map(max, norms)), *(sum(map(abs, f.terms.values())) for *_, f in cases))
+    bound = max(chain(map(max, norms), (sum(map(abs, f.terms.values())) for *_, f in cases)))
     w = bound.bit_length() + 2
     wanted = {(n, k) for n, k, _, _ in cases}
     images = {(n, k): image for n, row in enumerate(rows_at(w))
@@ -466,16 +466,15 @@ def check_closed_forms(N: int = 20) -> dict:
             shared = closed_form("col_nm1", n)
             forms.append(("col_nm1(cf)", "cf", n, n - 1, shared))
             forms.append(("col_nm1(Sf)", "Sf", n, n - 1, shared))
-    sides: dict[int, PQRPoly | None] = {}
+    sides = {}  # the results of each triangle, in report order
     for kind in ("Sf", "cf"):
-        picked = [i for i, form in enumerate(forms) if form[1] == kind]
-        cases = [(n, k, None, want) for _, _, n, k, want in map(forms.__getitem__, picked)]
-        sides.update(zip(picked, _triangle_sides(kind, N, None, cases)))
-    bad = [
-        {"form": label, "n": n, "triangle": str(sides[i]), "formula": str(want)}
-        for i, (label, _, n, _, want) in enumerate(forms)
-        if sides[i] is not None
-    ]
+        cases = [(n, k, None, want) for _, t, n, k, want in forms if t == kind]
+        sides[kind] = iter(_triangle_sides(kind, N, None, cases))
+    bad = []
+    for label, kind, n, _, want in forms:
+        side = next(sides[kind])
+        if side is not None:
+            bad.append({"form": label, "n": n, "triangle": str(side), "formula": str(want)})
     return report("closed-forms", f"n<={N}", bad)
 
 

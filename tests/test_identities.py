@@ -566,6 +566,12 @@ def test_every_suite_passes_without_building_a_triangle(monkeypatch):
     assert calls == [("Sf", 3, None), ("cf", 3, None)]
 
 
+def test_identity_suite_passes_at_size_zero():
+    # at N = 0 some triangle checks have no case to compare
+    reports = run_suite("identities", 0)
+    assert reports and "FAIL" not in [r["status"] for r in reports]
+
+
 def test_run_suite_rejects_an_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         identities.run_suite("everything")

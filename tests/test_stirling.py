@@ -84,7 +84,9 @@ def test_column_bound_keeps_the_leading_entries(kind: str):
 def test_image_build_matches_the_dict_recursion(kind: str):
     # `build_triangle` runs the recursions in the ring, on dict-backed
     # `PQRPoly` entries, with no image and no slot width: the reference for
-    # the image rows at slot 0, at the natural slot and wider
+    # the image rows at slot 0, at the natural slot and wider. Both builds
+    # read each kind's factor from `_rule_factor`, so this test does not pin
+    # the rule itself; the table goldens and FROZEN_ENTRIES do.
     for N in (0, 1, 12):
         for width in (None, 0, 1, 3, 12):
             want = build_triangle(kind, N, width).rows
