@@ -26,11 +26,13 @@ k-th chosen column it has b_n cells in the file model and b_{n-(k-1)} in
 the rook model), while "enumeration" walks every subset of columns and
 multiplies per-column weight sums obtained by exhaustively listing
 tilings. Mixed and augmented placement sums re-derive the product formulas
-column by column.
+column by column; the augmented sum is x^n under any rule, so it checks the
+walk's signs and multiplicities, not `lag`.
 
-The enumerators return a `PlacementView`, not a list: its `len()` is the
-exact `placement_count`, and each pass over it draws the placements
-afresh, so a walk over every placement of a board holds one at a time.
+A placement is a plain (board, entries) record that derives its text and
+weight on demand. The enumerators return a `PlacementView`, not a list: its
+`len()` is the exact `placement_count`, and each pass over it draws the
+placements afresh, so a walk over all of them holds one at a time.
 """
 
 from __future__ import annotations
@@ -163,27 +165,12 @@ def _entries_exponents(entries: tuple[tuple[int, Tiling], ...]) -> tuple[int, in
 
 
 class Placement(Record):
-    """k chosen columns, the s-th (s = 0, 1, ...) at column c tiled to the
-    b_{c - lag*s} cells the cancellation rule leaves it.
+    """A plain (board, entries) record: k chosen columns, the s-th
+    (s = 0, 1, ...) at column c tiled to the b_{c - lag*s} cells the
+    cancellation rule leaves it. `__init__` raises on entries that break the
+    rule; `str()` and `exponents()` are derived from the entries on demand."""
 
-    Built directly (or by `parse_placement`), a placement validates its
-    entries with `_entries_problem` and raises on a bad one. Iterating a
-    `PlacementView` builds each through `_trusted`, which skips that check.
-    Enumerated placements are trusted: the enumerator picks every tiling
-    from the pool of the height the rule gives, and the contract tests pin
-    it. So `stirling.involution_verify` does not check the pairs it draws;
-    it runs its domain predicate, which runs the same validator, once per
-    pair, on the involution image.
-
-    `_text` and `_exps`, derived like `Tiling`'s underscored slots and
-    outside equality, hashing and `repr`, hold the text and weight
-    exponents that `str()` and `exponents()` return. A `PlacementView`
-    folds them column by column; a placement built directly derives them
-    from its entries and the counts and text that each shared `Tiling`
-    caches.
-    """
-
-    __slots__ = ("board", "entries", "_text", "_exps")
+    __slots__ = ("board", "entries")
     lag: ClassVar[int]
 
     def __init__(self, board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...]) -> None:
@@ -193,27 +180,7 @@ class Placement(Record):
         problem = _entries_problem(board, pairs, self.lag)
         if problem is not None:
             raise ValueError(problem)
-        text = ";".join([f"{c}:{t._text}" for c, t in pairs])
-        self._set(board, pairs, text, _entries_exponents(pairs))
-
-    @classmethod
-    def _trusted(
-        cls,
-        board: FerrersBoard,
-        entries: tuple[tuple[int, Tiling], ...],
-        text: str,
-        exps: tuple[int, int, int],
-    ):
-        """A placement from entries known to satisfy the rule; no checks.
-        `text` and `exps` must be what `__init__` would derive from the
-        entries."""
-        pl = object.__new__(cls)
-        set_board, set_entries, set_text, set_exps = cls._setters
-        set_board(pl, board)
-        set_entries(pl, entries)
-        set_text(pl, text)
-        set_exps(pl, exps)
-        return pl
+        self._set(board, pairs)
 
     @property
     def k(self) -> int:
@@ -221,13 +188,13 @@ class Placement(Record):
 
     def exponents(self) -> tuple[int, int, int]:
         """(e_q, e_p, e_r) of the weight: the tiles of each height, summed."""
-        return self._exps
+        return _entries_exponents(self.entries)
 
     def weight(self) -> PQRPoly:
         return PQRPoly.term(1, *self.exponents())
 
     def __str__(self) -> str:
-        return self._text
+        return ";".join([f"{c}:{t._text}" for c, t in self.entries])
 
 
 class FilePlacement(Placement):
@@ -274,9 +241,9 @@ class PlacementView:
     so `heads()` folds each subset once: each head (one tiling per leading
     column, drawn lazily, so one is held at a time) is joined into an
     entries prefix, a text prefix and an exponent sum, which each fragment
-    of the last column completes. Iterating builds the placements through
-    `Placement._trusted`; a caller that needs only the text, entries or
-    exponents reads `heads()` and builds no placement.
+    of the last column completes. `entries()` completes the entries alone,
+    and iterating wraps them in `Placement` records, unvalidated; callers
+    that need no record read `heads()` or `entries()`.
     """
 
     __slots__ = ("board", "fam", "k", "model")
@@ -322,11 +289,16 @@ class PlacementView:
                 exps = tuple(map(sum, zip((0, 0, 0), *[cts for _, _, cts in head])))
                 yield entries, text, exps, last
 
+    def entries(self) -> Iterator[tuple[tuple[int, Tiling], ...]]:
+        """The entries of each placement, in the view's order, from `heads()`."""
+        return (head + tail for head, _, _, last in self.heads() for tail, _, _ in last)
+
     def __iter__(self) -> Iterator[Placement]:
-        board, build = self.board, _MODELS[self.model]._trusted
-        for entries, text, (ones, twos, threes), last in self.heads():
-            for tail, piece, (a, b, c) in last:
-                yield build(board, entries + tail, text + piece, (ones + a, twos + b, threes + c))
+        cls = _MODELS[self.model]
+        for entries in self.entries():
+            pl = object.__new__(cls)
+            pl._set(self.board, entries)
+            yield pl
 
 
 def enumerate_file_placements(board: FerrersBoard, fam: TileFamily, k: int) -> PlacementView:
@@ -477,8 +449,9 @@ def aug_mixed_sum(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
 
     Per column: a board tiling (which cancels, so later columns shrink), a
     rook in one of x rows, or a tiling of the mirrored column below (same
-    number of cells, no cancellation) carrying sign -1. Signs cancel
-    everything but one rook per column, so the total is the constant x^n.
+    number of cells, no cancellation) carrying sign -1. Each tiling above
+    cancels its mirror below whatever height the rule gives, so the total
+    is x^n under any rule: it checks the walk's signs, not the rule.
     """
     _require_ferrers(board, "the augmented board")
     if x < 0:

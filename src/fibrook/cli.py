@@ -262,6 +262,8 @@ def _verify_refusal(args: argparse.Namespace) -> str | None:
     if "involution" in runs:
         if (args.n is None) != (args.k is None):
             return "involution needs both --n and --k (or neither)"
+        if args.n is not None and not 1 <= args.k < args.n:
+            return "the involution is defined for 1 <= k < n"
     elif args.n is not None or args.k is not None:
         return f"--n and --k select an involution domain; suite {suite} takes neither"
     caps = {"enumeration": args.enum_max, "triangle": args.triangle_max}

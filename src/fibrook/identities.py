@@ -678,7 +678,8 @@ def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
 
 
 def _placement_sums(board: FerrersBoard, fam: TileFamily) -> list[dict]:
-    """The mixed and augmented placement sums against their product forms, x <= 3."""
+    """The mixed and augmented placement sums against their product forms,
+    x <= 3; "aug-power" holds under any rule, so it checks only the walk."""
     bad = []
     for x in range(4):
         mixed = mixed_file_sum(board, fam, x)
@@ -696,9 +697,9 @@ def _placement_sums(board: FerrersBoard, fam: TileFamily) -> list[dict]:
 
 
 def check_products(N: int) -> dict:
-    """The file and rook product identities on the small boards, the
-    staircases up to N and a few non-Ferrers boards; the mixed and
-    augmented placement sums against their product forms."""
+    """The file and rook (cancellation rule) product identities on the small
+    boards, the staircases up to N and a few non-Ferrers boards; the mixed
+    and augmented (the walk's signs only) sums against their product forms."""
     bad = []
     for board in _small_boards_and_staircases(N):
         for fam in (FIBONACCI, TRIBONACCI):

@@ -58,7 +58,6 @@ from typing import Callable, Iterator
 from fibrook.board import (
     FerrersBoard,
     FilePlacement,
-    PlacementView,
     RookPlacement,
     _entries_exponents,
     _entries_problem,
@@ -509,7 +508,7 @@ def involution_domain(n: int, k: int) -> Iterator[tuple]:
     A pair is the tuple (j, rook, file) of the entries of a rook-style
     placement of n-j tilings on the n-staircase and of a file placement of
     j-k tilings on the j-staircase, signed by (-1)^(j-k); (n, j) fixes both
-    boards. The entries are drawn lazily from the views' heads, with no
+    boards. The entries are drawn lazily from the views' `entries()`, with no
     placement object built; a j with more than one rook placement holds its
     file entries as a list, and one with a single rook (j = n) holds none.
     """
@@ -517,17 +516,12 @@ def involution_domain(n: int, k: int) -> Iterator[tuple]:
         raise ValueError("need 1 <= k <= n")
     for j in range(k, n + 1):
         rooks = enumerate_rook_placements(FerrersBoard.staircase(n), FIBONACCI, n - j)
-        files = _entries(enumerate_file_placements(FerrersBoard.staircase(j), FIBONACCI, j - k))
+        files = enumerate_file_placements(FerrersBoard.staircase(j), FIBONACCI, j - k).entries()
         if len(rooks) > 1:
             files = list(files)  # drawn once, walked once per rook
-        for rook in _entries(rooks):
+        for rook in rooks.entries():
             for file in files:
                 yield j, rook, file
-
-
-def _entries(view: PlacementView) -> Iterator[tuple]:
-    """The entries of each placement of `view`, in its order, from its heads."""
-    return (head + tail for head, _, _, last in view.heads() for tail, _, _ in last)
 
 
 def _domain_problem(n: int, k: int, pair: tuple) -> str | None:

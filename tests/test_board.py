@@ -265,8 +265,8 @@ def test_placement_view_is_sized_and_drawn_afresh(model, enumerate_placements, f
 def test_folded_text_and_exponents_match_the_derived_ones(model, fam):
     # the view folds each placement's text and exponents column by column:
     # each fragment of a head's last column completes one placement, the
-    # entries and text of both joined, their exponents summed; a parsed
-    # placement is validated and derives both from its entries
+    # entries and text of both joined, their exponents summed; a placement
+    # derives both from its entries, as a parsed (validated) one does
     boards = list(all_ferrers_boards(4, 4))
     if model == "file":
         boards += [FerrersBoard((3, 1, 2)), FerrersBoard((2, 0, 5, 1))]
@@ -281,8 +281,8 @@ def test_folded_text_and_exponents_match_the_derived_ones(model, fam):
             placements = list(view)
             assert len(completed) == placement_count(board, fam, k, model)
             assert completed == [(pl.entries, str(pl), pl.exponents()) for pl in placements]
+            assert list(view.entries()) == [pl.entries for pl in placements]
             for pl in placements:
-                assert pl._text is not None and pl._exps is not None
                 text = str(pl)
                 parsed = parse_placement(board, text, model)
                 assert text == str(parsed)

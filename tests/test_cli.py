@@ -132,7 +132,8 @@ def test_enumerate_file_weights(capsys):
 
 
 def test_enumerate_and_the_involution_build_no_placement_object(capsys, monkeypatch):
-    # both read the views' heads; a placement object built on the way fails
+    # both read the views' heads or entries; iterating a view or building a
+    # placement on the way fails
     argvs = [
         ["enumerate", "F(1,2,3,4,5,6,7)", "--k", "4", "--model", "rook"],
         ["enumerate", "F(1,2,3,4,5,6,7)", "--k", "4", "--model", "rook", "--format", "json"],
@@ -144,7 +145,7 @@ def test_enumerate_and_the_involution_build_no_placement_object(capsys, monkeypa
     def no_placement(*args, **kwargs):
         raise AssertionError("a placement object was built")
 
-    monkeypatch.setattr(board.Placement, "_trusted", classmethod(no_placement))
+    monkeypatch.setattr(board.PlacementView, "__iter__", no_placement)
     monkeypatch.setattr(board.Placement, "__init__", no_placement)
     assert [run(capsys, *argv) for argv in argvs] == outputs
     assert all(code == 0 for code, _, _ in outputs)
@@ -288,6 +289,19 @@ def test_verify_involution_needs_both_bounds(capsys):
     code, _, err = run(capsys, "verify", "involution", "--n", "4")
     assert code == 2
     assert "--k" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("all", "--n", "5", "--k", "7"),
+    ("all", "--n", "5", "--k", "0"),
+    ("involution", "--n", "5", "--k", "5"),
+])
+def test_verify_refuses_a_malformed_involution_domain_before_any_suite(capsys, monkeypatch, argv):
+    ran = []
+    monkeypatch.setattr(identities, "run_suite", lambda *args: ran.append(args) or [])
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, ran) == (2, "", [])
+    assert err == "error: the involution is defined for 1 <= k < n\n"
 
 
 def test_verify_products_passes(capsys):
