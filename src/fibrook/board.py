@@ -242,8 +242,8 @@ class PlacementView:
     column, drawn lazily, so one is held at a time) is joined into an
     entries prefix, a text prefix and an exponent sum, which each fragment
     of the last column completes. `entries()` completes the entries alone,
-    and iterating wraps them in `Placement` records, unvalidated; callers
-    that need no record read `heads()` or `entries()`.
+    and iterating builds a `Placement` record from each through its
+    constructor; callers that need no record read `heads()` or `entries()`.
     """
 
     __slots__ = ("board", "fam", "k", "model")
@@ -294,11 +294,8 @@ class PlacementView:
         return (head + tail for head, _, _, last in self.heads() for tail, _, _ in last)
 
     def __iter__(self) -> Iterator[Placement]:
-        cls = _MODELS[self.model]
-        for entries in self.entries():
-            pl = object.__new__(cls)
-            pl._set(self.board, entries)
-            yield pl
+        cls, board = _MODELS[self.model], self.board
+        return (cls(board, entries) for entries in self.entries())
 
 
 def enumerate_file_placements(board: FerrersBoard, fam: TileFamily, k: int) -> PlacementView:

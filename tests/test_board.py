@@ -281,7 +281,7 @@ def test_folded_text_and_exponents_match_the_derived_ones(model, fam):
             placements = list(view)
             assert len(completed) == placement_count(board, fam, k, model)
             assert completed == [(pl.entries, str(pl), pl.exponents()) for pl in placements]
-            assert list(view.entries()) == [pl.entries for pl in placements]
+            assert list(view.entries()) == [entries for entries, _, _ in completed]
             for pl in placements:
                 text = str(pl)
                 parsed = parse_placement(board, text, model)

@@ -132,8 +132,8 @@ def test_enumerate_file_weights(capsys):
 
 
 def test_enumerate_and_the_involution_build_no_placement_object(capsys, monkeypatch):
-    # both read the views' heads or entries; iterating a view or building a
-    # placement on the way fails
+    # both read the views' heads or entries; building a placement on the
+    # way, by iterating a view or directly, fails
     argvs = [
         ["enumerate", "F(1,2,3,4,5,6,7)", "--k", "4", "--model", "rook"],
         ["enumerate", "F(1,2,3,4,5,6,7)", "--k", "4", "--model", "rook", "--format", "json"],
@@ -145,7 +145,6 @@ def test_enumerate_and_the_involution_build_no_placement_object(capsys, monkeypa
     def no_placement(*args, **kwargs):
         raise AssertionError("a placement object was built")
 
-    monkeypatch.setattr(board.PlacementView, "__iter__", no_placement)
     monkeypatch.setattr(board.Placement, "__init__", no_placement)
     assert [run(capsys, *argv) for argv in argvs] == outputs
     assert all(code == 0 for code, _, _ in outputs)
