@@ -129,7 +129,7 @@ def _rule_heights(heights: tuple[int, ...], cols, lag: int) -> tuple[int, ...]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def _entries_problem(
+def entries_problem(
     board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...], lag: int
 ) -> str | None:
     """Why `entries` break the placement rule `lag` on `board`, or None.
@@ -155,7 +155,7 @@ def _entries_problem(
     return None
 
 
-def _entries_exponents(entries: tuple[tuple[int, Tiling], ...]) -> tuple[int, int, int]:
+def entries_exponents(entries: tuple[tuple[int, Tiling], ...]) -> tuple[int, int, int]:
     """(e_q, e_p, e_r) of the weight of placement entries: the tiles of each height, summed."""
     ones = twos = threes = 0
     for _, t in entries:
@@ -177,7 +177,7 @@ class Placement(Record):
         if self.lag:
             _require_ferrers(board, "a rook-style placement")
         pairs = tuple((int(c), t) for c, t in entries)
-        problem = _entries_problem(board, pairs, self.lag)
+        problem = entries_problem(board, pairs, self.lag)
         if problem is not None:
             raise ValueError(problem)
         self._set(board, pairs)
@@ -188,7 +188,7 @@ class Placement(Record):
 
     def exponents(self) -> tuple[int, int, int]:
         """(e_q, e_p, e_r) of the weight: the tiles of each height, summed."""
-        return _entries_exponents(self.entries)
+        return entries_exponents(self.entries)
 
     def weight(self) -> PQRPoly:
         return PQRPoly.term(1, *self.exponents())

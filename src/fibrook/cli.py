@@ -203,9 +203,7 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.kind not in TRIANGLE_KINDS:
-        return _usage_error(f"unknown kind {args.kind!r}; choose from {', '.join(TRIANGLE_KINDS)}")
-    if args.N is None or args.N < 0:
+    if args.N < 0:
         return _usage_error("table needs a row count N >= 0")
     if args.N > args.triangle_max and not args.force:
         return _usage_error(
@@ -326,11 +324,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
-        board = parse_board(args.board or "")
+        board = parse_board(args.board)
     except ValueError as exc:
         return _usage_error(str(exc))
     fam = _FAMILIES[args.family]
-    k = args.k if args.k is not None else 0
+    k = args.k
     if k < 0:
         return _usage_error("k must be >= 0")
     if board.n > args.enum_max and not args.force:
@@ -395,7 +393,7 @@ def _placement_fields(head: dict, view: PlacementView) -> Iterator[tuple[str, ob
 def cmd_series(args: argparse.Namespace) -> int:
     from fibrook.identities import sf_column_series
 
-    k = args.k if args.k is not None else 1
+    k = args.k
     order = args.order if args.order is not None else max(k, 12)
     if k < 1:
         return _usage_error("the series column k must be >= 1")

@@ -226,12 +226,6 @@ class PQRPoly:
         key = _pack(e_q, e_p, e_r)
         return _from_packed({key: coeff}, key >> _DEG_SHIFT)
 
-    @classmethod
-    def variable(cls, name: str) -> PQRPoly:
-        if name not in _SHIFT:
-            raise ValueError(f"unknown variable {name!r}")
-        return _from_packed({1 << _DEG_SHIFT | 1 << _SHIFT[name]: 1}, 1)
-
     # inspection -----------------------------------------------------------
 
     @property
@@ -337,29 +331,23 @@ class PQRPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        small, big = self._terms, rhs._terms
-        if len(small) > len(big):
-            small, big = big, small
-        if not small:
+        left, right = self._terms, rhs._terms
+        if not left or not right:
             return _ZERO
         deg = self._deg + rhs._deg
         if deg >= _DEG_LIMIT:  # the bound may be loose after cancellation
-            deg = (max(small) >> _DEG_SHIFT) + (max(big) >> _DEG_SHIFT)
+            deg = (max(left) >> _DEG_SHIFT) + (max(right) >> _DEG_SHIFT)
             check_degree(deg)
+        # packed keys add as monomials multiply, so each term pair is one
+        # int addition; the sums that cancel to 0 are dropped at the end
         out: dict[int, int] = {}
-        if len(small) == 1:
-            # one row: distinct keys and nonzero products, so nothing to merge
-            [(ka, ca)] = small.items()
-            for kb, cb in big.items():
-                out[ka + kb] = ca * cb
-        else:
-            get = out.get
-            for ka, ca in small.items():
-                for kb, cb in big.items():
-                    key = ka + kb
-                    out[key] = get(key, 0) + ca * cb
-            if 0 in out.values():
-                out = {key: c for key, c in out.items() if c}
+        get = out.get
+        for ka, ca in left.items():
+            for kb, cb in right.items():
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
         return _from_packed(out, deg)
 
     __rmul__ = __mul__
@@ -410,9 +398,10 @@ class PQRPoly:
 _ZERO = PQRPoly()
 _ONE = PQRPoly.constant(1)
 
-Q = PQRPoly.variable("q")
-P = PQRPoly.variable("p")
-R = PQRPoly.variable("r")
+# the weights of tiles of height 1, 2 and 3
+Q = PQRPoly.term(1, e_q=1)
+P = PQRPoly.term(1, e_p=1)
+R = PQRPoly.term(1, e_r=1)
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -59,8 +59,8 @@ from fibrook.board import (
     FerrersBoard,
     FilePlacement,
     RookPlacement,
-    _entries_exponents,
-    _entries_problem,
+    entries_exponents,
+    entries_problem,
     enumerate_file_placements,
     enumerate_rook_placements,
     file_poly,
@@ -538,7 +538,7 @@ def _domain_problem(n: int, k: int, pair: tuple) -> str | None:
                                              ("file", file, j, j - k, FilePlacement.lag)):
         if len(entries) != count:
             return f"{label} part has the wrong number of tilings"
-        problem = _entries_problem(FerrersBoard.staircase(size), entries, lag)
+        problem = entries_problem(FerrersBoard.staircase(size), entries, lag)
         if problem is not None:
             return f"{label} part: {problem}"
         if any(3 in t.tiles for _, t in entries):
@@ -617,7 +617,7 @@ def involution_verify(n: int, k: int) -> dict:
     for pair in involution_domain(n, k):
         j, rook, file = pair
         per_j[j] = per_j.get(j, 0) + 1
-        weight = _entries_exponents(rook + file)
+        weight = entries_exponents(rook + file)
         sign = -1 if len(file) % 2 else 1
         signed[weight] = signed.get(weight, 0) + sign
         image = _involution_step(n, k, pair)
@@ -629,7 +629,7 @@ def involution_verify(n: int, k: int) -> dict:
             problems.append("fixed point")
         if len(image[2]) % 2 == len(file) % 2:
             problems.append("sign not flipped")
-        if _entries_exponents(image[1] + image[2]) != weight:
+        if entries_exponents(image[1] + image[2]) != weight:
             problems.append("weight changed")
         if inside and _involution_step(n, k, image) != pair:
             problems.append("not an involution")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter
 
-from fibrook.poly import PQRPoly
+from fibrook.poly import P, Q, R, PQRPoly
 
 _ALLOWED_HEIGHTS = (1, 2, 3)
 
@@ -179,11 +179,7 @@ def enumerate_tilings(fam: TileFamily, n: int) -> list[Tiling]:
     return list(_tilings(fam.heights, n))
 
 
-_TILE_WEIGHT = {
-    1: PQRPoly.variable("q"),
-    2: PQRPoly.variable("p"),
-    3: PQRPoly.variable("r"),
-}
+_TILE_WEIGHT = {1: Q, 2: P, 3: R}
 
 
 # W_0, W_1, ... per family, extended upward as taller columns are asked for
@@ -226,18 +222,15 @@ def tiling_weight_sum(fam: TileFamily, n: int) -> PQRPoly:
     return PQRPoly(total)
 
 
-# the tiles' weights at q = p = r = 1
-_TILE_COUNT = {h: w.eval_at(1, 1, 1) for h, w in _TILE_WEIGHT.items()}
-
-
 def tiling_count(fam: TileFamily, n: int, limit: int | None = None) -> int:
     """How many height-n tilings the family admits, or min(count, limit).
 
-    W_n at q = p = r = 1, by the tiling recursion on integers: a column
-    thousands of cells tall would take seconds and gigabytes as a
-    polynomial. Only the last max(heights) values are kept, and W_n never
-    falls as n grows (every family has the height-1 tile), so the loop
-    stops as soon as it reaches `limit`.
+    W_n at q = p = r = 1, where each tile counts once, so the tiling
+    recursion reads W_n = sum of W_{n-h} over the family's heights h, run
+    on integers: a column thousands of cells tall would take seconds and
+    gigabytes as a polynomial. Only the last max(heights) values are kept,
+    and W_n never falls as n grows (every family has the height-1 tile), so
+    the loop stops as soon as it reaches `limit`.
     """
     if n < 0:
         raise ValueError("tiling_count needs n >= 0")
@@ -246,7 +239,7 @@ def tiling_count(fam: TileFamily, n: int, limit: int | None = None) -> int:
     for _ in range(n - 1):
         if limit is not None and window[-1] >= limit:
             return limit
-        window.append(sum(_TILE_COUNT[h] * window[-h] for h in fam.heights))
+        window.append(sum(window[-h] for h in fam.heights))
         del window[0]
     count = window[-1] if n else 0
     return count if limit is None else min(count, limit)

@@ -15,10 +15,10 @@ from fibrook.board import (
     FilePlacement,
     PlacementView,
     RookPlacement,
-    _entries_problem,
     _require_ferrers,
     _rule_heights,
     aug_mixed_sum,
+    entries_problem,
     enumerate_file_placements,
     enumerate_rook_placements,
     file_poly,
@@ -202,7 +202,7 @@ def _check_enumerator_contract(cls, enumerate_placements, count, boards, fam) ->
             view = enumerate_placements(board, fam, k)
             got = list(view)  # each pass over the view draws the placements again
             assert len(view) == len(got) == count(board, fam, k).eval_at(1, 1, 1)
-            assert all(_entries_problem(board, pl.entries, cls.lag) is None for pl in got)
+            assert all(entries_problem(board, pl.entries, cls.lag) is None for pl in got)
             assert got == [cls(board, pl.entries) for pl in got]
             listed += len(got)
     return listed

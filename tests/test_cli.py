@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and byte determinism of the command line."""
 
+import ast
 import errno
 import itertools
 import json
@@ -71,6 +72,15 @@ def test_table_csv(capsys):
 def test_table_unknown_kind_is_usage_error(capsys):
     code, _, _ = run(capsys, "table", "zz", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("table", "Sf", "-1"), "table needs a row count N >= 0"),
+    (("enumerate", "F(1,2)", "--k", "-1"), "k must be >= 0"),
+])
+def test_negative_sizes_are_usage_errors(capsys, argv, message):
+    # argparse takes these as ints; the commands refuse them before any output
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_table_size_cap(capsys, monkeypatch):
@@ -652,6 +662,17 @@ def test_startup_and_commands_do_not_import_dataclasses(argv):
     done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout == "0 []\n"
+
+
+def test_modules_import_no_underscored_name_from_each_other():
+    # an underscored name is private to its module; one another module needs is public
+    private = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fibrook"):
+                private += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_out_to_a_device_writes_in_place(capsys):
