@@ -26,8 +26,9 @@ k-th chosen column it has b_n cells in the file model and b_{n-(k-1)} in
 the rook model), while "enumeration" walks every subset of columns and
 multiplies per-column weight sums obtained by exhaustively listing
 tilings. Mixed and augmented placement sums re-derive the product formulas
-column by column; the augmented sum is x^n under any rule, so it checks the
-walk's signs and multiplicities, not `lag`.
+column by column as polynomials in x, the number of rook rows below the
+board; the augmented sum is x^n under any rule, so it checks the walk's
+signs and rook counts, not `lag`.
 
 A placement is a plain (board, entries) record that derives its text and
 weight on demand. The enumerators return a `PlacementView`, not a list: its
@@ -42,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import ClassVar, Iterator
 
-from fibrook.poly import PQRPoly
+from fibrook.poly import PQRPoly, XPoly
 from fibrook.tiling import (
     Record,
     TileFamily,
@@ -413,61 +414,56 @@ def placement_count(
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def mixed_file_sum(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
-    """Sum of weights over mixed placements with x rook rows below the board.
+def mixed_file_sum(board: FerrersBoard, fam: TileFamily) -> XPoly:
+    """Sum of weights over mixed placements with x rook rows below the board,
+    as a polynomial in x.
 
     Every column takes either a full-height tiling (its weight) or a rook in
-    one of x interchangeable rows (weight 1, tracked as a multiplicity
-    factor). The total factors column by column, so it must equal
-    prod_i (x + W_{b_i}) and hence sum_k file_poly(k) * x^(n-k).
+    one of the x interchangeable rows (weight x). The coefficient of x^j sums
+    the placements with j rooks; the total factors column by column, so it
+    must equal prod_i (x + W_{b_i}) and hence sum_k file_poly(k) * x^(n-k).
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
     n = board.n
-    acc: dict[tuple[int, int, int], int] = {}
+    acc: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n + 1)]
 
-    def walk(i: int, exps: tuple[int, int, int], mult: int) -> None:
+    def walk(i: int, rooks: int, exps: tuple[int, int, int]) -> None:
         if i == n:
-            acc[exps] = acc.get(exps, 0) + mult
+            acc[rooks][exps] = acc[rooks].get(exps, 0) + 1
             return
-        if x:
-            walk(i + 1, exps, mult * x)
+        walk(i + 1, rooks + 1, exps)
         for t in enumerate_tilings(fam, board.heights[i]):
             a, b, c = t.height_counts()
-            walk(i + 1, (exps[0] + a, exps[1] + b, exps[2] + c), mult)
+            walk(i + 1, rooks, (exps[0] + a, exps[1] + b, exps[2] + c))
 
-    walk(0, (0, 0, 0), 1)
-    return PQRPoly(acc)
+    walk(0, 0, (0, 0, 0))
+    return XPoly([PQRPoly(terms) for terms in acc])
 
 
-def aug_mixed_sum(board: FerrersBoard, fam: TileFamily, x: int) -> PQRPoly:
-    """Signed sum over placements on the board augmented below the rook rows
-    with a mirrored copy of itself.
+def aug_mixed_sum(board: FerrersBoard, fam: TileFamily) -> XPoly:
+    """Signed sum over placements on the board augmented below the x rook
+    rows with a mirrored copy of itself, as a polynomial in x.
 
     Per column: a board tiling (which cancels, so later columns shrink), a
-    rook in one of x rows, or a tiling of the mirrored column below (same
-    number of cells, no cancellation) carrying sign -1. Each tiling above
-    cancels its mirror below whatever height the rule gives, so the total
-    is x^n under any rule: it checks the walk's signs, not the rule.
+    rook in one of the x rows (weight x), or a tiling of the mirrored column
+    below (same number of cells, no cancellation) carrying sign -1. Each
+    tiling above cancels its mirror below whatever height the rule gives, so
+    the total is x^n under any rule: it checks the walk's signs, not the rule.
     """
     _require_ferrers(board, "the augmented board")
-    if x < 0:
-        raise ValueError("x must be >= 0")
     n = board.n
-    acc: dict[tuple[int, int, int], int] = {}
+    acc: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n + 1)]
 
-    def walk(i: int, tiled: int, exps: tuple[int, int, int], mult: int) -> None:
+    def walk(i: int, rooks: int, tiled: int, exps: tuple[int, int, int], sign: int) -> None:
         if i == n:
-            acc[exps] = acc.get(exps, 0) + mult
+            acc[rooks][exps] = acc[rooks].get(exps, 0) + sign
             return
-        if x:
-            walk(i + 1, tiled, exps, mult * x)
+        walk(i + 1, rooks + 1, tiled, exps, sign)
         height = board.heights[i - tiled]
         for t in enumerate_tilings(fam, height):
             a, b, c = t.height_counts()
             bumped = (exps[0] + a, exps[1] + b, exps[2] + c)
-            walk(i + 1, tiled + 1, bumped, mult)  # tiling above: cancels later columns
-            walk(i + 1, tiled, bumped, -mult)  # mirrored tiling below: no cancellation
+            walk(i + 1, rooks, tiled + 1, bumped, sign)  # tiling above: cancels later columns
+            walk(i + 1, rooks, tiled, bumped, -sign)  # mirrored tiling below: no cancellation
 
-    walk(0, 0, (0, 0, 0), 1)
-    return PQRPoly(acc)
+    walk(0, 0, 0, (0, 0, 0), 1)
+    return XPoly([PQRPoly(terms) for terms in acc])

@@ -233,10 +233,6 @@ class PQRPoly:
         """Copy of the term map; keys are (e_q, e_p, e_r)."""
         return {_unpack(key): coeff for key, coeff in self._terms.items()}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -369,6 +365,9 @@ class PQRPoly:
         return self._terms == rhs._terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
@@ -451,7 +450,7 @@ class XPoly:
 
     def __init__(self, coeffs: Iterable[PQRPoly | int] = ()):
         lifted = [c if isinstance(c, PQRPoly) else PQRPoly.constant(c) for c in coeffs]
-        while lifted and lifted[-1].is_zero:
+        while lifted and not lifted[-1]:
             lifted.pop()
         self._coeffs = tuple(lifted)
 
@@ -492,7 +491,7 @@ class XPoly:
         chunks = []
         for i in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[i]
-            if c.is_zero:
+            if not c:
                 continue
             xpart = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
             if not xpart:

@@ -639,7 +639,7 @@ def involution_verify(n: int, k: int) -> dict:
             counterexamples.append({"pair": f"j={j} {rook_part};{file_part}", "problems": problems})
     signed_total = PQRPoly(signed)
     return report(
-        "involution", f"n={n}, k={k}", counterexamples, holds=signed_total.is_zero,
+        "involution", f"n={n}, k={k}", counterexamples, holds=not signed_total,
         domain_size=sum(per_j.values()),
         pairs_per_j={str(j): per_j[j] for j in sorted(per_j)},
         signed_sum=str(signed_total),

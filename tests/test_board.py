@@ -29,7 +29,7 @@ from fibrook.board import (
     rook_poly,
 )
 from fibrook.identities import all_ferrers_boards
-from fibrook.poly import P, Q, PQRPoly
+from fibrook.poly import P, Q, PQRPoly, XPoly
 from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, parse_tiling, weight_poly
 
 FAMILIES = [FIBONACCI, TRIBONACCI]
@@ -403,5 +403,8 @@ def test_rook_product_identity(board: FerrersBoard, fam: TileFamily):
 
 
 def test_mixed_sum_single_column():
-    assert mixed_file_sum(FerrersBoard((1,)), FIBONACCI, 2) == Q + 2
-    assert aug_mixed_sum(FerrersBoard((1,)), FIBONACCI, 2) == 2
+    mixed = mixed_file_sum(FerrersBoard((1,)), FIBONACCI)
+    aug = aug_mixed_sum(FerrersBoard((1,)), FIBONACCI)
+    assert mixed == XPoly([Q, 1])
+    assert aug == XPoly.x_power(1)
+    assert (str(mixed), str(aug)) == ("x + q", "x")

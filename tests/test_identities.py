@@ -35,7 +35,7 @@ from fibrook.board import FerrersBoard
 from fibrook.poly import P, Q, PQRPoly, XPoly
 import fibrook.stirling as stirling
 from fibrook.stirling import TRIANGLE_KINDS, build_triangle
-from fibrook.tiling import FIBONACCI, weight_poly
+from fibrook.tiling import FIBONACCI, TRIBONACCI, weight_poly
 
 
 # generating series -----------------------------------------------------------
@@ -496,39 +496,69 @@ def test_products_catch_a_wrong_rook_polynomial(monkeypatch):
     ]
 
 
-def _perturb_placement_sum(monkeypatch, name: str, board: str, x: int) -> None:
-    """Make the checks in `identities` see `name`(board, fib, x) + q."""
+def _perturb_placement_sum(monkeypatch, name: str, board: str, extra: XPoly) -> None:
+    """Make the checks in `identities` see `name`(board, fib) + extra."""
     real = getattr(identities, name)
 
-    def perturbed(board_, fam, x_):
-        value = real(board_, fam, x_)
-        return value + Q if (str(board_), fam, x_) == (board, FIBONACCI, x) else value
+    def perturbed(board_, fam):
+        value = real(board_, fam)
+        return xpoly_add(value, extra) if (str(board_), fam) == (board, FIBONACCI) else value
 
     monkeypatch.setattr(identities, name, perturbed)
 
 
 def test_products_catch_a_wrong_mixed_sum(monkeypatch):
-    heights = (1, 2, 3, 4)
-    want = PQRPoly.one()
-    for h in heights:
-        want = want * (weight_poly(FIBONACCI, h) + 1)
-    _perturb_placement_sum(monkeypatch, "mixed_file_sum", "F(1,2,3,4)", 1)
+    want = linear_product([weight_poly(FIBONACCI, h) for h in (1, 2, 3, 4)])
+    _perturb_placement_sum(monkeypatch, "mixed_file_sum", "F(1,2,3,4)", XPoly([Q]))
     report = identities.check_products(2)
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
-        {"board": "F(1,2,3,4)", "family": FIBONACCI.label, "x": 1, "identity": "mixed-product",
-         "sum": str(want + Q), "product": str(want)}
+        {"board": "F(1,2,3,4)", "family": FIBONACCI.label, "identity": "mixed-product",
+         "sum": str(xpoly_add(want, XPoly([Q]))), "product": str(want)}
     ]
 
 
 def test_products_catch_a_wrong_augmented_sum(monkeypatch):
-    _perturb_placement_sum(monkeypatch, "aug_mixed_sum", "F(0,2,2,3)", 2)
+    _perturb_placement_sum(monkeypatch, "aug_mixed_sum", "F(0,2,2,3)", XPoly([Q]))
     report = identities.check_products(2)
     assert report["status"] == "FAIL"
     assert report["counterexamples"] == [
-        {"board": "F(0,2,2,3)", "family": FIBONACCI.label, "x": 2, "identity": "aug-power",
-         "sum": str(PQRPoly.constant(2**4) + Q)}
+        {"board": "F(0,2,2,3)", "family": FIBONACCI.label, "identity": "aug-power",
+         "sum": str(xpoly_add(XPoly.x_power(4), XPoly([Q])))}
     ]
+
+
+def test_products_catch_a_mixed_sum_wrong_only_above_x_3(monkeypatch):
+    # q x(x-1)(x-2)(x-3) is zero at x = 0..3, so only the identity in x sees it
+    extra = XPoly([0, -6 * Q, 11 * Q, -6 * Q, Q])
+    assert all(sum(c * x**i for i, c in enumerate(extra.coeffs)) == 0 for x in range(4))
+    want = linear_product([weight_poly(FIBONACCI, h) for h in (2, 2, 3)])
+    _perturb_placement_sum(monkeypatch, "mixed_file_sum", "F(2,2,3)", extra)
+    report = identities.check_products(2)
+    assert report["status"] == "FAIL"
+    assert report["counterexamples"] == [
+        {"board": "F(2,2,3)", "family": FIBONACCI.label, "identity": "mixed-product",
+         "sum": str(xpoly_add(want, extra)), "product": str(want)}
+    ]
+
+
+def test_products_walk_each_small_board_once_per_family(monkeypatch):
+    calls = {"mixed_file_sum": [], "aug_mixed_sum": []}
+
+    def counted(real, seen):
+        def wrapped(board, fam):
+            seen.append((str(board), fam))
+            return real(board, fam)
+        return wrapped
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(identities, name, counted(getattr(identities, name), seen))
+    assert identities.check_products(2)["status"] == "PASS"
+    top = identities.SMALL_BOARD_MAX
+    want = [(str(board), fam) for board in identities.all_ferrers_boards(top, top)
+            for fam in (FIBONACCI, TRIBONACCI)]
+    assert len(want) == 250
+    assert calls == {"mixed_file_sum": want, "aug_mixed_sum": want}
 
 
 def test_all_is_every_suite_in_order():

@@ -60,7 +60,7 @@ def test_int_comparison_and_constants():
     assert PQRPoly.zero() == 0
     assert Q != 1
     assert (Q - Q) == 0
-    assert PQRPoly.constant(0).is_zero
+    assert not PQRPoly.constant(0)
 
 
 def test_negative_exponents_rejected():
@@ -392,12 +392,12 @@ def test_packed_degree_limit_raises():
 
 def test_term_with_zero_coefficient_is_zero():
     z = PQRPoly.term(0, 3, 1, 2)
-    assert z.is_zero
+    assert not z
     assert z == 0
     assert len(z) == 0
     assert str(z) == "0"
     assert z.terms == {}
-    assert (z * Q).is_zero
+    assert not z * Q
     assert z + Q == Q
 
 
@@ -414,6 +414,16 @@ def test_equal_values_from_different_routes_hash_alike():
     assert all(f == routes[0] for f in routes)
     assert len({hash(f) for f in routes}) == 1
     assert len(set(routes)) == 1
+
+
+@pytest.mark.parametrize("c", [0, 1, -3, 5])
+def test_a_constant_hashes_like_its_int(c: int):
+    # equal values must hash alike, and a constant equals its int
+    for const in (PQRPoly.constant(c), PQRPoly.term(c), Q + c - Q):
+        assert const == c
+        assert hash(const) == hash(c)
+        assert len({const, c}) == 1
+        assert const in {c} and c in {const}
 
 
 @given(polys, st.integers(0, 4))
