@@ -24,8 +24,9 @@ also refuses a request of more than PLACEMENT_MAX placements, counted
 exactly before listing any; --force lifts that cap too. `verify` accepts
 --n/--k only for the involution and all suites. `table` and `enumerate`
 write their output row by row, as it is rendered, to stdout or to the
---out file. Only `verify`, `series` and `sequences` import
-`fibrook.identities`, and only JSON output imports `json`.
+--out file. Only `enumerate`, `verify`, `series` and `sequences` import
+`fibrook.board`, only the last three `fibrook.identities`, and only JSON
+output imports `json`.
 """
 
 from __future__ import annotations
@@ -37,17 +38,14 @@ import stat
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
-from fibrook.board import (
-    PlacementView,
-    enumerate_file_placements,
-    enumerate_rook_placements,
-    parse_board,
-    placement_count,
-)
 from fibrook.poly import PQRPoly
 from fibrook.stirling import TRIANGLE_KINDS, triangle_text, verdict
 from fibrook.tiling import FIBONACCI, TRIBONACCI
+
+if TYPE_CHECKING:
+    from fibrook.board import PlacementView
 
 _FAMILIES = {"fib": FIBONACCI, "trib": TRIBONACCI}
 
@@ -323,6 +321,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from fibrook.board import enumerate_file_placements, enumerate_rook_placements, parse_board, placement_count
+
     try:
         board = parse_board(args.board)
     except ValueError as exc:
@@ -349,7 +349,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     view = enum(board, fam, k)
     if args.fmt == "json":
         head = {"board": str(board), "family": fam.label, "model": args.model, "k": k}
-        _emit(args, _json_chunks(_placement_fields(head, view)))
+        _emit(args, _placement_json(head, view))
     else:
         _emit(args, _placement_lines(view))
     return 0
@@ -377,12 +377,24 @@ def _placement_lines(view: PlacementView) -> Iterator[str]:
     yield f"total  {PQRPoly(counts)}\n"
 
 
-def _placement_fields(head: dict, view: PlacementView) -> Iterator[tuple[str, object]]:
+# one placement record at its depth in the indented dump, after its separator
+_JSON_RECORD = '%s\n    {\n      "placement": %s,\n      "weight": %s\n    }'
+
+
+def _placement_json(head: dict, view: PlacementView) -> Iterator[str]:
+    """The bytes of `_json_chunks` over `head`, the placements as a list of
+    {"placement", "weight"} records, and their total, with each record
+    framed by `_JSON_RECORD` around the `json.dumps` of its two strings."""
+    import json
+
+    dumps = json.dumps
     counts: dict[tuple[int, int, int], int] = {}
-    yield from head.items()
-    listed = _weighed(view, counts)
-    yield "placements", ({"placement": text, "weight": weight} for text, weight in listed)
-    yield "total", str(PQRPoly(counts))
+    yield dumps(head, indent=2)[:-2] + ',\n  "placements": ['
+    sep = ""
+    for text, weight in _weighed(view, counts):
+        yield _JSON_RECORD % (sep, dumps(text), dumps(weight))
+        sep = ","
+    yield ("\n  ]" if sep else "]") + f',\n  "total": {dumps(str(PQRPoly(counts)))}\n}}\n'
 
 
 # ──────────────────────────────────────────────────────────────────────────

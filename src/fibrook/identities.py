@@ -655,11 +655,16 @@ def check_recursion_vs_enumeration(N: int) -> dict:
     return report("recursion-vs-enumeration", f"{_BOARDS_RANGE}, staircases n<={N}", bad)
 
 
-def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
+def _board_product(board: FerrersBoard, fam: TileFamily) -> XPoly:
+    """prod_i (x + W_{b_i}) over the heights b_i of `board`."""
+    return xpoly_product([weight_poly(fam, h) for h in board.heights])
+
+
+def _product_identities(board: FerrersBoard, fam: TileFamily, lhs: XPoly) -> list[dict]:
+    """The file and rook product identities; `lhs` is `_board_product(board, fam)`."""
     bad = []
     n = board.n
     # file side: prod_i (x + W_{b_i}) = sum_k fT_k x^(n-k), any heights
-    lhs = xpoly_product([weight_poly(fam, h) for h in board.heights])
     rhs = XPoly([file_poly(board, fam, n - i) for i in range(n + 1)])
     if lhs != rhs:
         bad.append({"board": str(board), "family": fam.label, "identity": "file-product",
@@ -677,13 +682,12 @@ def _product_identities(board: FerrersBoard, fam: TileFamily) -> list[dict]:
     return bad
 
 
-def _placement_sums(board: FerrersBoard, fam: TileFamily) -> list[dict]:
-    """The mixed sum against prod_i (x + W_{b_i}) and the augmented sum
-    against x^n, both in Z[q,p,r][x]; "aug-power" holds under any rule, so
-    it checks only the walk."""
+def _placement_sums(board: FerrersBoard, fam: TileFamily, want: XPoly) -> list[dict]:
+    """The mixed sum against `want`, prod_i (x + W_{b_i}), and the augmented
+    sum against x^n, both in Z[q,p,r][x]; "aug-power" holds under any rule,
+    so it checks only the walk."""
     bad = []
     mixed = mixed_file_sum(board, fam)
-    want = xpoly_product([weight_poly(fam, h) for h in board.heights])
     if mixed != want:
         bad.append({"board": str(board), "family": fam.label, "identity": "mixed-product",
                     "sum": str(mixed), "product": str(want)})
@@ -698,19 +702,22 @@ def check_products(N: int) -> dict:
     """The file and rook (cancellation rule) product identities on the small
     boards, the staircases up to N and a few non-Ferrers boards; on the small
     boards, the mixed and augmented (the walk's signs only) sums against
-    their product forms as polynomials in x."""
+    their product forms as polynomials in x. Each board's linear product is
+    built once, for both the file-product and the mixed-product comparison."""
     bad = []
+    products = {}
     for board in _small_boards_and_staircases(N):
         for fam in (FIBONACCI, TRIBONACCI):
-            bad.extend(_product_identities(board, fam))
+            products[board, fam] = _board_product(board, fam)
+            bad.extend(_product_identities(board, fam, products[board, fam]))
     # the product identities do not need weakly increasing heights on the file side
     for heights in ((3, 1, 2), (2, 0, 5, 1), (4, 4, 1)):
         board = FerrersBoard(heights)
         for fam in (FIBONACCI, TRIBONACCI):
-            bad.extend(_product_identities(board, fam))
+            bad.extend(_product_identities(board, fam, _board_product(board, fam)))
     for board in all_ferrers_boards(SMALL_BOARD_MAX, SMALL_BOARD_MAX):
         for fam in (FIBONACCI, TRIBONACCI):
-            bad.extend(_placement_sums(board, fam))
+            bad.extend(_placement_sums(board, fam, products[board, fam]))
     # the sums hold for every x; "x<=3" stays in the range text because the
     # goldens and perfbench/expected.json pin the stdout of `verify all`
     return report("products", f"{_BOARDS_RANGE}, staircases n<={N}, x<=3", bad)

@@ -20,9 +20,9 @@ reach the limit raises OverflowError instead of wrapping. The packing is
 private: the constructor, `term` and `.terms` speak exponent triples
 (e_q, e_p, e_r). `q_image` maps a polynomial to its image under q -> 2**w,
 one integer per (p, r) monomial. Images are never decoded: `q_image_text`
-prints one from its digits, with the text of each monomial (`*p^2*q^3`)
-cached per (p, r) row and indexed by the power of q, and `str` composes
-each monomial from cached factor pieces, so it grows no row cache.
+prints one with a single `%` format, its digits into the term templates
+(`%d*p^2*q^3`) cached per (p, r) row, and `str` composes each monomial
+from cached factor pieces, so it grows no row cache.
 
 On top of the ring this module provides the q-analogues ([n]_q with the
 convention [0]_q = 1, q-factorials, q-binomials built by the Pascal-type
@@ -105,8 +105,8 @@ def _row_digits(value: int, w: int) -> tuple[int, list[int]]:
     return low, digits
 
 
-# row key -> the text of its monomials times q**0, q**1, ..., each led by
-# "*" ("" for the constant monomial), for `q_image_text`
+# row key -> the `%` templates of its terms at q**0, q**1, ...: "%d" and the
+# monomial's text, such as "%d*p^2*q^3" ("%d" for the constant monomial)
 _ROW_TEXT: dict[int, list[str]] = {}
 
 
@@ -116,7 +116,7 @@ def _factor(name: str, e: int) -> str:
 
 
 def _row_text(row: int, stop: int) -> list[str]:
-    """The monomial texts of row `row` times q**0 .. q**(stop-1) (at least), cached.
+    """The term templates of row `row` times q**0 .. q**(stop-1) (at least), cached.
 
     Raises OverflowError, as `_pack` does, once a total degree reaches 2**16.
     """
@@ -127,7 +127,7 @@ def _row_text(row: int, stop: int) -> list[str]:
         e_p, e_r = row >> _P_SHIFT, row & _MASK
         check_degree(e_p + e_r + stop - 1)
         p, r = _factor("p", e_p), _factor("r", e_r)
-        texts += [p + _factor("q", e_q) + r for e_q in range(len(texts), stop)]
+        texts += ["%d" + p + _factor("q", e_q) + r for e_q in range(len(texts), stop)]
     return texts
 
 
@@ -136,30 +136,30 @@ def q_image_text(rows: Mapping[int, int], w: int) -> str:
 
     Only for images of polynomials whose coefficients all have one sign and
     absolute values below 2**w: each row is read as plain base-2**w digits
-    of its absolute value (`_row_digits`), so each term's text is one digit
-    and its monomial's cached text. A row's nonzero digits form one run in
-    e_q, and its term at e_q has total degree e_q plus the row's degree, so
-    the graded order is a degree-skewed merge: the rows are sorted by
-    degree, descending, then by row key, each row's term texts are offset by
-    its lowest total degree, and the rows are read column by column, one
-    total degree at a time.
+    of its absolute value (`_row_digits`). A row's nonzero digits form one
+    run in e_q, and its term at e_q has total degree e_q plus the row's
+    degree, so the graded order is a degree-skewed merge: the rows are
+    sorted by degree, descending, then by row key, offset by their lowest
+    total degree and read column by column. The merge joins the rows' term
+    templates by the sign, then reads their digits in the same order, zeros
+    dropped, so the text is one `%` format.
     """
     if not rows:
         return "0"
     negative = next(iter(rows.values())) < 0
     lead = " - " if negative else " + "
-    term = (lead + "{}{}").format
     runs = []
     for minus_deg, row in sorted([(-(row >> _P_SHIFT) - (row & _MASK), row) for row in rows]):
         low, digits = _row_digits(abs(rows[row]), w)
-        stop = low + len(digits)
-        texts = list(map(term, digits, _row_text(row, stop)[low:stop]))
+        pieces = _row_text(row, low + len(digits))[low : low + len(digits)]
         if 0 in digits:
-            texts = [text if digit else "" for text, digit in zip(texts, digits)]
-        runs.append((low - minus_deg, texts))
-    base = min(start for start, _ in runs)
-    columns = [chain(repeat("", start - base), texts) for start, texts in runs]
-    text = "".join(chain.from_iterable(zip_longest(*columns, fillvalue="")))
+            pieces = [piece if digit else "" for piece, digit in zip(pieces, digits)]
+        runs.append((low - minus_deg, pieces, digits))
+    base = min(start for start, _, _ in runs)
+    cells = zip_longest(*[chain(repeat(0, start - base), digits) for start, _, digits in runs])
+    digits = tuple(filter(None, chain.from_iterable(cells)))
+    cells = zip_longest(*[chain(repeat("", start - base), pieces) for start, pieces, _ in runs])
+    text = (lead + lead.join(filter(None, chain.from_iterable(cells)))) % digits
     text = text.replace(lead + "1*", lead)  # a unit digit before a monomial
     return "-" + text[3:] if negative else text[3:]
 

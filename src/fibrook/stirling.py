@@ -55,17 +55,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterator
 
-from fibrook.board import (
-    FerrersBoard,
-    FilePlacement,
-    RookPlacement,
-    entries_exponents,
-    entries_problem,
-    enumerate_file_placements,
-    enumerate_rook_placements,
-    file_poly,
-    rook_poly,
-)
 from fibrook.poly import (
     PQRPoly,
     XPoly,
@@ -326,6 +315,8 @@ def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:
     Sf/Sp, both computed in enumeration mode so the result is independent
     of every recursion in this module.
     """
+    from fibrook.board import FerrersBoard, file_poly, rook_poly
+
     fam, model = family_for_kind(kind), _RULES[kind].model
     if model is None:
         raise ValueError(f"kind {kind!r} has no placement interpretation here")
@@ -512,6 +503,8 @@ def involution_domain(n: int, k: int) -> Iterator[tuple]:
     placement object built; a j with more than one rook placement holds its
     file entries as a list, and one with a single rook (j = n) holds none.
     """
+    from fibrook.board import FerrersBoard, enumerate_file_placements, enumerate_rook_placements
+
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     for j in range(k, n + 1):
@@ -531,14 +524,16 @@ def _domain_problem(n: int, k: int, pair: tuple) -> str | None:
     against their placement rule on the staircase (n, j) implies, because
     the involution builds its images without validation.
     """
+    import fibrook.board as board  # one module lookup per pair, cheaper than a `from` import
+
     j, rook, file = pair
     if not k <= j <= n:
         return f"pair has j={j} outside {k}..{n}"
-    for label, entries, size, count, lag in (("rook", rook, n, n - j, RookPlacement.lag),
-                                             ("file", file, j, j - k, FilePlacement.lag)):
+    for label, entries, size, count, lag in (("rook", rook, n, n - j, board.RookPlacement.lag),
+                                             ("file", file, j, j - k, board.FilePlacement.lag)):
         if len(entries) != count:
             return f"{label} part has the wrong number of tilings"
-        problem = entries_problem(FerrersBoard.staircase(size), entries, lag)
+        problem = board.entries_problem(board.FerrersBoard.staircase(size), entries, lag)
         if problem is not None:
             return f"{label} part: {problem}"
         if any(3 in t.tiles for _, t in entries):
@@ -609,6 +604,8 @@ def involution_verify(n: int, k: int) -> dict:
     domain. Weights are compared as exponent triples, and the signed sum
     is kept as a signed count per triple until the end.
     """
+    from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, entries_exponents
+
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
     signed: dict[tuple[int, int, int], int] = {}

@@ -77,11 +77,13 @@ def test_criterion_03_product_formulas():
     boards = _boards()
     for board in boards:
         for fam in (FIBONACCI, TRIBONACCI):
-            assert identities._product_identities(board, fam) == []
+            product = identities._board_product(board, fam)
+            assert identities._product_identities(board, fam, product) == []
     small = list(all_ferrers_boards(4, 4))
     for board in small:
         for fam in (FIBONACCI, TRIBONACCI):
-            assert identities._placement_sums(board, fam) == []
+            product = identities._board_product(board, fam)
+            assert identities._placement_sums(board, fam, product) == []
     print(f"criterion 03 PASS: product identities on {len(boards)} boards, "
           f"mixed/augmented sums in x on {len(small)} boards")
 

@@ -390,13 +390,15 @@ families = st.sampled_from(FAMILIES)
 @given(any_boards, families)
 def test_file_product_identity(board: FerrersBoard, fam: TileFamily):
     # prod_i (x + W(b_i)) = sum_k fT_k(B) x^(n-k), no shape condition needed
-    assert identities._product_identities(board, fam) == []
+    product = identities._board_product(board, fam)
+    assert identities._product_identities(board, fam, product) == []
 
 
 @given(ferrers_boards, families)
 def test_rook_product_identity(board: FerrersBoard, fam: TileFamily):
     # x^n = sum_k rT_{n-k}(B) prod_{i<k} (x - W(b_i)), Ferrers shape required
-    assert identities._product_identities(board, fam) == []
+    product = identities._board_product(board, fam)
+    assert identities._product_identities(board, fam, product) == []
 
 
 # mixed and augmented placements -------------------------------------------------

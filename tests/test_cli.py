@@ -635,14 +635,17 @@ def test_closed_stdout_is_a_usage_error_without_a_traceback(argv):
     ("enumerate", "F(1,2,3)", "--k", "2", "--format", "json"),
 ])
 def test_table_and_enumerate_do_not_import_the_identities(argv):
+    # nor does `table` import fibrook.board: with no bytecode cache, each
+    # process would compile it
+    board = argv[0] == "enumerate"
     probe = (
         "import sys; from fibrook.cli import main; "
         f"code = main({list(argv)!r} + ['--out', {os.devnull!r}]); "
-        "print(code, 'fibrook.identities' in sys.modules)"
+        "print(code, 'fibrook.identities' in sys.modules, 'fibrook.board' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert done.stdout == "0 False\n"
+    assert done.stdout == f"0 False {board}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -561,6 +561,24 @@ def test_products_walk_each_small_board_once_per_family(monkeypatch):
     assert calls == {"mixed_file_sum": want, "aug_mixed_sum": want}
 
 
+def test_products_build_each_linear_product_once(monkeypatch):
+    # one prod_i (x + W_{b_i}) per (board, family), shared by the file-product
+    # and the mixed-product comparison
+    built = []
+    real = identities.xpoly_product
+
+    def counted(cs):
+        built.append(cs)
+        return real(cs)
+
+    monkeypatch.setattr(identities, "xpoly_product", counted)
+    assert identities.check_products(2)["status"] == "PASS"
+    boards = identities._small_boards_and_staircases(2)
+    assert len(boards) == 126
+    # two families on each board and on the three non-Ferrers boards
+    assert len(built) == 2 * (len(boards) + 3)
+
+
 def test_all_is_every_suite_in_order():
     reports = identities.run_suite("all", 2)
     parts = [r for suite in identities.SUITE_SIZES for r in identities.run_suite(suite, 2)]

@@ -323,6 +323,29 @@ def test_q_image_text_pads_rows_whose_degrees_do_not_meet():
         assert q_image_text((-f).q_image(w), w) == "-" + text.replace(" + ", " - ")
 
 
+# each entry's text is one `%` format of its digits into the rows' cached
+# templates, then unit digits before a monomial are dropped
+TEMPLATE_CASES = {
+    "unit digit before a monomial": Q + P * Q**2 + 3 * R,
+    "unit digit first": Q * R + 2 * Q**2,
+    "digit 1 on the constant monomial": 1 + 2 * Q + P,
+    "digits starting with 1": 10 * Q + 12 * P + 100 * Q * R + 1 + 11 * P**2,
+    "inner zero digit": 5 * Q**6 + Q**2 + 7 * P * Q**4 + 9 * P,
+    "run across a 16-digit block": sum(((i % 9) + 1) * Q**i for i in range(10, 26)) * P + 1,
+    "degrees that do not meet": 1 + Q + 12 * P**3 * R**2 * Q**6 + P**3 * R**2 * Q**7,
+}
+
+
+@pytest.mark.parametrize("w", [7, 11, 13, 67])
+@pytest.mark.parametrize("case", list(TEMPLATE_CASES))
+def test_q_image_text_formats_the_row_templates(case: str, w: int):
+    f = TEMPLATE_CASES[case]
+    assert q_image_text(f.q_image(w), w) == str(f)
+    assert q_image_text((-f).q_image(w), w) == str(-f)
+    for templates in poly_module._ROW_TEXT.values():
+        assert all(t.count("%") == 1 and t.count("%d") == 1 for t in templates)
+
+
 def test_reading_an_image_keeps_the_degree_limit():
     # q^535 r^65000 has total degree 2**16 - 1, the highest a term may have
     row = q_image_row(0, 65000)
