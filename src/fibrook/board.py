@@ -27,8 +27,9 @@ the rook model), while "enumeration" walks every subset of columns and
 multiplies per-column weight sums obtained by exhaustively listing
 tilings. Mixed and augmented placement sums re-derive the product formulas
 column by column as polynomials in x, the number of rook rows below the
-board; the augmented sum is x^n under any rule, so it checks the walk's
-signs and rook counts, not `lag`.
+board, each walking its tilings under its model's `lag`: the augmented sum
+expands the rook product placement by placement, so it is x^n only under
+the rook rule.
 
 A placement is a plain (board, entries) record that derives its text and
 weight on demand. The enumerators return a `PlacementView`, not a list: its
@@ -418,24 +419,26 @@ def mixed_file_sum(board: FerrersBoard, fam: TileFamily) -> XPoly:
     """Sum of weights over mixed placements with x rook rows below the board,
     as a polynomial in x.
 
-    Every column takes either a full-height tiling (its weight) or a rook in
-    one of the x interchangeable rows (weight x). The coefficient of x^j sums
-    the placements with j rooks; the total factors column by column, so it
-    must equal prod_i (x + W_{b_i}) and hence sum_k file_poly(k) * x^(n-k).
+    Every column takes either a tiling under the file rule (its full height,
+    its weight) or a rook in one of the x interchangeable rows (weight x).
+    The coefficient of x^j sums the placements with j rooks; the total
+    factors column by column, so it must equal prod_i (x + W_{b_i}) and
+    hence sum_k file_poly(k) * x^(n-k).
     """
-    n = board.n
+    n, lag = board.n, FilePlacement.lag
+    # the tile counts of each tiling of each column's full height
+    tiles = [[t.height_counts() for t in enumerate_tilings(fam, h)] for h in board.heights]
     acc: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n + 1)]
 
-    def walk(i: int, rooks: int, exps: tuple[int, int, int]) -> None:
+    def walk(i: int, rooks: int, tiled: int, exps: tuple[int, int, int]) -> None:
         if i == n:
             acc[rooks][exps] = acc[rooks].get(exps, 0) + 1
             return
-        walk(i + 1, rooks + 1, exps)
-        for t in enumerate_tilings(fam, board.heights[i]):
-            a, b, c = t.height_counts()
-            walk(i + 1, rooks, (exps[0] + a, exps[1] + b, exps[2] + c))
+        walk(i + 1, rooks + 1, tiled, exps)
+        for a, b, c in tiles[i - lag * tiled]:
+            walk(i + 1, rooks, tiled + 1, (exps[0] + a, exps[1] + b, exps[2] + c))
 
-    walk(0, 0, (0, 0, 0))
+    walk(0, 0, 0, (0, 0, 0))
     return XPoly([PQRPoly(terms) for terms in acc])
 
 
@@ -443,14 +446,20 @@ def aug_mixed_sum(board: FerrersBoard, fam: TileFamily) -> XPoly:
     """Signed sum over placements on the board augmented below the x rook
     rows with a mirrored copy of itself, as a polynomial in x.
 
-    Per column: a board tiling (which cancels, so later columns shrink), a
-    rook in one of the x rows (weight x), or a tiling of the mirrored column
-    below (same number of cells, no cancellation) carrying sign -1. Each
-    tiling above cancels its mirror below whatever height the rule gives, so
-    the total is x^n under any rule: it checks the walk's signs, not the rule.
+    Per column i, with s columns tiled above so far: a tiling above under the
+    rook rule (b_{i - s} cells, cancelling later columns), a rook in one of
+    the x rows (weight x), or, with sign -1, a tiling of the mirrored column
+    below, which as the (i - s)-th untiled column has b_{i - s} cells and no
+    cancellation. The walk so expands, placement by placement, the right side
+    of the rook product x^n = sum_k rT_{n-k} prod_{i<k} (x - W_{b_i}) (the
+    augmented board of Goldman, Joichi and White), and the total is x^n only
+    under the rook rule: with the file rule above, or an off-by-one rule, it
+    differs on most small boards.
     """
     _require_ferrers(board, "the augmented board")
-    n = board.n
+    n, lag = board.n, RookPlacement.lag
+    # the tile counts of each tiling of each column's full height
+    tiles = [[t.height_counts() for t in enumerate_tilings(fam, h)] for h in board.heights]
     acc: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n + 1)]
 
     def walk(i: int, rooks: int, tiled: int, exps: tuple[int, int, int], sign: int) -> None:
@@ -458,12 +467,10 @@ def aug_mixed_sum(board: FerrersBoard, fam: TileFamily) -> XPoly:
             acc[rooks][exps] = acc[rooks].get(exps, 0) + sign
             return
         walk(i + 1, rooks + 1, tiled, exps, sign)
-        height = board.heights[i - tiled]
-        for t in enumerate_tilings(fam, height):
-            a, b, c = t.height_counts()
-            bumped = (exps[0] + a, exps[1] + b, exps[2] + c)
-            walk(i + 1, rooks, tiled + 1, bumped, sign)  # tiling above: cancels later columns
-            walk(i + 1, rooks, tiled, bumped, -sign)  # mirrored tiling below: no cancellation
+        for a, b, c in tiles[i - lag * tiled]:  # tiling above, under the rule
+            walk(i + 1, rooks, tiled + 1, (exps[0] + a, exps[1] + b, exps[2] + c), sign)
+        for a, b, c in tiles[i - tiled]:  # mirrored tiling below, in an untiled column
+            walk(i + 1, rooks, tiled, (exps[0] + a, exps[1] + b, exps[2] + c), -sign)
 
     walk(0, 0, 0, (0, 0, 0), 1)
     return XPoly([PQRPoly(terms) for terms in acc])

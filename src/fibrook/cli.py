@@ -26,7 +26,10 @@ exactly before listing any; --force lifts that cap too. `verify` accepts
 write their output row by row, as it is rendered, to stdout or to the
 --out file. Only `enumerate`, `verify`, `series` and `sequences` import
 `fibrook.board`, only the last three `fibrook.identities`, and only JSON
-output imports `json`.
+output imports `json`. A document held whole (`verify`, `series`) is
+`json.dumps(..., indent=2)`; the streamed ones (`table`, `enumerate`) are
+written in a fixed frame of those bytes around the `json.dumps` of each
+string.
 """
 
 from __future__ import annotations
@@ -148,48 +151,6 @@ def _silence_stdout() -> None:
     os.close(null)
 
 
-def _json_chunks(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
-    """`json.dumps(dict(fields), indent=2)` and a newline, piece by piece.
-
-    `fields` is drawn lazily, so a field after a streamed list may be
-    computed from what the list's items left behind. An iterator is written
-    as a list, one item at a time. The framing of dicts (with str keys),
-    lists and tuples is written here, and only scalars go through
-    `json.dumps`, which runs CPython's C encoder only without `indent`; the
-    bytes are those of the indented dump.
-    """
-    import json
-
-    dumps = json.dumps
-
-    def text(item: object, newline: str) -> str:
-        # a value held whole, nested at the indent of `newline`
-        inner = newline + "  "
-        if isinstance(item, dict):
-            parts = [f"{inner}{dumps(key)}: {text(v, inner)}" for key, v in item.items()]
-            return "{" + ",".join(parts) + newline + "}" if parts else "{}"
-        if isinstance(item, (list, tuple)):
-            parts = [inner + text(v, inner) for v in item]
-            return "[" + ",".join(parts) + newline + "]" if parts else "[]"
-        return dumps(item)
-
-    def members(pairs: Iterable[tuple[str, object]], brackets: str, newline: str) -> Iterator[str]:
-        # each member after its prefix (its key in a dict, nothing in a list)
-        inner = newline + "  "
-        sep = brackets[0]
-        for prefix, item in pairs:
-            if isinstance(item, Iterator):
-                yield sep + inner + prefix
-                yield from members((("", v) for v in item), "[]", inner)
-            else:
-                yield sep + inner + prefix + text(item, inner)
-            sep = ","
-        yield brackets if sep == brackets[0] else newline + brackets[1]
-
-    yield from members(((dumps(name) + ": ", item) for name, item in fields), "{}", "\n")
-    yield "\n"
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -209,9 +170,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         )
     rows = triangle_text(args.kind, args.N)
     if args.fmt == "json":
-        # each row an iterator, so that it is written entry by entry
-        fields = (("kind", args.kind), ("N", args.N), ("entries", map(iter, rows)))
-        _emit(args, _json_chunks(fields))
+        _emit(args, _table_json(args.kind, args.N, rows))
     elif args.fmt == "csv":
         _emit(args, _csv_chunks(rows))
     else:
@@ -229,6 +188,24 @@ def _text_chunks(kind: str, N: int, rows: Iterable[list[str]]) -> Iterator[str]:
             sep = " | "
         del row  # free this row's text before the next row is drawn
         yield "\n"
+
+
+def _table_json(kind: str, N: int, rows: Iterable[list[str]]) -> Iterator[str]:
+    """`json.dumps({"kind", "N", "entries": rows}, indent=2)` and a newline,
+    entry by entry in a fixed frame; no row, nor the list of rows, is empty."""
+    import json
+
+    dumps = json.dumps
+    yield dumps({"kind": kind, "N": N}, indent=2)[:-2] + ',\n  "entries": ['
+    lead = "\n    ["
+    for row in rows:
+        sep = lead
+        for text in row:
+            yield sep + "\n      " + dumps(text)
+            sep = ","
+        lead = "\n    ],\n    ["
+        del row  # free this row's text before the next row is drawn
+    yield "\n    ]\n  ]\n}\n"
 
 
 def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
@@ -310,8 +287,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.fmt == "summary":
             _write_all(handle, [_summary(reports, failed, warned), "\n"])
         else:
+            import json
+
             suite = {"suite": args.name, "status": verdict(failed, warned), "reports": reports}
-            _write_all(handle, _json_chunks(suite.items()))
+            _write_all(handle, [json.dumps(suite, indent=2), "\n"])
     return 1 if failed or (warned and args.strict) else 0
 
 
@@ -382,7 +361,7 @@ _JSON_RECORD = '%s\n    {\n      "placement": %s,\n      "weight": %s\n    }'
 
 
 def _placement_json(head: dict, view: PlacementView) -> Iterator[str]:
-    """The bytes of `_json_chunks` over `head`, the placements as a list of
+    """The indented dump of `head`, the placements as a list of
     {"placement", "weight"} records, and their total, with each record
     framed by `_JSON_RECORD` around the `json.dumps` of its two strings."""
     import json
@@ -417,12 +396,14 @@ def cmd_series(args: argparse.Namespace) -> int:
         )
     series = sf_column_series(k, order)
     if args.fmt == "json":
+        import json
+
         payload = {
             "k": k,
             "order": order,
             "coefficients": [str(series.coefficient(n)) for n in range(order + 1)],
         }
-        _emit(args, _json_chunks(payload.items()))
+        _emit(args, [json.dumps(payload, indent=2), "\n"])
     else:
         _emit(args, [f"t^{n}  {series.coefficient(n)}\n" for n in range(order + 1)])
     return 0

@@ -684,8 +684,9 @@ def _product_identities(board: FerrersBoard, fam: TileFamily, lhs: XPoly) -> lis
 
 def _placement_sums(board: FerrersBoard, fam: TileFamily, want: XPoly) -> list[dict]:
     """The mixed sum against `want`, prod_i (x + W_{b_i}), and the augmented
-    sum against x^n, both in Z[q,p,r][x]; "aug-power" holds under any rule,
-    so it checks only the walk."""
+    sum against x^n, both in Z[q,p,r][x]: each walk enumerates the
+    placements of its model's rule, so "mixed-product" checks the file rule
+    and "aug-power" the rook rule, in enumeration mode."""
     bad = []
     mixed = mixed_file_sum(board, fam)
     if mixed != want:
@@ -701,9 +702,10 @@ def _placement_sums(board: FerrersBoard, fam: TileFamily, want: XPoly) -> list[d
 def check_products(N: int) -> dict:
     """The file and rook (cancellation rule) product identities on the small
     boards, the staircases up to N and a few non-Ferrers boards; on the small
-    boards, the mixed and augmented (the walk's signs only) sums against
-    their product forms as polynomials in x. Each board's linear product is
-    built once, for both the file-product and the mixed-product comparison."""
+    boards, the mixed and augmented sums, which walk the placements of the
+    file and rook rules, against their product forms as polynomials in x.
+    Each board's linear product is built once, for both the file-product and
+    the mixed-product comparison."""
     bad = []
     products = {}
     for board in _small_boards_and_staircases(N):

@@ -12,8 +12,6 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import fibrook.board as board
 import fibrook.cli as cli
@@ -510,20 +508,24 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 # plumbing ------------------------------------------------------------------------------
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=12,
-)
+@pytest.mark.parametrize("N", range(6))
+@pytest.mark.parametrize("kind", stirling.TRIANGLE_KINDS)
+def test_table_json_is_the_indented_dump(capsys, kind, N):
+    code, out, _ = run(capsys, "table", kind, str(N), "--format", "json")
+    assert code == 0
+    rows = [list(row) for row in stirling.triangle_text(kind, N)]
+    assert len(rows) == N + 1 and rows[0] == ["1"]
+    assert out == json.dumps({"kind": kind, "N": N, "entries": rows}, indent=2) + "\n"
 
 
-@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=4))
-def test_json_chunks_are_the_indented_dump(document):
-    text = json.dumps(document, indent=2) + "\n"
-    assert "".join(cli._json_chunks(document.items())) == text
-    # a list drawn from an iterator is written the same way
-    lazy = ((name, iter(v) if isinstance(v, list) else v) for name, v in document.items())
-    assert "".join(cli._json_chunks(lazy)) == text
+@pytest.mark.parametrize("argv", [
+    ("verify", "inverse", "--N", "4"),
+    ("series", "2", "--order", "8", "--format", "json"),
+])
+def test_whole_json_documents_are_the_indented_dump(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_no_command_is_usage_error(capsys):

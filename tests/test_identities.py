@@ -1,5 +1,6 @@
 """Closed forms, coefficient formulas, fibonomials, sequences, shape checks."""
 
+import inspect
 from math import comb
 
 import pytest
@@ -526,6 +527,37 @@ def test_products_catch_a_wrong_augmented_sum(monkeypatch):
         {"board": "F(0,2,2,3)", "family": FIBONACCI.label, "identity": "aug-power",
          "sum": str(xpoly_add(XPoly.x_power(4), XPoly([Q])))}
     ]
+
+
+def _swap_walk_rule(monkeypatch, old: str, new: str) -> None:
+    """Make the checks in `identities` see `aug_mixed_sum` with the text
+    `old` of its source, which occurs once, replaced by `new`."""
+    import fibrook.board as board
+
+    source = inspect.getsource(board.aug_mixed_sum)
+    assert source.count(old) == 1
+    namespace = dict(vars(board))
+    exec(compile(source.replace(old, new), board.__file__, "exec"), namespace)
+    monkeypatch.setattr(identities, "aug_mixed_sum", namespace["aug_mixed_sum"])
+
+
+@pytest.mark.parametrize("old,new,passes,count", [
+    # the file rule above: only boards with one nonzero height keep x^n
+    ("RookPlacement.lag", "FilePlacement.lag", lambda hs: len(set(hs) - {0}) <= 1, 162),
+    # an off-by-one rule above: only constant boards keep x^n
+    ("tiles[i - lag * tiled]", "tiles[max(i - tiled - 1, 0)]", lambda hs: len(set(hs)) == 1, 210),
+], ids=["file-rule", "off-by-one-rule"])
+def test_products_catch_a_wrong_rule_in_the_augmented_walk(monkeypatch, old, new, passes, count):
+    _swap_walk_rule(monkeypatch, old, new)
+    report = identities.check_products(2)
+    assert report["status"] == "FAIL"
+    got = [{key: c[key] for key in ("board", "family", "identity")} for c in report["counterexamples"]]
+    top = identities.SMALL_BOARD_MAX
+    want = [{"board": str(board), "family": fam.label, "identity": "aug-power"}
+            for board in identities.all_ferrers_boards(top, top) if not passes(board.heights)
+            for fam in (FIBONACCI, TRIBONACCI)]
+    assert got == want
+    assert len(want) == count
 
 
 def test_products_catch_a_mixed_sum_wrong_only_above_x_3(monkeypatch):
