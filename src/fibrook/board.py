@@ -131,39 +131,37 @@ def _rule_heights(heights: tuple[int, ...], cols, lag: int) -> tuple[int, ...]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def entries_problem(
-    board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...], lag: int
+def skeleton_problem(
+    board: FerrersBoard, skeleton: tuple[tuple[int, int], ...], lag: int
 ) -> str | None:
-    """Why `entries` break the placement rule `lag` on `board`, or None.
-
-    The entries must be (column, tiling) pairs, columns strictly increasing
-    and in range, the s-th tiling (s = 0, 1, ...) at column c covering the
-    b_{c - lag*s} cells the rule leaves it. The board's shape is not
-    checked here: the rook rule needs a Ferrers board, which the caller
-    knows or checks once.
-    """
+    """Why the (column, height) pairs of `skeleton` break the placement rule
+    `lag` on `board`, or None: the columns must be ints, strictly increasing
+    and in range, the s-th (s = 0, 1, ...) at column c of the height
+    b_{c - lag*s} the rule leaves it. The board's shape is not checked: the
+    rook rule needs a Ferrers board, which the caller knows or checks once."""
     b = board.heights
     n = len(b)
     prev = 0
-    for s, (col, t) in enumerate(entries):
+    for s, (col, h) in enumerate(skeleton):
+        if type(col) is not int:
+            return f"placement column {col!r} is not an int"
         if not 1 <= col <= n:
             return f"placement columns out of range for {board}"
         if col <= prev:
             return "placement columns must be strictly increasing"
         want = b[col - 1 - lag * s]
-        if t._height != want:
-            return f"column {col} has {want} uncanceled cells, tiling covers {t.height}"
+        if h != want:
+            return f"column {col} has {want} uncanceled cells, tiling covers {h}"
         prev = col
     return None
 
 
-def entries_exponents(entries: tuple[tuple[int, Tiling], ...]) -> tuple[int, int, int]:
-    """(e_q, e_p, e_r) of the weight of placement entries: the tiles of each height, summed."""
-    ones = twos = threes = 0
-    for _, t in entries:
-        a, b, c = t._counts
-        ones, twos, threes = ones + a, twos + b, threes + c
-    return ones, twos, threes
+def entries_problem(
+    board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...], lag: int
+) -> str | None:
+    """Why (column, tiling) `entries` break the placement rule `lag` on
+    `board`, or None: the `skeleton_problem` of their columns and heights."""
+    return skeleton_problem(board, [(col, t._height) for col, t in entries], lag)
 
 
 class Placement(Record):
@@ -178,11 +176,11 @@ class Placement(Record):
     def __init__(self, board: FerrersBoard, entries: tuple[tuple[int, Tiling], ...]) -> None:
         if self.lag:
             _require_ferrers(board, "a rook-style placement")
-        pairs = tuple((int(c), t) for c, t in entries)
-        problem = entries_problem(board, pairs, self.lag)
+        entries = tuple(entries)
+        problem = entries_problem(board, entries, self.lag)
         if problem is not None:
             raise ValueError(problem)
-        self._set(board, pairs)
+        self._set(board, entries)
 
     @property
     def k(self) -> int:
@@ -190,7 +188,11 @@ class Placement(Record):
 
     def exponents(self) -> tuple[int, int, int]:
         """(e_q, e_p, e_r) of the weight: the tiles of each height, summed."""
-        return entries_exponents(self.entries)
+        ones = twos = threes = 0
+        for _, t in self.entries:
+            a, b, c = t._counts
+            ones, twos, threes = ones + a, twos + b, threes + c
+        return ones, twos, threes
 
     def weight(self) -> PQRPoly:
         return PQRPoly.term(1, *self.exponents())
@@ -239,13 +241,15 @@ class PlacementView:
     caller that does not keep them holds one at a time; `list(view)` holds
     them all.
 
-    The placements of one column subset share all but their last column,
-    so `heads()` folds each subset once: each head (one tiling per leading
-    column, drawn lazily, so one is held at a time) is joined into an
-    entries prefix, a text prefix and an exponent sum, which each fragment
-    of the last column completes. `entries()` completes the entries alone,
-    and iterating builds a `Placement` record from each through its
-    constructor; callers that need no record read `heads()` or `entries()`.
+    `skeletons()` walks the column subsets, each with the heights the rule
+    gives its columns. The placements of one skeleton share all but their
+    last column, so `heads()` folds each skeleton once: each head (one
+    tiling per leading column, drawn lazily, so one is held at a time) is
+    joined into an entries prefix, a text prefix and an exponent sum, which
+    each fragment of the last column completes. `entries()` completes the
+    entries alone, and iterating builds a `Placement` record from each
+    through its constructor; callers that need no record read
+    `skeletons()`, `heads()` or `entries()`.
     """
 
     __slots__ = ("board", "fam", "k", "model")
@@ -259,31 +263,38 @@ class PlacementView:
     def __len__(self) -> int:
         return placement_count(self.board, self.fam, self.k, self.model)
 
-    def heads(self) -> Iterator[tuple[tuple, str, tuple[int, int, int], list[tuple]]]:
-        """(entries, text, exponents, last) per head, in the view's order.
-
-        Each (entries, text, counts) fragment in `last`, a list shared by
-        the heads of one column subset, completes the head into one
-        placement: the entries and text concatenated, the counts summed.
-        k = 0 gives one head with one empty fragment; k < 0 or k > n none.
-        """
-        # every tiling comes from the pool of the height the rule gives its
-        # column, so the entries hold by construction and need no validation;
+    def skeletons(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The skeleton ((column, height), ...) of each column subset with no
+        zero height, in the view's order: the placements that tile each column
+        to the height the rule gives it. k = 0 gives one empty skeleton."""
         # `combinations` would allocate k indices before finding none
-        board, fam, k = self.board, self.fam, self.k
+        board, k = self.board, self.k
         if k < 0 or k > board.n:
-            return
-        if k == 0:
-            yield (), "", (0, 0, 0), [((), "", (0, 0, 0))]
             return
         lag = _MODELS[self.model].lag
         for combo in combinations(range(1, board.n + 1), k):
             hts = _rule_heights(board.heights, combo, lag)
-            if 0 in hts:
-                continue
+            if 0 not in hts:
+                yield tuple(zip(combo, hts))
+
+    def heads(self) -> Iterator[tuple[tuple, str, tuple[int, int, int], list[tuple]]]:
+        """(entries, text, exponents, last) per head, in the view's order.
+
+        Each (entries, text, counts) fragment in `last`, a list shared by
+        the heads of one skeleton, completes the head into one placement:
+        the entries and text concatenated, the counts summed. k = 0 gives
+        one head with one empty fragment; k < 0 or k > n none.
+        """
+        # every tiling comes from the pool of the height the skeleton gives
+        # its column, so the entries hold by construction and need no validation
+        if self.k == 0:
+            yield (), "", (0, 0, 0), [((), "", (0, 0, 0))]
+            return
+        fam = self.fam
+        for skeleton in self.skeletons():
             *leading, last = [
                 [(((col, t),), f"{col}:{t._text}", t._counts) for t in enumerate_tilings(fam, h)]
-                for col, h in zip(combo, hts)
+                for col, h in skeleton
             ]
             for head in product(*leading):
                 entries = tuple([entry for (entry,), _, _ in head])

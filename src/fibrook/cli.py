@@ -39,6 +39,7 @@ import errno
 import os
 import stat
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
@@ -337,15 +338,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def _weighed(view: PlacementView, counts: dict) -> Iterator[tuple[str, str]]:
     """(placement, weight) texts per placement of `view`, read from its
     heads, adding up in `counts` the placements per weight, as exponent
-    triples; each weight is printed once. No placement object is built."""
+    triples. The heads of one skeleton share `last`, so per head exponent
+    sum the completions' texts and their counts per weight are built once
+    and reused: each weight is printed once, and no placement is built."""
     weight_text: dict[tuple[int, int, int], str] = {}
-    for _, text, (ones, twos, threes), last in view.heads():
-        for _, piece, (a, b, c) in last:
-            exps = (ones + a, twos + b, threes + c)
-            counts[exps] = counts.get(exps, 0) + 1
-            weight = weight_text.get(exps)
-            if weight is None:
-                weight = weight_text[exps] = str(PQRPoly.term(1, *exps))
+    shared, tails = None, {}
+    for _, text, head, last in view.heads():
+        if last is not shared:
+            shared, tails = last, {}
+        if head not in tails:
+            exps = [(head[0] + a, head[1] + b, head[2] + c) for _, _, (a, b, c) in last]
+            for weight in set(exps) - weight_text.keys():
+                weight_text[weight] = str(PQRPoly.term(1, *weight))
+            pieces = [(piece, weight_text[e]) for (_, piece, _), e in zip(last, exps)]
+            tails[head] = pieces, Counter(exps)
+        pieces, per_weight = tails[head]
+        for weight, placements in per_weight.items():
+            counts[weight] = counts.get(weight, 0) + placements
+        for piece, weight in pieces:
             yield text + piece, weight
 
 

@@ -44,15 +44,17 @@ The Sf/sf matrices are mutually inverse. `involution` realizes the
 orthogonality bijectively: on pairs (j, rook, file), the entries of a
 rook-style placement of n-j tilings on the n-staircase and of a file
 placement of j-k tilings on the j-staircase, signed by (-1)^(j-k), it
-flips the sign while preserving total weight, by moving one tiling from
-one board to the other. (n, j) fixes both boards, so the map reads and
-returns entries only. Its recursion on shrunken boards, while both last
-columns are empty, unrolls to a closed form.
+flips the sign and keeps the weight by moving one tiling, whole, from one
+board to the other; its recursion unrolls to a closed form. It reads only
+columns, so `involution_verify` runs it on skeletons ((column, height),
+...), each standing for every pair that tiles its columns to those heights.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import product
+from math import prod
 from typing import Callable, Iterator
 
 from fibrook.poly import (
@@ -63,7 +65,15 @@ from fibrook.poly import (
     q_image_row,
     q_image_text,
 )
-from fibrook.tiling import FIBONACCI, TRIBONACCI, Record, TileFamily, weight_poly
+from fibrook.tiling import (
+    FIBONACCI,
+    TRIBONACCI,
+    Record,
+    TileFamily,
+    enumerate_tilings,
+    tiling_count,
+    weight_poly,
+)
 
 
 class _Rule(Record):
@@ -493,52 +503,50 @@ def matrix_inverse_check(N: int, fam: TileFamily) -> dict:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def involution_domain(n: int, k: int) -> Iterator[tuple]:
-    """All pairs behind the (n, k) entry of the product Sf * sf, rook-major.
-
-    A pair is the tuple (j, rook, file) of the entries of a rook-style
-    placement of n-j tilings on the n-staircase and of a file placement of
-    j-k tilings on the j-staircase, signed by (-1)^(j-k); (n, j) fixes both
-    boards. The entries are drawn lazily from the views' `entries()`, with no
-    placement object built; a j with more than one rook placement holds its
-    file entries as a list, and one with a single rook (j = n) holds none.
-    """
+def _skeletons(n: int, k: int) -> Iterator[tuple[tuple, int]]:
+    """Each skeleton (j, rook, file) behind the (n, k) entry of Sf * sf,
+    rook-major, with the prod t(h) pairs (t = `tiling_count`) that tile its
+    columns to their heights. Its parts are the views' `skeletons()`: n-j
+    rook tilings on the n-staircase, j-k file tilings on the j-staircase."""
     from fibrook.board import FerrersBoard, enumerate_file_placements, enumerate_rook_placements
 
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    t = [tiling_count(FIBONACCI, h) for h in range(n)]  # t(h) for each staircase height
     for j in range(k, n + 1):
-        rooks = enumerate_rook_placements(FerrersBoard.staircase(n), FIBONACCI, n - j)
-        files = enumerate_file_placements(FerrersBoard.staircase(j), FIBONACCI, j - k).entries()
-        if len(rooks) > 1:
-            files = list(files)  # drawn once, walked once per rook
-        for rook in rooks.entries():
-            for file in files:
-                yield j, rook, file
+        rooks = enumerate_rook_placements(FerrersBoard.staircase(n), FIBONACCI, n - j).skeletons()
+        files = enumerate_file_placements(FerrersBoard.staircase(j), FIBONACCI, j - k).skeletons()
+        for rook, file in product(rooks, files):
+            yield (j, rook, file), prod([t[h] for _, h in rook + file])
+
+
+def _skeleton_problem(n: int, k: int, skeleton: tuple) -> str | None:
+    """Why `skeleton` is not one of `_skeletons(n, k)`, or None: its j, then
+    each part's count and, by `skeleton_problem` on the staircase (n, j)
+    implies, its columns and heights; the involution's images need this."""
+    import fibrook.board as board  # one module lookup per call, cheaper than a `from` import
+
+    j, rook, file = skeleton
+    if not k <= j <= n:
+        return f"pair has j={j} outside {k}..{n}"
+    for label, part, size, count, lag in (("rook", rook, n, n - j, board.RookPlacement.lag),
+                                          ("file", file, j, j - k, board.FilePlacement.lag)):
+        if len(part) != count:
+            return f"{label} part has the wrong number of tilings"
+        problem = board.skeleton_problem(board.FerrersBoard.staircase(size), part, lag)
+        if problem is not None:
+            return f"{label} part: {problem}"
+    return None
 
 
 def _domain_problem(n: int, k: int, pair: tuple) -> str | None:
-    """Why `pair` is not in `involution_domain(n, k)`, or None if it is.
-
-    The complete membership test: it checks the entries of both parts
-    against their placement rule on the staircase (n, j) implies, because
-    the involution builds its images without validation.
-    """
-    import fibrook.board as board  # one module lookup per pair, cheaper than a `from` import
-
+    """Why the pair (j, rook entries, file entries) is not behind the (n, k)
+    entry, or None: a tile outside the {1,2} family, else the
+    `_skeleton_problem` of its columns and tiling heights."""
     j, rook, file = pair
-    if not k <= j <= n:
-        return f"pair has j={j} outside {k}..{n}"
-    for label, entries, size, count, lag in (("rook", rook, n, n - j, board.RookPlacement.lag),
-                                             ("file", file, j, j - k, board.FilePlacement.lag)):
-        if len(entries) != count:
-            return f"{label} part has the wrong number of tilings"
-        problem = board.entries_problem(board.FerrersBoard.staircase(size), entries, lag)
-        if problem is not None:
-            return f"{label} part: {problem}"
+    for label, entries in (("rook", rook), ("file", file)):
         if any(3 in t.tiles for _, t in entries):
             return f"{label} part has a tile outside {{1,2}}"
-    return None
+    heights = [[(col, t._height) for col, t in part] for part in (rook, file)]
+    return _skeleton_problem(n, k, (j, *heights))
 
 
 def involution(n: int, k: int, pair: tuple) -> tuple:
@@ -565,10 +573,8 @@ def involution(n: int, k: int, pair: tuple) -> tuple:
     rook column n-d. d < k because a file placement of j-1 tilings on the
     j-staircase (the k = 1 shape) cannot avoid its last column: only j-2
     earlier columns are nonempty. Raises on pairs outside the domain, then
-    applies `_involution_step`, the map itself. `involution_verify` calls
-    that step directly: its pairs come from `involution_domain`, whose
-    enumerators are trusted, and it runs `_domain_problem` once per pair,
-    on the image.
+    applies `_involution_step`, the map itself, which `involution_verify`
+    runs on skeletons.
     """
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
@@ -580,8 +586,9 @@ def involution(n: int, k: int, pair: tuple) -> tuple:
 
 def _involution_step(n: int, k: int, pair: tuple) -> tuple:
     """`involution` on a pair known to be in the (n, k) domain, without
-    testing membership. The image's entries are not validated;
-    `_domain_problem` checks them."""
+    testing membership. It reads only columns and moves each entry whole,
+    so it maps skeletons too. The image is not validated;
+    `_domain_problem` and `_skeleton_problem` check it."""
     j, rook, file = pair
     d_rook = n - rook[-1][0] if rook else n
     d_file = j - file[-1][0] if file else j
@@ -598,43 +605,44 @@ def involution_verify(n: int, k: int) -> dict:
 
     Confirms: the map stays inside the domain, is a fixed-point-free
     involution, flips the sign, preserves the weight, and therefore the
-    signed weight sum over the domain vanishes. The domain is streamed and
-    its pairs are trusted, so the domain predicate runs once per pair, on
-    the image, and the map is applied again only to an image inside the
-    domain. Weights are compared as exponent triples, and the signed sum
-    is kept as a signed count per triple until the end.
-    """
-    from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, entries_exponents
-
+    signed weight sum over the domain vanishes. `_involution_step` moves
+    entries whole, so each check runs once per trusted skeleton and holds
+    for all its pairs: `_skeleton_problem` tests the image, the map runs
+    again only on an image inside the domain, and the weight is kept with
+    the multiset of heights. Counts weigh a skeleton by its pairs; the sum
+    is a signed count per sorted multiset of heights, multiplied out only
+    where nonzero. A failing skeleton is reported pair by pair."""
     if not 1 <= k < n:
         raise ValueError("the involution is defined for 1 <= k < n")
-    signed: dict[tuple[int, int, int], int] = {}
+    signed: dict[tuple[int, ...], int] = {}
     counterexamples = []
     per_j: dict[int, int] = {}
-    for pair in involution_domain(n, k):
-        j, rook, file = pair
-        per_j[j] = per_j.get(j, 0) + 1
-        weight = entries_exponents(rook + file)
-        sign = -1 if len(file) % 2 else 1
-        signed[weight] = signed.get(weight, 0) + sign
-        image = _involution_step(n, k, pair)
-        inside = _domain_problem(n, k, image) is None
+    for skeleton, pairs in _skeletons(n, k):
+        j, rook, file = skeleton
+        per_j[j] = per_j.get(j, 0) + pairs
+        heights = tuple(sorted([h for _, h in rook + file]))
+        signed[heights] = signed.get(heights, 0) + (-pairs if len(file) % 2 else pairs)
+        image = _involution_step(n, k, skeleton)
+        inside = _skeleton_problem(n, k, image) is None
         problems = []
         if not inside:
             problems.append("image outside domain")
-        if image == pair:
+        if image == skeleton:
             problems.append("fixed point")
         if len(image[2]) % 2 == len(file) % 2:
             problems.append("sign not flipped")
-        if entries_exponents(image[1] + image[2]) != weight:
+        if tuple(sorted([h for _, h in image[1] + image[2]])) != heights:
             problems.append("weight changed")
-        if inside and _involution_step(n, k, image) != pair:
+        if inside and _involution_step(n, k, image) != skeleton:
             problems.append("not an involution")
-        if problems:  # a drawn pair is in the domain, so its parts validate
-            rook_part = RookPlacement(FerrersBoard.staircase(n), rook)
-            file_part = FilePlacement(FerrersBoard.staircase(j), file)
-            counterexamples.append({"pair": f"j={j} {rook_part};{file_part}", "problems": problems})
-    signed_total = PQRPoly(signed)
+        if problems:  # each pair of the skeleton, as "j=... rook;file" placement texts
+            for tilings in product(*[enumerate_tilings(FIBONACCI, h) for _, h in rook + file]):
+                texts = [f"{col}:{t}" for (col, _), t in zip(rook + file, tilings)]
+                pair = f"j={j} {';'.join(texts[:len(rook)])};{';'.join(texts[len(rook):])}"
+                counterexamples.append({"pair": pair, "problems": problems})
+    weights = partial(weight_poly, FIBONACCI)
+    signed_total = sum((prod(map(weights, key), start=PQRPoly.one()) * count
+                        for key, count in signed.items() if count), PQRPoly.zero())
     return report(
         "involution", f"n={n}, k={k}", counterexamples, holds=not signed_total,
         domain_size=sum(per_j.values()),

@@ -3,7 +3,15 @@ import pytest
 
 import fibrook.identities as identities
 import fibrook.stirling as stirling
+from fibrook.board import (
+    FerrersBoard,
+    FilePlacement,
+    RookPlacement,
+    enumerate_file_placements,
+    enumerate_rook_placements,
+)
 from fibrook.poly import PQRPoly, XPoly
+from fibrook.tiling import FIBONACCI
 
 hypothesis.settings.register_profile("fibrook", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("fibrook")
@@ -36,6 +44,77 @@ def linear_product(cs) -> XPoly:
     for c in cs:
         out = xpoly_mul(out, XPoly([c, 1]))
     return out
+
+
+def involution_domain(n: int, k: int):
+    """All pairs behind the (n, k) entry of the product Sf * sf, rook-major.
+
+    A pair is the tuple (j, rook, file) of the entries of a rook-style
+    placement of n-j tilings on the n-staircase and of a file placement of
+    j-k tilings on the j-staircase, signed by (-1)^(j-k); (n, j) fixes both
+    boards. The entries are drawn lazily from the views' `entries()`, not
+    from their skeletons; a j with more than one rook placement holds its
+    file entries as a list.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    for j in range(k, n + 1):
+        rooks = enumerate_rook_placements(FerrersBoard.staircase(n), FIBONACCI, n - j)
+        files = enumerate_file_placements(FerrersBoard.staircase(j), FIBONACCI, j - k).entries()
+        if len(rooks) > 1:
+            files = list(files)  # drawn once, walked once per rook
+        for rook in rooks.entries():
+            for file in files:
+                yield j, rook, file
+
+
+def reference_involution_verify(n: int, k: int) -> dict:
+    """`stirling.involution_verify` pair by pair: the reference model that
+    the skeleton check is compared against.
+
+    Each pair of `involution_domain` is mapped by `stirling._involution_step`
+    (looked up per call, so a patched map takes effect), its image tested by
+    `stirling._domain_problem`, and its weight compared as exponent triples;
+    the signed sum is a signed count per triple.
+    """
+    if not 1 <= k < n:
+        raise ValueError("the involution is defined for 1 <= k < n")
+    signed: dict[tuple[int, int, int], int] = {}
+    counterexamples = []
+    per_j: dict[int, int] = {}
+    def entries_exponents(entries: tuple) -> tuple[int, int, int]:
+        return tuple(map(sum, zip((0, 0, 0), *[t.height_counts() for _, t in entries])))
+
+    for pair in involution_domain(n, k):
+        j, rook, file = pair
+        per_j[j] = per_j.get(j, 0) + 1
+        weight = entries_exponents(rook + file)
+        sign = -1 if len(file) % 2 else 1
+        signed[weight] = signed.get(weight, 0) + sign
+        image = stirling._involution_step(n, k, pair)
+        inside = stirling._domain_problem(n, k, image) is None
+        problems = []
+        if not inside:
+            problems.append("image outside domain")
+        if image == pair:
+            problems.append("fixed point")
+        if len(image[2]) % 2 == len(file) % 2:
+            problems.append("sign not flipped")
+        if entries_exponents(image[1] + image[2]) != weight:
+            problems.append("weight changed")
+        if inside and stirling._involution_step(n, k, image) != pair:
+            problems.append("not an involution")
+        if problems:  # a drawn pair is in the domain, so its parts validate
+            rook_part = RookPlacement(FerrersBoard.staircase(n), rook)
+            file_part = FilePlacement(FerrersBoard.staircase(j), file)
+            counterexamples.append({"pair": f"j={j} {rook_part};{file_part}", "problems": problems})
+    signed_total = PQRPoly(signed)
+    return stirling.report(
+        "involution", f"n={n}, k={k}", counterexamples, holds=not signed_total,
+        domain_size=sum(per_j.values()),
+        pairs_per_j={str(j): per_j[j] for j in sorted(per_j)},
+        signed_sum=str(signed_total),
+    )
 
 
 @pytest.fixture

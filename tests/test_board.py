@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
@@ -29,7 +30,7 @@ from fibrook.board import (
 )
 from fibrook.identities import all_ferrers_boards
 from fibrook.poly import P, Q, PQRPoly, XPoly
-from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, parse_tiling, weight_poly
+from fibrook.tiling import FIBONACCI, TRIBONACCI, TileFamily, parse_tiling, tiling_count, weight_poly
 
 FAMILIES = [FIBONACCI, TRIBONACCI]
 
@@ -160,6 +161,17 @@ def test_placement_validation():
     assert FilePlacement(board, entries) != RookPlacement(board, entries)
 
 
+@pytest.mark.parametrize("col", ["2", 2.0], ids=["str", "float"])
+@pytest.mark.parametrize("cls", [FilePlacement, RookPlacement], ids=["file", "rook"])
+def test_placement_refuses_a_column_that_is_not_an_int(cls, col):
+    # the entries are stored as given (a list as a tuple), so a column is
+    # refused, not converted
+    board = FerrersBoard((1, 2, 3))
+    with pytest.raises(ValueError, match=f"placement column {col!r} is not an int"):
+        cls(board, ((col, parse_tiling("1,1")),))
+    assert cls(board, [(2, parse_tiling("1,1"))]).entries == ((2, parse_tiling("1,1")),)
+
+
 def test_parse_placement_round_trip():
     board = FerrersBoard((2, 3, 4, 4, 5))
     pl = parse_placement(board, "2:1,2;4:1,1,2", model="rook")
@@ -206,6 +218,21 @@ def _check_enumerator_contract(cls, enumerate_placements, count, boards, fam) ->
             assert [(type(pl), pl.entries) for pl in view] == [(cls, e) for e in entries]
             listed += len(entries)
     return listed
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)
+@pytest.mark.parametrize("cls,enumerate_placements,count", MODELS, ids=["file", "rook"])
+def test_skeletons_are_the_columns_and_heights_of_the_placements(cls, enumerate_placements, count, fam):
+    # each skeleton stands for a run of the view's placements, in its order:
+    # the t(h1) * t(h2) * ... that tile its columns to its heights
+    for board in all_ferrers_boards(5, 5):
+        for k in range(-1, board.n + 2):
+            view = enumerate_placements(board, fam, k)
+            drawn = [tuple((c, t.height) for c, t in entries) for entries in view.entries()]
+            runs = [(skeleton, len(list(group))) for skeleton, group in itertools.groupby(drawn)]
+            skeletons = list(view.skeletons())
+            assert runs == [(s, math.prod(tiling_count(fam, h) for _, h in s)) for s in skeletons]
+            assert all(board_module.skeleton_problem(board, s, cls.lag) is None for s in skeletons)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.label)

@@ -7,14 +7,13 @@ import pytest
 import fibrook.stirling as stirling
 from fibrook.board import FerrersBoard, FilePlacement, RookPlacement, parse_placement
 from fibrook.cli import main
-from conftest import l1_norm, linear_product
+from conftest import involution_domain, l1_norm, linear_product, reference_involution_verify
 from fibrook.poly import P, Q, R, PQRPoly, XPoly, horner_step, q_image_text, xpoly_product
 from fibrook.stirling import (
     TRIANGLE_KINDS,
     build_triangle,
     family_for_kind,
     involution,
-    involution_domain,
     involution_verify,
     matrix_inverse_check,
     triangle_from_boards,
@@ -518,19 +517,26 @@ def test_closed_form_matches_the_recursion_on_every_small_domain():
 
 
 def test_involution_verify_tests_membership_once_per_pair(monkeypatch):
-    # the enumerated pairs are trusted; only each image is tested
-    real = stirling._domain_problem
+    # the skeletons are trusted; only each skeleton's image is tested, once
+    # for all the pairs it stands for, and no pair is tested on its own
+    real = stirling._skeleton_problem
     calls = []
 
-    def counted(n: int, k: int, pair: tuple) -> str | None:
-        calls.append(pair)
-        return real(n, k, pair)
+    def counted(n: int, k: int, skeleton: tuple) -> str | None:
+        calls.append(skeleton)
+        return real(n, k, skeleton)
 
-    monkeypatch.setattr(stirling, "_domain_problem", counted)
+    def per_pair(n: int, k: int, pair: tuple) -> str | None:
+        raise AssertionError("a pair was tested on its own")
+
+    monkeypatch.setattr(stirling, "_skeleton_problem", counted)
+    monkeypatch.setattr(stirling, "_domain_problem", per_pair)
     report = involution_verify(6, 2)
     assert report["status"] == "PASS"
-    assert len(calls) == report["domain_size"] == 512
-    assert calls == [stirling._involution_step(6, 2, pair) for pair in involution_domain(6, 2)]
+    skeletons = list(stirling._skeletons(6, 2))
+    assert calls == [stirling._involution_step(6, 2, skeleton) for skeleton, _ in skeletons]
+    assert len(calls) == 80
+    assert sum(pairs for _, pairs in skeletons) == report["domain_size"] == 512
 
 
 def test_involution_base_case_swaps_the_two_pairs():
@@ -603,8 +609,33 @@ def _counterexamples(report: dict) -> dict[str, list[str]]:
     return {c["pair"]: c["problems"] for c in report["counterexamples"]}
 
 
+def _identity(real):
+    return lambda n, k, pair: pair
+
+
+def _leaky(real):
+    # images at j = n are sent to j = n + 1
+    def leaky(n: int, k: int, pair: tuple) -> tuple:
+        j, rook, file = real(n, k, pair)
+        return (n + 1 if j == n else j), rook, file
+
+    return leaky
+
+
+def _shifted(real):
+    # each image's last file entry moves one column right
+    def shifted(n: int, k: int, pair: tuple) -> tuple:
+        j, rook, file = real(n, k, pair)
+        if not file:
+            return j, rook, file
+        *kept, (col, tiling) = file
+        return j, rook, (*kept, (col + 1, tiling))
+
+    return shifted
+
+
 def test_involution_check_fails_on_the_identity(monkeypatch):
-    monkeypatch.setattr(stirling, "_involution_step", lambda n, k, pair: pair)
+    monkeypatch.setattr(stirling, "_involution_step", _identity(stirling._involution_step))
     found = _counterexamples(involution_verify(4, 2))
     assert len(found) == 16
     assert all(problems == ["fixed point", "sign not flipped"] for problems in found.values())
@@ -612,10 +643,12 @@ def test_involution_check_fails_on_the_identity(monkeypatch):
 
 
 def test_involution_check_fails_on_a_map_that_does_not_map_back(monkeypatch):
-    # a and b have the same sign and weight; exchanging their images keeps
-    # every image in the domain, sign-flipped and weight-preserving
+    # the skeletons a and b have the same sign and heights; exchanging their
+    # images keeps every image in the domain, sign-flipped and with its
+    # heights. Each column has one tiling, so each stands for one pair
     real = stirling._involution_step
-    a, b = _pair(4, 2, "2:1;4:1,1", ""), _pair(4, 4, "", "2:1;3:1,1")
+    a, b = (2, ((2, 1), (4, 2)), ()), (4, (), ((2, 1), (3, 2)))
+    assert {a: 1, b: 1}.items() <= dict(stirling._skeletons(4, 2)).items()
     swap = {a: real(4, 2, b), b: real(4, 2, a)}
     monkeypatch.setattr(stirling, "_involution_step", lambda n, k, pair: swap.get(pair) or real(n, k, pair))
     found = _counterexamples(involution_verify(4, 2))
@@ -630,13 +663,7 @@ def test_involution_check_fails_on_a_map_that_does_not_map_back(monkeypatch):
 def test_involution_check_fails_on_an_image_outside_the_domain(monkeypatch):
     # images at j = n are sent to j = n + 1; the check reports them instead
     # of applying the map to a pair it is not defined on
-    real = stirling._involution_step
-
-    def leaky(n: int, k: int, pair: tuple) -> tuple:
-        j, rook, file = real(n, k, pair)
-        return (n + 1 if j == n else j), rook, file
-
-    monkeypatch.setattr(stirling, "_involution_step", leaky)
+    monkeypatch.setattr(stirling, "_involution_step", _leaky(stirling._involution_step))
     found = _counterexamples(involution_verify(4, 2))
     outside = {pair for pair, problems in found.items() if problems == ["image outside domain"]}
     assert outside == {
@@ -655,15 +682,7 @@ def test_involution_check_fails_on_a_mis_sized_image(monkeypatch, capsys):
     # each image's last file tiling moves one column right, unvalidated as
     # the involution's images are: reported, not raised while being built
     real = stirling._involution_step
-
-    def shifted(n: int, k: int, pair: tuple) -> tuple:
-        j, rook, file = real(n, k, pair)
-        if not file:
-            return j, rook, file
-        *kept, (col, tiling) = file
-        return j, rook, (*kept, (col + 1, tiling))
-
-    monkeypatch.setattr(stirling, "_involution_step", shifted)
+    monkeypatch.setattr(stirling, "_involution_step", _shifted(real))
     found = _counterexamples(involution_verify(5, 2))
     expected = {}
     for pair in involution_domain(5, 2):
@@ -682,3 +701,24 @@ def test_involution_check_fails_on_a_mis_sized_image(monkeypatch, capsys):
     )
     assert main(["verify", "involution", "--n", "5", "--k", "2"]) == 1
     assert json.loads(capsys.readouterr().out)["status"] == "FAIL"
+
+
+SMALL_DOMAINS = [(n, k) for n in range(2, 9) for k in range(1, n)]
+
+
+def test_skeleton_check_equals_the_per_pair_reference():
+    # every report key, the counts per j and the signed sum among them
+    for n, k in SMALL_DOMAINS:
+        assert involution_verify(n, k) == reference_involution_verify(n, k), (n, k)
+
+
+@pytest.mark.parametrize("perturb", [_identity, _leaky, _shifted], ids=["identity", "leaky", "shifted"])
+def test_skeleton_check_fails_on_the_pairs_the_reference_fails_on(monkeypatch, perturb):
+    # the skeleton check expands each failing skeleton into its pairs; the
+    # reference tests the same perturbed map pair by pair. Up to n = 7: at
+    # n = 8 the identity fails all 227,906 pairs, and the three cases take 20 s
+    monkeypatch.setattr(stirling, "_involution_step", perturb(stirling._involution_step))
+    for n, k in [(n, k) for n, k in SMALL_DOMAINS if n < 8]:
+        found, want = involution_verify(n, k), reference_involution_verify(n, k)
+        assert found["status"] == want["status"] == "FAIL"
+        assert _counterexamples(found) == _counterexamples(want), (n, k)
