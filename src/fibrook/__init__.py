@@ -4,12 +4,13 @@ Everything is computed over Z[q, p, r] with arbitrary-precision integers;
 there is no floating point anywhere. The submodules build on each other:
 
     poly       sparse exact polynomials, q-analogues, polynomials in x or t
-    tiling     height-1/2/3 column tilings, weight polynomials, the Record base
+    tiling     height-1/2/3 column tilings, weight polynomials, the Record base,
+               the table of triangle kinds
     board      Ferrers boards, file and rook placements, product formulas
     stirling   connection-coefficient triangles, basis expansions, involution
-    identities closed forms, coefficient formulas, sequences, log-concavity,
-               and the registry of verification suites
-    cli        command line front end (`fibrook ...`)
+    identities closed forms, coefficient formulas, sequences, log-concavity
+    cli        command line front end (`fibrook ...`) and the registry of
+               verification suites
 """
 
 from fibrook.poly import PQRPoly, q_binomial, q_factorial, q_int

@@ -24,8 +24,12 @@ also refuses a request of more than PLACEMENT_MAX placements, counted
 exactly before listing any; --force lifts that cap too. `verify` accepts
 --n/--k only for the involution and all suites. `table` and `enumerate`
 write their output row by row, as it is rendered, to stdout or to the
---out file. Only `enumerate`, `verify`, `series` and `sequences` import
-`fibrook.board`, only the last three `fibrook.identities`, and only JSON
+--out file. With no bytecode cache each process compiles what it
+imports, so a command imports only the modules it runs: `import
+fibrook.cli` loads `poly` and `tiling` (which holds the triangle kinds),
+`table` adds `stirling`, `enumerate` `board`, `verify` what its suites
+run (`run_suite`: inverse `stirling`, involution also `board`, the rest
+also `identities`), and `series` and `sequences` all three. Only JSON
 output imports `json`. A document held whole (`verify`, `series`) is
 `json.dumps(..., indent=2)`; the streamed ones (`table`, `enumerate`) are
 written in a fixed frame of those bytes around the `json.dumps` of each
@@ -40,13 +44,12 @@ import os
 import stat
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from fibrook.poly import PQRPoly
-from fibrook.stirling import TRIANGLE_KINDS, triangle_text, verdict
-from fibrook.tiling import FIBONACCI, TRIBONACCI
+from fibrook.tiling import FIBONACCI, TRIANGLE_KINDS, TRIBONACCI
 
 if TYPE_CHECKING:
     from fibrook.board import PlacementView
@@ -74,7 +77,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
 
 # chunks are gathered into writes of whole blocks of this many characters:
 # stdout may be unbuffered (PYTHONUNBUFFERED), and one write per chunk (a
-# table entry, a placement line) then costs a system call each
+# table entry, a head's placement lines) then costs a system call each
 _WRITE_SIZE = 1 << 16
 
 
@@ -163,6 +166,8 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from fibrook.stirling import triangle_text
+
     if args.N < 0:
         return _usage_error("table needs a row count N >= 0")
     if args.N > args.triangle_max and not args.force:
@@ -223,10 +228,70 @@ def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
 # ──────────────────────────────────────────────────────────────────────────
 
 
+# each suite, in report order, with its default size N and the cap on N:
+# the enumeration cap for the suites on staircase boards of up to N
+# columns, the triangle cap for those that build triangles to row N; the
+# identities suite runs every check at its own default size unless N is given
+SUITE_SIZES = {
+    "recursion-vs-enumeration": (8, "enumeration"),
+    "products": (6, "enumeration"),
+    "inverse": (12, "triangle"),
+    "involution": (6, "enumeration"),
+    "identities": (None, "triangle"),
+}
+SUITES = (*SUITE_SIZES, "all")
+
+
+def run_suite(
+    name: str, N: int | None = None, n: int | None = None, k: int | None = None
+) -> list[dict]:
+    """The reports of one suite in order; "all" runs every suite in turn.
+
+    N sizes the suite (None: its default size). n and k select a single
+    involution domain instead of every one up to the staircase N. A suite
+    imports the module of its checks when it runs, and calls them by their
+    module-level names, so a patched check takes effect.
+    """
+    if name == "all":
+        return [found for suite in SUITE_SIZES for found in run_suite(suite, N, n, k)]
+    if name not in SUITE_SIZES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if N is None:
+        N = SUITE_SIZES[name][0]
+    if name in ("inverse", "involution"):
+        import fibrook.stirling as stirling
+    else:
+        import fibrook.identities as identities
+    if name == "inverse":
+        # the tribonacci checks stop at 10, and the basis expansions at 12
+        tops = ((FIBONACCI, N), (TRIBONACCI, min(N, 10)))
+        return [stirling.matrix_inverse_check(top, fam) for fam, top in tops] + [
+            stirling.verify_basis_expansions(min(top, 12), fam) for fam, top in tops
+        ]
+    if name == "involution":
+        if n is not None:
+            return [stirling.involution_verify(n, k)]
+        return [stirling.involution_verify(m, j) for m in range(2, N + 1) for j in range(1, m)]
+    if name == "recursion-vs-enumeration":
+        return [identities.check_recursion_vs_enumeration(N)]
+    if name == "products":
+        return [identities.check_products(N)]
+    # each identity check at its own default size (None), or at N kept in its bounds
+    sized = [
+        (identities.check_series_columns, N),
+        (identities.check_closed_forms, N),
+        (identities.check_sf_p_coefficients, None if N is None else min(N, identities.SF_P_MAX_N)),
+        (identities.check_q1_specializations, N),
+        (identities.check_cf_columns, N),
+        (identities.check_fibonomials, None if N is None else max(N, identities.FIBONOMIAL_MIN_N)),
+        (identities.check_sequences, None),
+        (identities.check_log_concavity, None),
+    ]
+    return [check() if size is None else check(size) for check, size in sized]
+
+
 def _verify_refusal(args: argparse.Namespace) -> str | None:
     """Why `args` is not a runnable verify request (a usage error), or None."""
-    from fibrook.identities import SUITE_SIZES, SUITES
-
     suite = args.name
     if suite not in SUITES:
         return f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
@@ -272,8 +337,6 @@ def _summary(reports: list[dict], failed: int, warned: int) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from fibrook.identities import run_suite
-
     refusal = _verify_refusal(args)
     if refusal:
         return _usage_error(refusal)
@@ -289,6 +352,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _write_all(handle, [_summary(reports, failed, warned), "\n"])
         else:
             import json
+
+            from fibrook.stirling import verdict
 
             suite = {"suite": args.name, "status": verdict(failed, warned), "reports": reports}
             _write_all(handle, [json.dumps(suite, indent=2), "\n"])
@@ -335,12 +400,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _weighed(view: PlacementView, counts: dict) -> Iterator[tuple[str, str]]:
-    """(placement, weight) texts per placement of `view`, read from its
-    heads, adding up in `counts` the placements per weight, as exponent
-    triples. The heads of one skeleton share `last`, so per head exponent
-    sum the completions' texts and their counts per weight are built once
-    and reused: each weight is printed once, and no placement is built."""
+def _weighed(view: PlacementView, counts: dict, tail: Callable) -> Iterator[tuple[str, list]]:
+    """(text, tails) per head of `view`: the head's text, and per placement
+    it heads, `tail(piece, weight)` of the rest of the placement's text and
+    its weight text; `counts` adds up the placements per weight, as
+    exponent triples. The heads of one skeleton share `last`, so per head
+    exponent sum the tails and their counts per weight are built once and
+    reused: each weight is printed once, and no placement is built."""
     weight_text: dict[tuple[int, int, int], str] = {}
     shared, tails = None, {}
     for _, text, head, last in view.heads():
@@ -350,19 +416,20 @@ def _weighed(view: PlacementView, counts: dict) -> Iterator[tuple[str, str]]:
             exps = [(head[0] + a, head[1] + b, head[2] + c) for _, _, (a, b, c) in last]
             for weight in set(exps) - weight_text.keys():
                 weight_text[weight] = str(PQRPoly.term(1, *weight))
-            pieces = [(piece, weight_text[e]) for (_, piece, _), e in zip(last, exps)]
-            tails[head] = pieces, Counter(exps)
-        pieces, per_weight = tails[head]
+            built = [tail(piece, weight_text[e]) for (_, piece, _), e in zip(last, exps)]
+            tails[head] = built, Counter(exps)
+        built, per_weight = tails[head]
         for weight, placements in per_weight.items():
             counts[weight] = counts.get(weight, 0) + placements
-        for piece, weight in pieces:
-            yield text + piece, weight
+        yield text, built
 
 
 def _placement_lines(view: PlacementView) -> Iterator[str]:
+    """The placements one line each, one chunk per head, and the total;
+    a piece is empty only at k = 0, where the one placement has no text."""
     counts: dict[tuple[int, int, int], int] = {}
-    for text, weight in _weighed(view, counts):
-        yield f"{text or '(empty)'}  {weight}\n"
+    for text, lines in _weighed(view, counts, lambda piece, weight: f"{piece or '(empty)'}  {weight}\n"):
+        yield text + text.join(lines)
     yield f"total  {PQRPoly(counts)}\n"
 
 
@@ -380,9 +447,10 @@ def _placement_json(head: dict, view: PlacementView) -> Iterator[str]:
     counts: dict[tuple[int, int, int], int] = {}
     yield dumps(head, indent=2)[:-2] + ',\n  "placements": ['
     sep = ""
-    for text, weight in _weighed(view, counts):
-        yield _JSON_RECORD % (sep, dumps(text), dumps(weight))
-        sep = ","
+    for text, pairs in _weighed(view, counts, lambda piece, weight: (piece, dumps(weight))):
+        for piece, weight in pairs:
+            yield _JSON_RECORD % (sep, dumps(text + piece), weight)
+            sep = ","
     yield ("\n  ]" if sep else "]") + f',\n  "total": {dumps(str(PQRPoly(counts)))}\n}}\n'
 
 

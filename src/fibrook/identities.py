@@ -1,15 +1,16 @@
-"""The identity checks, and the registry that runs every check as suites.
+"""The identity checks that the suites of `fibrook.cli.run_suite` run.
 
 The matrix-inverse, basis-expansion and involution checks
 (`matrix_inverse_check`, `verify_basis_expansions`, `involution_verify`)
-live in `fibrook.stirling`, beside the triangles and the involution. The
-board-level checks compare the two independent modes of the placement
-polynomials (recursion and enumeration) and the product identities they
-satisfy. Everything else is a prediction about the triangles of
-`fibrook.stirling`: the triangle recursion is the source of truth, and the
-formulas are evaluated independently and compared entrywise, in the
-triangles' images under q -> 2**w (`_triangle_sides`, and slot 0 for the
-q = 1 checks). Every check returns a JSON-ready report dict built by
+live in `fibrook.stirling`, beside the triangles and the involution; the
+registry imports this module only for the suites whose checks are here.
+The board-level checks compare the two independent modes of the
+placement polynomials (recursion and enumeration) and the product
+identities they satisfy. Everything else is a prediction about the
+triangles of `fibrook.stirling`: the triangle recursion is the source of
+truth, and the formulas are evaluated independently and compared
+entrywise, in the triangles' images under q -> 2**w (`_triangle_sides`,
+and slot 0 for the q = 1 checks). Every check returns a JSON-ready report dict built by
 `fibrook.stirling.report`.
 
 Covered: the generating function for a fixed column of the Sf triangle,
@@ -18,9 +19,6 @@ the q = 1 binomial specializations, the first two cf columns, Fibonacci
 binomial coefficients (with the quotient cross-check), log-concavity and
 unimodality of coefficient sequences, and bundled integer-sequence
 fixtures exported by name.
-
-`run_suite` is the one registry of suites and their default sizes; the
-command line only validates a request, calls it and formats the reports.
 """
 
 from __future__ import annotations
@@ -35,14 +33,7 @@ from fibrook.board import FerrersBoard, aug_mixed_sum, file_poly, mixed_file_sum
 from fibrook.poly import (
     PQRPoly, XPoly, horner_step, p_sequence, q_binomial, q_image_row, q_int, xpoly_product,
 )
-from fibrook.stirling import (
-    build_triangle,
-    involution_verify,
-    matrix_inverse_check,
-    report,
-    triangle_images,
-    verify_basis_expansions,
-)
+from fibrook.stirling import build_triangle, report, triangle_images
 from fibrook.tiling import FIBONACCI, TRIBONACCI, Record, TileFamily, fibonacci_number, weight_poly
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -723,64 +714,3 @@ def check_products(N: int) -> dict:
     # the sums hold for every x; "x<=3" stays in the range text because the
     # goldens and perfbench/expected.json pin the stdout of `verify all`
     return report("products", f"{_BOARDS_RANGE}, staircases n<={N}, x<=3", bad)
-
-
-# ──────────────────────────────────────────────────────────────────────────
-# the suite registry
-# ──────────────────────────────────────────────────────────────────────────
-
-# each suite, in report order, with its default size N and the cap on N:
-# the enumeration cap for the suites on staircase boards of up to N
-# columns, the triangle cap for those that build triangles to row N; the
-# identities suite runs every check at its own default size unless N is given
-SUITE_SIZES = {
-    "recursion-vs-enumeration": (8, "enumeration"),
-    "products": (6, "enumeration"),
-    "inverse": (12, "triangle"),
-    "involution": (6, "enumeration"),
-    "identities": (None, "triangle"),
-}
-SUITES = (*SUITE_SIZES, "all")
-
-
-def run_suite(
-    name: str, N: int | None = None, n: int | None = None, k: int | None = None
-) -> list[dict]:
-    """The reports of one suite in order; "all" runs every suite in turn.
-
-    N sizes the suite (None: its default size). n and k select a single
-    involution domain instead of every one up to the staircase N. Checks
-    are called by their module-level names, so a patched check takes effect.
-    """
-    if name == "all":
-        return [found for suite in SUITE_SIZES for found in run_suite(suite, N, n, k)]
-    if name not in SUITE_SIZES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if N is None:
-        N = SUITE_SIZES[name][0]
-    if name == "recursion-vs-enumeration":
-        return [check_recursion_vs_enumeration(N)]
-    if name == "products":
-        return [check_products(N)]
-    if name == "inverse":
-        # the tribonacci checks stop at 10, and the basis expansions at 12
-        tops = ((FIBONACCI, N), (TRIBONACCI, min(N, 10)))
-        return [matrix_inverse_check(top, fam) for fam, top in tops] + [
-            verify_basis_expansions(min(top, 12), fam) for fam, top in tops
-        ]
-    if name == "involution":
-        if n is not None:
-            return [involution_verify(n, k)]
-        return [involution_verify(m, j) for m in range(2, N + 1) for j in range(1, m)]
-    # each identity check at its own default size (None), or at N kept in its bounds
-    sized = [
-        (check_series_columns, N),
-        (check_closed_forms, N),
-        (check_sf_p_coefficients, None if N is None else min(N, SF_P_MAX_N)),
-        (check_q1_specializations, N),
-        (check_cf_columns, N),
-        (check_fibonomials, None if N is None else max(N, FIBONOMIAL_MIN_N)),
-        (check_sequences, None),
-        (check_log_concavity, None),
-    ]
-    return [check() if size is None else check(size) for check, size in sized]

@@ -20,9 +20,10 @@ Lowercase kinds use the {1,2} family, the trailing-p kinds use {1,2,3}.
 The same numbers fall out of staircase-board placements: cf[n][k] counts
 file placements of n-k tilings on the staircase with n columns, Sf[n][k]
 counts the rook-style placements, and `triangle_from_boards` rebuilds the
-triangles that way. The table `_RULES` states these facts once per kind
-(family, factor, sign, staircase model and basis expansion), and every
-step that depends on the kind reads them there.
+triangles that way. The table `TRIANGLE_RULES` states these facts once per
+kind (family, factor, sign, staircase model and basis expansion), and
+every step that depends on the kind reads them there; it lives in
+`fibrook.tiling`, which every command loads.
 
 The recursions run on integers, in the image of q -> 2**w (Kronecker
 substitution): an entry is one int per (p, r) monomial whose base-2**w
@@ -65,54 +66,15 @@ from fibrook.poly import (
     q_image_row,
     q_image_text,
 )
-from fibrook.tiling import (
-    FIBONACCI,
-    TRIBONACCI,
-    Record,
-    TileFamily,
-    enumerate_tilings,
-    tiling_count,
-    weight_poly,
+from fibrook.tiling import (  # TRIANGLE_KINDS is re-exported
+    FIBONACCI, TRIANGLE_KINDS, TRIANGLE_RULES, Record, TileFamily, enumerate_tilings,
+    family_for_kind, tiling_count, weight_poly,
 )
-
-
-class _Rule(Record):
-    """How one kind of triangle arises: its tile family; the factor m(n, k)
-    in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k], W_n ("n"), W_k ("k") or
-    W_k + W_n ("k+n"); whether its entries take the sign (-1)^(n-k); the
-    staircase placements that count them ("file", "rook" or None); and its
-    basis expansion "A-in-B", basis A's n-th member = sum_k T[n][k] B_k."""
-
-    __slots__ = ("family", "factor", "signed", "model", "basis")
-
-    def __init__(
-        self, family: TileFamily, factor: str, signed: bool, model: str | None, basis: str
-    ) -> None:
-        self._set(family, factor, signed, model, basis)
-
-
-_RULES = {
-    "cf": _Rule(FIBONACCI, "n", False, "file", "rising-in-powers"),
-    "sf": _Rule(FIBONACCI, "n", True, None, "falling-in-powers"),
-    "Sf": _Rule(FIBONACCI, "k", False, "rook", "power-in-falling"),
-    "Lf": _Rule(FIBONACCI, "k+n", False, None, "rising-in-falling"),
-    "cp": _Rule(TRIBONACCI, "n", False, "file", "rising-in-powers"),
-    "sp": _Rule(TRIBONACCI, "n", True, None, "falling-in-powers"),
-    "Sp": _Rule(TRIBONACCI, "k", False, "rook", "power-in-falling"),
-}
-TRIANGLE_KINDS = tuple(_RULES)
-
-
-def family_for_kind(kind: str) -> TileFamily:
-    try:
-        return _RULES[kind].family
-    except KeyError:
-        raise ValueError(f"unknown triangle kind {kind!r}") from None
 
 
 def _kinds_by_basis(fam: TileFamily) -> dict[str, str]:
     """The family's kinds, in table order, keyed by their basis expansion."""
-    kinds = {rule.basis: kind for kind, rule in _RULES.items() if rule.family == fam}
+    kinds = {rule.basis: kind for kind, rule in TRIANGLE_RULES.items() if rule.family == fam}
     if not kinds:
         raise ValueError(f"no triangles are defined for family {fam}")
     return kinds
@@ -174,7 +136,7 @@ def _rule_factor(kind: str, N: int, lift: Callable, plus: Callable) -> Callable:
     """The factor m(n, k) of T[n][k] in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k],
     W_n, W_k or W_k + W_n as the kind's rule says, negated for sf/sp, with
     each (signed) W_j as lift(W_j) and a sum of two as `plus` makes it."""
-    fam, rule = family_for_kind(kind), _RULES[kind]
+    fam, rule = family_for_kind(kind), TRIANGLE_RULES[kind]
     parts = [lift((-1 if rule.signed else 1) * weight_poly(fam, j)) for j in range(N + 1)]
     return {"n": lambda n, k: parts[n], "k": lambda n, k: parts[k],
             "k+n": lambda n, k: plus(parts[k], parts[n])}[rule.factor]
@@ -327,7 +289,7 @@ def triangle_from_boards(kind: str, N: int) -> CoeffTriangle:
     """
     from fibrook.board import FerrersBoard, file_poly, rook_poly
 
-    fam, model = family_for_kind(kind), _RULES[kind].model
+    fam, model = family_for_kind(kind), TRIANGLE_RULES[kind].model
     if model is None:
         raise ValueError(f"kind {kind!r} has no placement interpretation here")
     counted = file_poly if model == "file" else rook_poly

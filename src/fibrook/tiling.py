@@ -8,6 +8,8 @@ satisfies W_n = q W_{n-1} + p W_{n-2}; allowing height 3 as well gives
 tribonacci counts and the three-term analogue of the recursion.
 
 `Record` is the immutable base of every record class in the package.
+`TRIANGLE_RULES`, the table of the triangle kinds of `fibrook.stirling`,
+is kept here, so the parser reads the kinds without compiling triangles.
 """
 
 from __future__ import annotations
@@ -110,6 +112,41 @@ class TileFamily(Record):
 
 FIBONACCI = TileFamily((1, 2))
 TRIBONACCI = TileFamily((1, 2, 3))
+
+
+class _Rule(Record):
+    """How one kind of triangle of `fibrook.stirling` arises: its tile
+    family; the factor m(n, k) in T[n+1][k] = T[n][k-1] + m(n, k) T[n][k],
+    W_n ("n"), W_k ("k") or W_k + W_n ("k+n"); whether its entries take the
+    sign (-1)^(n-k); the staircase placements that count them ("file",
+    "rook" or None); and its basis expansion "A-in-B", basis A's n-th
+    member = sum_k T[n][k] B_k."""
+
+    __slots__ = ("family", "factor", "signed", "model", "basis")
+
+    def __init__(
+        self, family: TileFamily, factor: str, signed: bool, model: str | None, basis: str
+    ) -> None:
+        self._set(family, factor, signed, model, basis)
+
+
+TRIANGLE_RULES = {
+    "cf": _Rule(FIBONACCI, "n", False, "file", "rising-in-powers"),
+    "sf": _Rule(FIBONACCI, "n", True, None, "falling-in-powers"),
+    "Sf": _Rule(FIBONACCI, "k", False, "rook", "power-in-falling"),
+    "Lf": _Rule(FIBONACCI, "k+n", False, None, "rising-in-falling"),
+    "cp": _Rule(TRIBONACCI, "n", False, "file", "rising-in-powers"),
+    "sp": _Rule(TRIBONACCI, "n", True, None, "falling-in-powers"),
+    "Sp": _Rule(TRIBONACCI, "k", False, "rook", "power-in-falling"),
+}
+TRIANGLE_KINDS = tuple(TRIANGLE_RULES)
+
+
+def family_for_kind(kind: str) -> TileFamily:
+    try:
+        return TRIANGLE_RULES[kind].family
+    except KeyError:
+        raise ValueError(f"unknown triangle kind {kind!r}") from None
 
 
 class Tiling(Record):

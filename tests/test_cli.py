@@ -72,6 +72,60 @@ def test_table_unknown_kind_is_usage_error(capsys):
     assert code == 2
 
 
+_TABLE_USAGE = """\
+usage: fibrook table [-h] [--format {text,json,csv}] [--out OUT] [--force]
+                     {cf,sf,Sf,Lf,cp,sp,Sp} N
+"""
+
+# the parser's text as argparse of CPython 3.10 and 3.11 prints it at 80 columns
+_PARSER_TEXT = {
+    "help": ((), 0, """\
+usage: fibrook [-h] {table,verify,enumerate,series,sequences} ...
+
+Tiling-weighted rook and file polynomials on Ferrers boards.
+
+positional arguments:
+  {table,verify,enumerate,series,sequences}
+    table               print a coefficient triangle
+    verify              run a verification suite
+    enumerate           list placements on one board
+    series              generating series of an Sf column
+    sequences           regenerate bundled integer sequences
+
+options:
+  -h, --help            show this help message and exit
+
+FIBROOK_MAX_N replaces the default size caps (triangles 40, enumeration 9).
+""", ""),
+    "table-help": (("table",), 0, _TABLE_USAGE + """
+positional arguments:
+  {cf,sf,Sf,Lf,cp,sp,Sp}
+  N
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+  --out OUT             write to this path instead of stdout
+  --force               ignore the size cap
+""", ""),
+    "invalid-kind": (("table", "xx", "3"), 2, "", _TABLE_USAGE + (
+        "fibrook table: error: argument kind: invalid choice: 'xx' "
+        "(choose from 'cf', 'sf', 'Sf', 'Lf', 'cp', 'sp', 'Sp')\n")),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="argparse words its help and errors differently in other versions")
+@pytest.mark.parametrize("case", _PARSER_TEXT)
+def test_parser_text_is_pinned(case):
+    # the kind names come from the rules table without compiling fibrook.stirling
+    argv, code, out, err = _PARSER_TEXT[case]
+    argv = [*argv, "--help"] if case.endswith("help") else list(argv)
+    done = subprocess.run([sys.executable, "-m", "fibrook.cli", *argv], env={**SRC_ENV, "COLUMNS": "80"},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 @pytest.mark.parametrize("argv,message", [
     (("table", "Sf", "-1"), "table needs a row count N >= 0"),
     (("enumerate", "F(1,2)", "--k", "-1"), "k must be >= 0"),
@@ -305,7 +359,7 @@ def test_verify_involution_needs_both_bounds(capsys):
 ])
 def test_verify_refuses_a_malformed_involution_domain_before_any_suite(capsys, monkeypatch, argv):
     ran = []
-    monkeypatch.setattr(identities, "run_suite", lambda *args: ran.append(args) or [])
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args) or [])
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out, ran) == (2, "", [])
     assert err == "error: the involution is defined for 1 <= k < n\n"
@@ -329,7 +383,7 @@ def test_verify_inverse_at_n_zero_sizes_every_check(capsys):
     ]
 
 
-@pytest.mark.parametrize("suite", identities.SUITES)
+@pytest.mark.parametrize("suite", cli.SUITES)
 def test_verify_rejects_a_negative_n(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--N", "-1")
     assert code == 2
@@ -466,7 +520,7 @@ def _report(check: str, status: str, bad: int = 0, warnings: int | None = None) 
     ],
 )
 def test_verify_summary_lines_and_exit_codes(capsys, monkeypatch, reports, strict, code, lines):
-    monkeypatch.setattr(identities, "run_suite", lambda name, N, n, k: reports)
+    monkeypatch.setattr(cli, "run_suite", lambda name, N, n, k: reports)
     argv = ["verify", "products", "--format", "summary"] + (["--strict"] if strict else [])
     got_code, out, err = run(capsys, *argv)
     assert (got_code, err) == (code, "")
@@ -483,7 +537,7 @@ def test_verify_summary_of_a_real_suite(capsys):
     )
 
 
-@pytest.mark.parametrize("suite", [s for s in identities.SUITES if s not in ("involution", "all")])
+@pytest.mark.parametrize("suite", [s for s in cli.SUITES if s not in ("involution", "all")])
 @pytest.mark.parametrize("flags", [("--n", "5"), ("--k", "2")])
 def test_verify_n_and_k_outside_the_involution_are_usage_errors(capsys, suite, flags):
     code, out, err = run(capsys, "verify", suite, *flags)
@@ -597,7 +651,7 @@ def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, argv, 
 
 def test_out_is_opened_before_any_check_runs(tmp_path, capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(identities, "run_suite", lambda *args: ran.append(args) or [])
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args) or [])
     target = tmp_path / "missing" / "r.json"
     code, out, err = run(capsys, "verify", "all", "--out", str(target))
     assert (code, out, ran) == (2, "", [])
@@ -632,22 +686,38 @@ def test_closed_stdout_is_a_usage_error_without_a_traceback(argv):
     assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: Bad file descriptor\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("table", "Sf", "3", "--format", "json"),
-    ("enumerate", "F(1,2,3)", "--k", "2", "--format", "json"),
-])
-def test_table_and_enumerate_do_not_import_the_identities(argv):
-    # nor does `table` import fibrook.board: with no bytecode cache, each
-    # process would compile it
-    board = argv[0] == "enumerate"
+# what `import fibrook.cli` loads, and what each command adds to it
+_LOADED_BY_IMPORT = {"fibrook", "fibrook.cli", "fibrook.poly", "fibrook.tiling"}
+_ADDED = {
+    "import": ((), set()),
+    "table": (("table", "Sf", "3"), {"fibrook.stirling"}),
+    "table-json": (("table", "Sf", "3", "--format", "json"), {"fibrook.stirling"}),
+    "enumerate": (("enumerate", "F(1,2,3)", "--k", "2"), {"fibrook.board"}),
+    "enumerate-json": (("enumerate", "F(1,2,3)", "--k", "2", "--format", "json"), {"fibrook.board"}),
+    "verify-inverse": (("verify", "inverse", "--N", "4"), {"fibrook.stirling"}),
+    "verify-involution": (("verify", "involution", "--n", "5", "--k", "2"),
+                          {"fibrook.stirling", "fibrook.board"}),
+    "verify-all": (("verify", "all", "--N", "2"),
+                   {"fibrook.stirling", "fibrook.board", "fibrook.identities"}),
+}
+
+
+@pytest.mark.parametrize("command", _ADDED)
+def test_each_command_loads_only_the_modules_it_runs(command):
+    # with no bytecode cache, each process compiles every module it imports
+    argv, added = _ADDED[command]
+    run_it = f"main({list(argv)!r} + ['--out', {os.devnull!r}])" if argv else "0"
     probe = (
-        "import sys; from fibrook.cli import main; "
-        f"code = main({list(argv)!r} + ['--out', {os.devnull!r}]); "
-        "print(code, 'fibrook.identities' in sys.modules, 'fibrook.board' in sys.modules)"
+        f"import sys; from fibrook.cli import main; code = {run_it}; "
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'fibrook'))"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert done.stdout == f"0 False {board}\n"
+    assert done.stdout == f"0 {sorted(_LOADED_BY_IMPORT | added)}\n"
+    if command == "verify-all":
+        package = Path(cli.__file__).parent
+        every = {"fibrook"} | {f"fibrook.{path.stem}" for path in package.glob("[!_]*.py")}
+        assert _LOADED_BY_IMPORT | added == every
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,8 +4,9 @@ The digests pin stdout byte for byte: the placements, their order, their
 weights and the total. The boards cover a zero-height column, a staircase,
 a non-Ferrers file board and the tribonacci family; the rows with k of
 3 to 5 have two or more leading columns before the last one, including a
-board whose every column is tiled; the k = 0 and k > columns rows pin
-the one empty placement and the empty list. The last rows pin the
+board whose every column is tiled; the k = 1 rows have heads with no
+text, so each line is a single fragment; the k = 0 and k > columns rows
+pin the one empty placement and the empty list. The last rows pin the
 48,444-placement board of perfbench's `placements` workload, in text and
 JSON, and the rook enumeration that CI runs.
 """
@@ -35,6 +36,12 @@ GOLDEN = [
     ("F(0,1,2,3,4,5,6)", 3, "trib", "rook", "text", 6475, "4dc79f678dcd1785c18b7e7e1e4ad407b4559b4e2b18794ce141ec87a400e6ce"),
     ("F(2,3,3,4,5)", 5, "trib", "file", "text", 5517, "dc3ae1c000c02eeb6a7f058c14b95adc148d9ffc7f13622ffaca468c6e3c660e"),
     ("F(3,1,4,2,5)", 3, "fib", "file", "text", 3419, "75b2d9babd5ddc5fa890894ae6f20407326b65ce81e2a5cd5713020fceefdd01"),
+    # k = 1: every head's text is empty and each line is one fragment
+    ("F(0,2,2,3)", 1, "fib", "file", "text", 71, "c7c29b7fa06bf4e2489d4d9d95f23c7c88caa53fbdf5496a5e6f21fc138fcdd6"),
+    ("F(0,2,2,3)", 1, "fib", "file", "json", 384, "a356d80e71eb1d23573f28e451954f5c938b8045f2b0e763497657d8c8ed7df2"),
+    ("F(0,2,2,3)", 1, "fib", "rook", "text", 71, "c7c29b7fa06bf4e2489d4d9d95f23c7c88caa53fbdf5496a5e6f21fc138fcdd6"),
+    ("F(0,2,2,3)", 1, "fib", "rook", "json", 384, "69185b9a3e399acb3f4aa92e0bd86c270f26fa32abc047de1100373d9c609140"),
+    ("F(1,2,3,4)", 1, "trib", "file", "text", 147, "ae32075e89955f5f915fa8c5cf6a809c99d13c22390bc410f31ad2e1663a8515"),
     # k = 0: the one empty placement, total 1
     ("F(0,2,2,3)", 0, "fib", "file", "text", 20, "243642a7267084490f036c6b2c817b350e1ff185a394dc2c584c83e0e6cf9076"),
     ("F(0,2,2,3)", 0, "fib", "file", "json", 170, "0f9c31d8f78f4d8b1017f2c01f2c794615fb80460728a99a1badb5bf9bfee4da"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import fibrook.cli as cli
 import fibrook.identities as identities
 from fibrook.identities import (
     SEQUENCE_NAMES,
@@ -24,7 +25,6 @@ from fibrook.identities import (
     fibonomial,
     log_concave,
     p_sequences,
-    run_suite,
     sequence_export,
     sf_column_series,
     sf_p_coefficient_formula,
@@ -33,6 +33,7 @@ from fibrook.identities import (
 )
 from conftest import linear_product, xpoly_add, xpoly_mul
 from fibrook.board import FerrersBoard
+from fibrook.cli import run_suite
 from fibrook.poly import P, Q, PQRPoly, XPoly
 import fibrook.stirling as stirling
 from fibrook.stirling import TRIANGLE_KINDS, build_triangle
@@ -612,8 +613,8 @@ def test_products_build_each_linear_product_once(monkeypatch):
 
 
 def test_all_is_every_suite_in_order():
-    reports = identities.run_suite("all", 2)
-    parts = [r for suite in identities.SUITE_SIZES for r in identities.run_suite(suite, 2)]
+    reports = cli.run_suite("all", 2)
+    parts = [r for suite in cli.SUITE_SIZES for r in cli.run_suite(suite, 2)]
     assert reports == parts
     assert [r["check"] for r in reports[:6]] == [
         "recursion-vs-enumeration", "products", "matrix-inverse", "matrix-inverse",
@@ -623,8 +624,21 @@ def test_all_is_every_suite_in_order():
 
 def test_run_suite_calls_the_checks_by_name(monkeypatch):
     monkeypatch.setattr(identities, "check_products", lambda N: {"check": "stub", "N": N})
-    assert identities.run_suite("products") == [{"check": "stub", "N": 6}]
-    assert identities.run_suite("products", 2) == [{"check": "stub", "N": 2}]
+    assert cli.run_suite("products") == [{"check": "stub", "N": 6}]
+    assert cli.run_suite("products", 2) == [{"check": "stub", "N": 2}]
+
+
+def test_run_suite_calls_the_stirling_checks_by_name(monkeypatch):
+    # a tracer wraps these names in `fibrook.stirling`; the suites read them at call time
+    monkeypatch.setattr(stirling, "matrix_inverse_check", lambda N, fam: ("inverse", N, fam.label))
+    monkeypatch.setattr(stirling, "verify_basis_expansions", lambda N, fam: ("basis", N, fam.label))
+    monkeypatch.setattr(stirling, "involution_verify", lambda n, k: ("involution", n, k))
+    assert cli.run_suite("inverse", 11) == [
+        ("inverse", 11, "fib"), ("inverse", 10, "trib"), ("basis", 11, "fib"), ("basis", 10, "trib"),
+    ]
+    assert cli.run_suite("involution", 3) == [("involution", 2, 1), ("involution", 3, 1),
+                                              ("involution", 3, 2)]
+    assert cli.run_suite("involution", None, 8, 5) == [("involution", 8, 5)]
 
 
 def test_every_suite_passes_without_building_a_triangle(monkeypatch):
@@ -654,4 +668,4 @@ def test_identity_suite_passes_at_size_zero():
 
 def test_run_suite_rejects_an_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
-        identities.run_suite("everything")
+        cli.run_suite("everything")
